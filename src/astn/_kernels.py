@@ -1,23 +1,17 @@
-"""Hot numeric kernels: numba-jitted with pure-numpy fallbacks.
+"""Hot numeric kernels, in plain numpy.
 
 Every sampler step, oracle evaluation and metric window reduces to a handful
-of fused elementwise kernels defined here. The numba path is the default;
-setting the environment variable ``ASTN_DISABLE_NUMBA=1`` (or numba being
-unimportable) selects the numpy fallbacks. Both paths perform the same
-floating-point operations in the same order, so ``lincomb2``/``lincomb3``/
-``add_ellipses`` are bit-identical across backends; ``ssim_map`` differs only
-in summation order (agreement to ~1e-12). Scalar transcendentals (exp, log)
-are always computed outside the kernels.
+of elementwise kernels defined here. Scalar transcendentals (exp, log) are
+always computed outside the kernels.
 
-``benchmarks/bench_kernels.py`` times both paths side by side.
+``ssim_map`` exploits that the SSIM window is separable (the Gaussian window
+of Wang et al., IEEE TIP 2004, is ``outer(g, g)``): each local moment is two
+1-D valid-mode passes of ``w`` taps instead of one 2-D pass of ``w * w``.
 """
-
-import os
 
 import numpy as np
 
 __all__ = [
-    "NUMBA_ENABLED",
     "active_backend",
     "lincomb2",
     "lincomb3",
@@ -26,30 +20,39 @@ __all__ = [
 ]
 
 
-def _numpy_lincomb2(ca, a, cb, b):
+def active_backend():
+    """Name of the kernel backend in use."""
+    return "numpy"
+
+
+def lincomb2(ca, a, cb, b):
     return ca * a + cb * b
 
 
-def _numpy_lincomb3(ca, a, cb, b, cc, c):
+def lincomb3(ca, a, cb, b, cc, c):
     return (ca * a + cb * b) + cc * c
 
 
-def _numpy_ssim_map(x, y, window, c1, c2):
-    # valid-mode sliding windows; weighted local moments via tensordot
-    w = window.shape[0]
-    xs = np.lib.stride_tricks.sliding_window_view(x, (w, w))
-    ys = np.lib.stride_tricks.sliding_window_view(y, (w, w))
-    mu1 = np.tensordot(xs, window, axes=([2, 3], [0, 1]))
-    mu2 = np.tensordot(ys, window, axes=([2, 3], [0, 1]))
-    s11 = np.tensordot(xs * xs, window, axes=([2, 3], [0, 1])) - mu1 * mu1
-    s22 = np.tensordot(ys * ys, window, axes=([2, 3], [0, 1])) - mu2 * mu2
-    s12 = np.tensordot(xs * ys, window, axes=([2, 3], [0, 1])) - mu1 * mu2
+def ssim_map(x, y, window, c1, c2):
+    """Valid-mode SSIM map of ``x`` against ``y`` under a separable window."""
+    # a unit-sum rank-1 window equals the outer product of its marginals
+    g = window.sum(axis=1)
+    h = window.sum(axis=0)
+    if not np.allclose(np.outer(g, h), window, rtol=1e-12, atol=0.0):
+        raise ValueError("ssim_map needs a separable window summing to 1")
+    moments = np.stack((x, y, x * x, y * y, x * y))
+    # weighted local moments: filter down the columns, then along the rows
+    cols = np.lib.stride_tricks.sliding_window_view(moments, g.size, axis=1) @ g
+    mu1, mu2, m11, m22, m12 = np.lib.stride_tricks.sliding_window_view(cols, h.size, axis=2) @ h
+    s11 = m11 - mu1 * mu1
+    s22 = m22 - mu2 * mu2
+    s12 = m12 - mu1 * mu2
     num = (2.0 * mu1 * mu2 + c1) * (2.0 * s12 + c2)
     den = (mu1 * mu1 + mu2 * mu2 + c1) * (s11 + s22 + c2)
     return num / den
 
 
-def _numpy_add_ellipses(img, params):
+def add_ellipses(img, params):
     # params rows: cx, cy, inv_ax, inv_ay, cos_t, sin_t, value
     h, w = img.shape
     ys = (np.arange(h, dtype=np.float64)[:, None] + 0.5) / h * 2.0 - 1.0
@@ -63,103 +66,3 @@ def _numpy_add_ellipses(img, params):
         v = (dy * ct - dx * st) * inv_ay
         out = out + np.where(u * u + v * v <= 1.0, val, 0.0)
     return out
-
-
-_DISABLED = os.environ.get("ASTN_DISABLE_NUMBA", "").strip() in {"1", "true", "yes"}
-NUMBA_ENABLED = False
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _numba_lincomb2(ca, a, cb, b):
-        h, w = a.shape
-        out = np.empty((h, w), dtype=np.float64)
-        for i in range(h):
-            for j in range(w):
-                out[i, j] = ca * a[i, j] + cb * b[i, j]
-        return out
-
-    @njit(cache=True)
-    def _numba_lincomb3(ca, a, cb, b, cc, c):
-        h, w = a.shape
-        out = np.empty((h, w), dtype=np.float64)
-        for i in range(h):
-            for j in range(w):
-                out[i, j] = (ca * a[i, j] + cb * b[i, j]) + cc * c[i, j]
-        return out
-
-    @njit(cache=True)
-    def _numba_ssim_map(x, y, window, c1, c2):
-        h, w = x.shape
-        ws = window.shape[0]
-        oh, ow = h - ws + 1, w - ws + 1
-        out = np.empty((oh, ow), dtype=np.float64)
-        for i in range(oh):
-            for j in range(ow):
-                mu1 = 0.0
-                mu2 = 0.0
-                m11 = 0.0
-                m22 = 0.0
-                m12 = 0.0
-                for p in range(ws):
-                    for q in range(ws):
-                        wv = window[p, q]
-                        xv = x[i + p, j + q]
-                        yv = y[i + p, j + q]
-                        mu1 += wv * xv
-                        mu2 += wv * yv
-                        m11 += wv * xv * xv
-                        m22 += wv * yv * yv
-                        m12 += wv * xv * yv
-                s11 = m11 - mu1 * mu1
-                s22 = m22 - mu2 * mu2
-                s12 = m12 - mu1 * mu2
-                num = (2.0 * mu1 * mu2 + c1) * (2.0 * s12 + c2)
-                den = (mu1 * mu1 + mu2 * mu2 + c1) * (s11 + s22 + c2)
-                out[i, j] = num / den
-        return out
-
-    @njit(cache=True)
-    def _numba_add_ellipses(img, params):
-        h, w = img.shape
-        out = img.copy()
-        for k in range(params.shape[0]):
-            cx = params[k, 0]
-            cy = params[k, 1]
-            inv_ax = params[k, 2]
-            inv_ay = params[k, 3]
-            ct = params[k, 4]
-            st = params[k, 5]
-            val = params[k, 6]
-            for i in range(h):
-                dy = (i + 0.5) / h * 2.0 - 1.0 - cy
-                for j in range(w):
-                    dx = (j + 0.5) / w * 2.0 - 1.0 - cx
-                    u = (dx * ct + dy * st) * inv_ax
-                    v = (dy * ct - dx * st) * inv_ay
-                    if u * u + v * v <= 1.0:
-                        out[i, j] = out[i, j] + val
-        return out
-
-    lincomb2 = _numba_lincomb2
-    lincomb3 = _numba_lincomb3
-    ssim_map = _numba_ssim_map
-    add_ellipses = _numba_add_ellipses
-else:
-    lincomb2 = _numpy_lincomb2
-    lincomb3 = _numpy_lincomb3
-    ssim_map = _numpy_ssim_map
-    add_ellipses = _numpy_add_ellipses
-
-
-def active_backend():
-    """Name of the kernel backend in use: 'numba' or 'numpy'."""
-    return "numba" if NUMBA_ENABLED else "numpy"

@@ -159,6 +159,13 @@ def generate_dataset(out_dir, count, size, dose_fractions, master_seed,
 
     Deterministic in ``master_seed``; returns the manifest records.
     """
+    tags = [f"d{round(frac * 100):03d}" for frac in dose_fractions]
+    seed_keys = [round(frac * 1000) for frac in dose_fractions]
+    if len(set(tags)) != len(tags) or len(set(seed_keys)) != len(seed_keys):
+        raise ValueError(
+            f"dose fractions {list(dose_fractions)} collide in pair ids {tags} "
+            f"or noise-seed keys {seed_keys}"
+        )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = []
@@ -168,17 +175,17 @@ def generate_dataset(out_dir, count, size, dose_fractions, master_seed,
         full_path = out / f"pair{i:03d}_full.img"
         write_image(full_path, phantom)
         write_pgm(full_path.with_suffix(".pgm"), phantom)
-        for frac in dose_fractions:
-            noise_seed = int(np.random.SeedSequence((master_seed, i, int(frac * 1000))).generate_state(1)[0])
+        for frac, tag, key in zip(dose_fractions, tags, seed_keys):
+            noise_seed = int(np.random.SeedSequence((master_seed, i, key)).generate_state(1)[0])
             low = simulate_low_dose(
                 phantom, frac, np.random.default_rng(noise_seed), photons_full_dose
             )
-            low_path = out / f"pair{i:03d}_d{int(frac * 100):03d}_low.img"
+            low_path = out / f"pair{i:03d}_{tag}_low.img"
             write_image(low_path, low)
             write_pgm(low_path.with_suffix(".pgm"), low)
             records.append(
                 {
-                    "pair_id": f"pair{i:03d}_d{int(frac * 100):03d}",
+                    "pair_id": f"pair{i:03d}_{tag}",
                     "full_path": full_path.name,
                     "low_path": low_path.name,
                     "dose_fraction": frac,

@@ -94,17 +94,6 @@ def _cell_seed(master_seed, cell_index, image_index):
     return np.random.SeedSequence((master_seed, cell_index, image_index))
 
 
-def _warm_kernels():
-    # first-call JIT compilation must not land in the first cell's timing
-    from astn import _kernels as k
-    from astn.metrics import _gaussian_window
-
-    small = np.zeros((12, 12))
-    k.lincomb2(1.0, small, 0.0, small)
-    k.lincomb3(1.0, small, 0.0, small, 0.0, small)
-    k.ssim_map(small, small, _gaussian_window(11, 1.5), 1e-4, 9e-4)
-
-
 def regime_sweep(origins, samplers, dataset, pred, sched, master_seed,
                  regimes=("full", "ast"), eta=0.0, threads=1):
     """Cross product of (regime, sampler, origin/budget) over the dataset.
@@ -123,7 +112,6 @@ def regime_sweep(origins, samplers, dataset, pred, sched, master_seed,
     ]
     factory = pred if callable(pred) else (lambda _pair: pred)
     report = MetricsReport()
-    _warm_kernels()
 
     def run_cell(ci_cell):
         ci, (regime_name, kind, n) = ci_cell

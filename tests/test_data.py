@@ -185,6 +185,23 @@ def test_generate_dataset_standard_size(tmp_path):
     assert len(list(tmp_path.glob("*_low.img"))) == 32
 
 
+def test_generate_dataset_close_fractions_get_distinct_ids(tmp_path):
+    # int(0.29 * 100) is 28, so truncating would give both fractions the id d028
+    records = generate_dataset(tmp_path, count=1, size=32,
+                               dose_fractions=[0.28, 0.29], master_seed=3)
+    assert [r["pair_id"] for r in records] == ["pair000_d028", "pair000_d029"]
+    assert len(list(tmp_path.glob("*_low.img"))) == 2
+    assert records[0]["seed"] != records[1]["seed"]
+    assert [p.dose_fraction for p in read_manifest(tmp_path / "manifest.csv")] == [0.28, 0.29]
+
+
+def test_generate_dataset_rejects_duplicate_ids_before_writing(tmp_path):
+    out = tmp_path / "data"
+    with pytest.raises(ValueError, match="collide"):
+        generate_dataset(out, count=1, size=32, dose_fractions=[0.25, 0.251], master_seed=3)
+    assert not out.exists()
+
+
 def test_manifest_round_trip(tmp_path):
     generate_dataset(tmp_path, count=2, size=32, dose_fractions=[0.25], master_seed=11)
     pairs = read_manifest(tmp_path / "manifest.csv")

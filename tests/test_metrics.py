@@ -165,8 +165,12 @@ def test_timed_scales_linearly():
         return [once() for _ in range(10)]
 
     once()  # touch caches
-    t1 = min(timed(once)[1] for _ in range(7))
-    t10 = min(timed(ten)[1] for _ in range(7))
+    # interleave the repeats so both groups see the same host CPU-speed state
+    t1s, t10s = [], []
+    for _ in range(7):
+        t1s.append(timed(once)[1])
+        t10s.append(timed(ten)[1])
+    t1, t10 = min(t1s), min(t10s)
     assert 10 * t1 * 0.7 <= t10 <= 10 * t1 * 1.3
 
 
