@@ -178,7 +178,11 @@ def cmd_run(args):
     manifest = Path(args.out) / "dataset" / "manifest.csv"
     if not manifest.exists():
         raise ConfigError(f"no dataset manifest at {manifest}; run `astn generate` first")
-    dataset = dat.read_manifest(manifest)
+    try:
+        dataset = dat.read_manifest(manifest)
+    except ValueError as exc:
+        # a corrupt dataset file is a runtime failure, not a config error
+        raise RuntimeError(f"cannot load the dataset listed in {manifest}: {exc}") from exc
     if not dataset:
         raise ConfigError(f"{manifest} lists no pairs")
     shape = dataset[0].full_dose.shape

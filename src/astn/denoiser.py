@@ -44,6 +44,10 @@ class EpsilonPredictor(ABC):
     ``t`` is an integer step in [1, T]; fractional t is accepted only for the
     midpoint evaluations of the second-order solver. Predictors declaring
     ``requires_condition`` must be called with a condition image.
+
+    Samplers evaluate through :meth:`bind`, which fixes the condition once
+    per image; a predictor with per-condition work overrides it to do that
+    work once.
     """
 
     requires_condition = False
@@ -52,9 +56,17 @@ class EpsilonPredictor(ABC):
     def predict(self, x_t, t, cond=None):
         ...
 
-    def _check_condition(self, x_t, cond):
+    def bind(self, cond):
+        """``(x_t, t) -> eps_hat`` with ``cond`` fixed; equals ``predict(x_t, t, cond)``."""
+        self._require_condition(cond)
+        return lambda x_t, t: self.predict(x_t, t, cond)
+
+    def _require_condition(self, cond):
         if self.requires_condition and cond is None:
             raise ValueError(f"{type(self).__name__} requires a condition image")
+
+    def _check_condition(self, x_t, cond):
+        self._require_condition(cond)
         if cond is not None:
             require_same_shape(x_t, cond, "latent and condition")
 
@@ -139,13 +151,23 @@ class ConditionedGaussianOracle(EpsilonPredictor):
         post_mean = k.lincomb2(post_var / s2, m, post_var / nl2, cond)
         return post_mean, post_var
 
-    def predict(self, x_t, t, cond=None):
-        self._check_condition(x_t, cond)
+    def bind(self, cond):
+        """The posterior is computed here, once per condition image."""
+        self._require_condition(cond)
         post_mean, post_var = self._posterior(cond)
-        ab = self.sched.alpha_bar_at(t)
-        denom = ab * post_var + (1.0 - ab)
-        coef = math.sqrt(1.0 - ab) / denom
-        return k.lincomb2(coef, x_t, -coef * math.sqrt(ab), post_mean)
+        sched = self.sched
+
+        def eps(x_t, t):
+            require_same_shape(x_t, cond, "latent and condition")
+            ab = sched.alpha_bar_at(t)
+            denom = ab * post_var + (1.0 - ab)
+            coef = math.sqrt(1.0 - ab) / denom
+            return k.lincomb2(coef, x_t, -coef * math.sqrt(ab), post_mean)
+
+        return eps
+
+    def predict(self, x_t, t, cond=None):
+        return self.bind(cond)(x_t, t)
 
 
 def conditioned_oracle(model, noise_level, sched):

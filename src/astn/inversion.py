@@ -33,6 +33,8 @@ def ddim_invert(x_start, pred, cond, sched, grid, mode="predicted_x0"):
     """
     if mode not in INVERSION_MODES:
         raise ValueError(f"unknown inversion mode {mode!r}")
+    if mode == "predicted_x0":
+        eps = pred.bind(cond)
     ascending = grid.steps[::-1]
     t0 = ascending[0]
     x = math.sqrt(sched.alpha_bar(t0)) * np.asarray(x_start, dtype=np.float64)
@@ -40,8 +42,7 @@ def ddim_invert(x_start, pred, cond, sched, grid, mode="predicted_x0"):
         if mode == "literal_x0":
             x0_ref = x_start
         else:
-            eps_hat = pred.predict(x, t, cond)
-            x0_ref = predict_x0(x, t, eps_hat, sched)
+            x0_ref = predict_x0(x, t, eps(x, t), sched)
         ab_t, ab_n = sched.alpha_bar(t), sched.alpha_bar(t_next)
         a_t, s_t = math.sqrt(ab_t), math.sqrt(1.0 - ab_t)
         a_n, s_n = math.sqrt(ab_n), math.sqrt(1.0 - ab_n)

@@ -102,7 +102,9 @@ def regime_sweep(origins, samplers, dataset, pred, sched, master_seed,
     ``pair -> EpsilonPredictor`` for per-pair predictors. Each cell x image
     gets an independent PRNG stream derived from ``master_seed``; one
     MetricsRow per cell holds metrics and wall time averaged over images.
-    Per-cell failures are recorded and the sweep continues.
+    A cell that raises ValueError (a solver domain error) or RuntimeError
+    (non-finite output) is recorded as failed and the sweep continues; any
+    other exception is a bug and propagates.
     """
     cells = [
         (regime, kind, n)
@@ -140,7 +142,7 @@ def regime_sweep(origins, samplers, dataset, pred, sched, master_seed,
     def guarded(ci_cell):
         try:
             return ci_cell[1], run_cell(ci_cell), None
-        except Exception as exc:  # cell failures must not kill the sweep
+        except (ValueError, RuntimeError) as exc:  # cell failures must not kill the sweep
             return ci_cell[1], None, f"{type(exc).__name__}: {exc}"
 
     if not dataset:

@@ -21,6 +21,15 @@ t -> u, the update rules are:
                  (B(h) = h variant)
 
 The terminal hop to t = 0 always returns x0_hat, for every sampler.
+
+Each kind's hop is split in two: a coefficient function of (t, u, schedule,
+eta) holds all of the hop's scalar math, and an apply function does the
+array update with those coefficients and the predictor. ``run_sampler``
+computes every hop's coefficients before its first evaluation, binds the
+predictor to the condition once (``EpsilonPredictor.bind``), then runs one
+loop of apply calls. Each public ``*_step`` function is one such hop with
+the same two parts, so a fold of the step functions reproduces
+``run_sampler`` bit for bit.
 """
 
 import math
@@ -89,11 +98,17 @@ class MultistepState:
     prev_x0: np.ndarray = None
 
 
-def predict_x0(x_t, t, eps_hat, sched):
-    """Data prediction implied by a noise estimate: (x_t - s_t eps_hat)/a_t."""
+def _x0_coefs(t, sched):
+    """(c_x, c_eps) of predict_x0 at t: x0_hat = c_x x_t + c_eps eps_hat."""
     ab = sched.alpha_bar_at(t)
     a_t = math.sqrt(ab)
-    return k.lincomb2(1.0 / a_t, x_t, -math.sqrt(1.0 - ab) / a_t, eps_hat)
+    return 1.0 / a_t, -math.sqrt(1.0 - ab) / a_t
+
+
+def predict_x0(x_t, t, eps_hat, sched):
+    """Data prediction implied by a noise estimate: (x_t - s_t eps_hat)/a_t."""
+    c_x, c_eps = _x0_coefs(t, sched)
+    return k.lincomb2(c_x, x_t, c_eps, eps_hat)
 
 
 def _check_hop(t, t_prev):
@@ -101,37 +116,52 @@ def _check_hop(t, t_prev):
         raise ValueError(f"reverse hop needs t > t_prev >= 0, got {t} -> {t_prev}")
 
 
-def ddpm_step(x_t, t, t_prev, pred, cond, sched, rng):
-    """Generalised ancestral transition from t to t_prev (noisy)."""
-    _check_hop(t, t_prev)
-    eps_hat = pred.predict(x_t, t, cond)
-    x0_hat = predict_x0(x_t, t, eps_hat, sched)
-    if t_prev == 0:
-        return x0_hat
-    ab_t, ab_u = sched.alpha_bar(t), sched.alpha_bar(t_prev)
+# Each kind is a coefficient function of one internal hop (t, u, schedule,
+# eta) and an apply function ``(x_t, t, coefs, eps, state, rng) -> x_u``
+# doing the array work, where ``eps(x, t)`` is a bound predictor. The
+# terminal hop to 0 is the same for every kind: _x0_coefs + _apply_linear.
+
+
+def _apply_linear(x_t, t, c, eps, state, rng):
+    """c_x x_t + c_eps eps_hat: the terminal hop's x0_hat and the DPM-1 update."""
+    c_x, c_eps = c
+    return k.lincomb2(c_x, x_t, c_eps, eps(x_t, t))
+
+
+def _ddpm_coefs(t, u, sched, eta):
+    ab_t, ab_u = sched.alpha_bar(t), sched.alpha_bar(u)
     alpha_ratio = ab_t / ab_u
     beta_eff = 1.0 - alpha_ratio
     btilde = (1.0 - ab_u) / (1.0 - ab_t) * beta_eff
     c0 = math.sqrt(ab_u) * beta_eff / (1.0 - ab_t)
     ct = math.sqrt(alpha_ratio) * (1.0 - ab_u) / (1.0 - ab_t)
+    return _x0_coefs(t, sched), c0, ct, math.sqrt(btilde)
+
+
+def _ddpm_apply(x_t, t, c, eps, state, rng):
+    x0c, c0, ct, noise_sd = c
+    if rng is None:
+        raise ValueError("ddpm sampling needs an rng")
+    x0_hat = _apply_linear(x_t, t, x0c, eps, state, rng)
     mean = k.lincomb2(c0, x0_hat, ct, x_t)
     z = rng.standard_normal(x_t.shape)
-    return k.lincomb2(1.0, mean, math.sqrt(btilde), z)
+    return k.lincomb2(1.0, mean, noise_sd, z)
 
 
-def ddim_step(x_t, t, t_prev, pred, cond, sched, eta=0.0, rng=None):
-    """Non-Markovian DDIM transition; eta = 0 is the deterministic trajectory."""
-    _check_hop(t, t_prev)
-    eps_hat = pred.predict(x_t, t, cond)
-    x0_hat = predict_x0(x_t, t, eps_hat, sched)
-    if t_prev == 0:
-        return x0_hat
-    ab_t, ab_u = sched.alpha_bar(t), sched.alpha_bar(t_prev)
+def _ddim_coefs(t, u, sched, eta):
+    ab_t, ab_u = sched.alpha_bar(t), sched.alpha_bar(u)
     sigma = eta * math.sqrt((1.0 - ab_u) / (1.0 - ab_t)) * math.sqrt(1.0 - ab_t / ab_u)
     resid = 1.0 - ab_u - sigma * sigma
     if resid < 0.0:
-        raise ValueError(f"eta={eta} makes sigma^2 exceed 1 - alpha_bar at t_prev={t_prev}")
-    out = k.lincomb2(math.sqrt(ab_u), x0_hat, math.sqrt(resid), eps_hat)
+        raise ValueError(f"eta={eta} makes sigma^2 exceed 1 - alpha_bar at t_prev={u}")
+    return _x0_coefs(t, sched), math.sqrt(ab_u), math.sqrt(resid), sigma
+
+
+def _ddim_apply(x_t, t, c, eps, state, rng):
+    (c_x, c_eps), a_u, resid_sd, sigma = c
+    eps_hat = eps(x_t, t)
+    x0_hat = k.lincomb2(c_x, x_t, c_eps, eps_hat)
+    out = k.lincomb2(a_u, x0_hat, resid_sd, eps_hat)
     if sigma > 0.0:
         if rng is None:
             raise ValueError("stochastic ddim step (eta > 0) needs an rng")
@@ -139,77 +169,156 @@ def ddim_step(x_t, t, t_prev, pred, cond, sched, eta=0.0, rng=None):
     return out
 
 
-def dpm_solver_1_step(x_t, t, t_prev, pred, cond, sched):
-    """First-order exponential-integrator step (identical to deterministic DDIM)."""
-    _check_hop(t, t_prev)
-    eps_hat = pred.predict(x_t, t, cond)
-    if t_prev == 0:
-        return predict_x0(x_t, t, eps_hat, sched)
-    ab_t, ab_u = sched.alpha_bar(t), sched.alpha_bar(t_prev)
-    h = sched.log_snr(t_prev) - sched.log_snr(t)
-    return k.lincomb2(
-        math.sqrt(ab_u / ab_t), x_t, -math.sqrt(1.0 - ab_u) * math.expm1(h), eps_hat
-    )
+def _dpm1_coefs(t, u, sched, eta):
+    ab_t, ab_u = sched.alpha_bar(t), sched.alpha_bar(u)
+    h = sched.log_snr(u) - sched.log_snr(t)
+    return math.sqrt(ab_u / ab_t), -math.sqrt(1.0 - ab_u) * math.expm1(h)
 
 
-def dpm_solver_2_step(x_t, t, t_prev, pred, cond, sched):
-    """Single-step midpoint rule; two predictor evaluations, order 2 in h."""
-    _check_hop(t, t_prev)
-    eps_hat = pred.predict(x_t, t, cond)
-    if t_prev == 0:
-        return predict_x0(x_t, t, eps_hat, sched)
-    lam_t, lam_u = sched.log_snr(t), sched.log_snr(t_prev)
+def _dpm2_coefs(t, u, sched, eta):
+    lam_t, lam_u = sched.log_snr(t), sched.log_snr(u)
     h = lam_u - lam_t
     # midpoint in log-SNR; the matching fractional timestep locates the
     # predictor evaluation between the two integer steps
     lam_mid = lam_t + 0.5 * h
-    t_mid = _timestep_at_log_snr(lam_mid, t_prev, t, sched)
+    t_mid = sched.timestep_at_log_snr(lam_mid, u, t)
     ab_t = sched.alpha_bar(t)
     ab_mid = 1.0 / (1.0 + math.exp(-2.0 * lam_mid))
-    x_mid = k.lincomb2(
-        math.sqrt(ab_mid / ab_t), x_t, -math.sqrt(1.0 - ab_mid) * math.expm1(0.5 * h), eps_hat
-    )
-    eps_mid = pred.predict(x_mid, t_mid, cond)
-    ab_u = sched.alpha_bar(t_prev)
-    return k.lincomb2(
-        math.sqrt(ab_u / ab_t), x_t, -math.sqrt(1.0 - ab_u) * math.expm1(h), eps_mid
+    ab_u = sched.alpha_bar(u)
+    return (
+        t_mid,
+        (math.sqrt(ab_mid / ab_t), -math.sqrt(1.0 - ab_mid) * math.expm1(0.5 * h)),
+        (math.sqrt(ab_u / ab_t), -math.sqrt(1.0 - ab_u) * math.expm1(h)),
     )
 
 
-def _timestep_at_log_snr(lam, t_lo, t_hi, sched):
-    """Fractional timestep in [t_lo, t_hi] whose interpolated log-SNR is lam."""
-    lo, hi = float(t_lo), float(t_hi)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if sched.log_snr(mid) > lam:  # log-SNR decreases with t
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _dpm2_apply(x_t, t, c, eps, state, rng):
+    t_mid, (m_x, m_eps), (c_x, c_eps) = c
+    x_mid = k.lincomb2(m_x, x_t, m_eps, eps(x_t, t))
+    return k.lincomb2(c_x, x_t, c_eps, eps(x_mid, t_mid))
 
 
-def dpm_solver_pp_2m_step(state, x_t, t, t_prev, pred, cond, sched):
-    """Multistep second-order data-prediction step; first hop falls back to order 1."""
-    _check_hop(t, t_prev)
-    eps_hat = pred.predict(x_t, t, cond)
-    x0_hat = predict_x0(x_t, t, eps_hat, sched)
-    if t_prev == 0:
-        return x0_hat
-    lam_t, lam_u = sched.log_snr(t), sched.log_snr(t_prev)
+def _dpmpp2m_coefs(t, u, sched, eta):
+    lam_t, lam_u = sched.log_snr(t), sched.log_snr(u)
     h = lam_u - lam_t
+    ab_t, ab_u = sched.alpha_bar(t), sched.alpha_bar(u)
+    return (
+        _x0_coefs(t, sched), lam_t, h,
+        math.sqrt((1.0 - ab_u) / (1.0 - ab_t)), -math.sqrt(ab_u) * math.expm1(-h),
+    )
+
+
+def _dpmpp2m_apply(x_t, t, c, eps, state, rng):
+    x0c, lam_t, h, c_x, c_d = c
+    x0_hat = _apply_linear(x_t, t, x0c, eps, state, rng)
     if state.prev_x0 is None:
         d = x0_hat
     else:
         r0 = (state.prev_log_snr - lam_t) / h
         # linear extrapolation of the data prediction to the half step
         d = k.lincomb2(1.0 - 0.5 / r0, x0_hat, 0.5 / r0, state.prev_x0)
-    ab_t, ab_u = sched.alpha_bar(t), sched.alpha_bar(t_prev)
-    out = k.lincomb2(
-        math.sqrt((1.0 - ab_u) / (1.0 - ab_t)), x_t, -math.sqrt(ab_u) * math.expm1(-h), d
-    )
+    out = k.lincomb2(c_x, x_t, c_d, d)
     state.prev_log_snr = lam_t
     state.prev_x0 = x0_hat
     return out
+
+
+def _unipc_coefs(t, u, sched, eta):
+    lam_t, lam_u = sched.log_snr(t), sched.log_snr(u)
+    h = lam_u - lam_t
+    hh = -h
+    h_phi_1 = math.expm1(hh)
+    b_h = hh
+    ab_t, ab_u = sched.alpha_bar(t), sched.alpha_bar(u)
+    sig_ratio = math.sqrt((1.0 - ab_u) / (1.0 - ab_t))
+    a_u = math.sqrt(ab_u)
+    # bh1 quadrature weights; the corrector solves [[1, 1], [r0, 1]] rho = [b1, b2]
+    phi_k = h_phi_1 / hh - 1.0
+    b1 = phi_k * 1.0 / b_h
+    phi_k = phi_k / hh - 0.5
+    b2 = phi_k * 2.0 / b_h
+    return (
+        _x0_coefs(t, sched), _x0_coefs(u, sched), u, lam_t, h, b1, b2,
+        sig_ratio, -a_u * h_phi_1, -a_u * b_h * 0.5, -a_u * b_h,
+    )
+
+
+def _unipc_apply(x_t, t, c, eps, state, rng):
+    x0c, land_x0c, u, lam_t, h, b1, b2, c_x, c_m, c_half, c_corr = c
+    m0 = _apply_linear(x_t, t, x0c, eps, state, rng)
+
+    have_hist = state.prev_x0 is not None
+    if have_hist:
+        r0 = (state.prev_log_snr - lam_t) / h
+        d1_0 = (state.prev_x0 - m0) / r0
+        x_pred = k.lincomb3(c_x, x_t, c_m, m0, c_half, d1_0)
+    else:
+        x_pred = k.lincomb2(c_x, x_t, c_m, m0)
+
+    m_land = _apply_linear(x_pred, u, land_x0c, eps, state, rng)
+    d1_t = m_land - m0
+
+    if have_hist:
+        det = 1.0 - r0
+        rho0 = (b1 - b2) / det
+        rho1 = (b2 - r0 * b1) / det
+        corr = k.lincomb2(rho0, d1_0, rho1, d1_t)
+        out = k.lincomb3(c_x, x_t, c_m, m0, c_corr, corr)
+    else:
+        out = k.lincomb3(c_x, x_t, c_m, m0, c_half, d1_t)
+
+    state.prev_log_snr = lam_t
+    state.prev_x0 = m0
+    return out
+
+
+_STEPS = {
+    "ddpm": (_ddpm_coefs, _ddpm_apply),
+    "ddim": (_ddim_coefs, _ddim_apply),
+    "dpm1": (_dpm1_coefs, _apply_linear),
+    "dpm2": (_dpm2_coefs, _dpm2_apply),
+    "dpmpp2m": (_dpmpp2m_coefs, _dpmpp2m_apply),
+    "unipc2": (_unipc_coefs, _unipc_apply),
+}
+
+
+def _hop(kind, t, u, sched, eta):
+    """(apply, coefficients) of one hop t -> u of sampler ``kind``."""
+    _check_hop(t, u)
+    if u == 0:
+        return _apply_linear, _x0_coefs(t, sched)
+    coefs, apply = _STEPS[kind]
+    return apply, coefs(t, u, sched, eta)
+
+
+def _step(kind, state, x_t, t, t_prev, pred, cond, sched, eta=0.0, rng=None):
+    apply, c = _hop(kind, t, t_prev, sched, eta)
+    return apply(x_t, t, c, pred.bind(cond), state, rng)
+
+
+def ddpm_step(x_t, t, t_prev, pred, cond, sched, rng):
+    """Generalised ancestral transition from t to t_prev (noisy)."""
+    return _step("ddpm", None, x_t, t, t_prev, pred, cond, sched, rng=rng)
+
+
+def ddim_step(x_t, t, t_prev, pred, cond, sched, eta=0.0, rng=None):
+    """Non-Markovian DDIM transition; eta = 0 is the deterministic trajectory."""
+    return _step("ddim", None, x_t, t, t_prev, pred, cond, sched, eta, rng)
+
+
+def dpm_solver_1_step(x_t, t, t_prev, pred, cond, sched):
+    """First-order exponential-integrator step (identical to deterministic DDIM)."""
+    return _step("dpm1", None, x_t, t, t_prev, pred, cond, sched)
+
+
+def dpm_solver_2_step(x_t, t, t_prev, pred, cond, sched):
+    """Single-step midpoint rule; two predictor evaluations, order 2 in h."""
+    return _step("dpm2", None, x_t, t, t_prev, pred, cond, sched)
+
+
+def dpm_solver_pp_2m_step(state, x_t, t, t_prev, pred, cond, sched):
+    """Multistep second-order data-prediction step; first hop falls back to order 1."""
+    return _step("dpmpp2m", state, x_t, t, t_prev, pred, cond, sched)
 
 
 def unipc_step(state, x_t, t, t_prev, pred, cond, sched):
@@ -219,56 +328,16 @@ def unipc_step(state, x_t, t, t_prev, pred, cond, sched):
     re-solves the hop with the fresh evaluation at the predicted landing
     point folded in. Costs two predictor evaluations per internal hop.
     """
-    _check_hop(t, t_prev)
-    eps_hat = pred.predict(x_t, t, cond)
-    m0 = predict_x0(x_t, t, eps_hat, sched)
-    if t_prev == 0:
-        return m0
-    lam_t, lam_u = sched.log_snr(t), sched.log_snr(t_prev)
-    h = lam_u - lam_t
-    hh = -h
-    h_phi_1 = math.expm1(hh)
-    b_h = hh
-    ab_t, ab_u = sched.alpha_bar(t), sched.alpha_bar(t_prev)
-    sig_ratio = math.sqrt((1.0 - ab_u) / (1.0 - ab_t))
-    a_u = math.sqrt(ab_u)
-
-    have_hist = state.prev_x0 is not None
-    if have_hist:
-        r0 = (state.prev_log_snr - lam_t) / h
-        d1_0 = (state.prev_x0 - m0) / r0
-        x_pred = k.lincomb3(sig_ratio, x_t, -a_u * h_phi_1, m0, -a_u * b_h * 0.5, d1_0)
-    else:
-        x_pred = k.lincomb2(sig_ratio, x_t, -a_u * h_phi_1, m0)
-
-    eps_land = pred.predict(x_pred, t_prev, cond)
-    m_land = predict_x0(x_pred, t_prev, eps_land, sched)
-    d1_t = m_land - m0
-
-    if have_hist:
-        # weights solve [[1, 1], [r0, 1]] rho = [b1, b2] for the bh1 quadrature
-        phi_k = h_phi_1 / hh - 1.0
-        b1 = phi_k * 1.0 / b_h
-        phi_k = phi_k / hh - 0.5
-        b2 = phi_k * 2.0 / b_h
-        det = 1.0 - r0
-        rho0 = (b1 - b2) / det
-        rho1 = (b2 - r0 * b1) / det
-        corr = k.lincomb2(rho0, d1_0, rho1, d1_t)
-        out = k.lincomb3(sig_ratio, x_t, -a_u * h_phi_1, m0, -a_u * b_h, corr)
-    else:
-        out = k.lincomb3(sig_ratio, x_t, -a_u * h_phi_1, m0, -a_u * b_h * 0.5, d1_t)
-
-    state.prev_log_snr = lam_t
-    state.prev_x0 = m0
-    return out
+    return _step("unipc2", state, x_t, t, t_prev, pred, cond, sched)
 
 
 def run_sampler(spec, x_init, pred, cond, sched, rng=None, record=False):
-    """Fold the step function for ``spec.kind`` over the grid plus a final hop to 0.
+    """Fold ``spec.kind``'s hops over the grid plus a final hop to 0.
 
-    Deterministic kinds never touch ``rng``; stochastic ones require it.
-    Aborts with the offending timestep if a step produces non-finite values.
+    Every hop's coefficients are computed before the first predictor
+    evaluation, and the predictor is bound to ``cond`` once. Deterministic
+    kinds never touch ``rng``; stochastic ones require it. Aborts with the
+    offending timestep if a step produces non-finite values.
 
     Returns (final image, TrajectoryRecord); the record is empty unless
     ``record`` is set.
@@ -276,26 +345,15 @@ def run_sampler(spec, x_init, pred, cond, sched, rng=None, record=False):
     grid = spec.grid.steps
     if cond is not None:
         require_same_shape(x_init, cond, "latent and condition")
+    hops = list(zip(grid[:-1], grid[1:])) + [(grid[-1], 0)]
+    plan = [(t, u) + _hop(spec.kind, t, u, sched, spec.eta) for t, u in hops]
+    eps = pred.bind(cond)
     x = np.asarray(x_init, dtype=np.float64)
     traj = TrajectoryRecord()
     state = MultistepState()
-    hops = list(zip(grid[:-1], grid[1:])) + [(grid[-1], 0)]
-    for t, u in hops:
+    for t, u, apply, c in plan:
         t0 = time.perf_counter()
-        if spec.kind == "ddpm":
-            if rng is None:
-                raise ValueError("ddpm sampling needs an rng")
-            x = ddpm_step(x, t, u, pred, cond, sched, rng)
-        elif spec.kind == "ddim":
-            x = ddim_step(x, t, u, pred, cond, sched, spec.eta, rng)
-        elif spec.kind == "dpm1":
-            x = dpm_solver_1_step(x, t, u, pred, cond, sched)
-        elif spec.kind == "dpm2":
-            x = dpm_solver_2_step(x, t, u, pred, cond, sched)
-        elif spec.kind == "dpmpp2m":
-            x = dpm_solver_pp_2m_step(state, x, t, u, pred, cond, sched)
-        else:
-            x = unipc_step(state, x, t, u, pred, cond, sched)
+        x = apply(x, t, c, eps, state, rng)
         if not np.isfinite(x).all():
             raise RuntimeError(f"{spec.kind} produced non-finite values stepping {t} -> {u}")
         if record:

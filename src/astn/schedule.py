@@ -2,8 +2,12 @@
 
 The schedule stores beta_t, alpha_t = 1 - beta_t and the cumulative signal
 retention alpha_bar_t = prod_{s<=t} alpha_s for t = 1..T, with the sentinel
-alpha_bar_0 = 1 so that t = 0 uniformly means "clean data". Time grids for
-few-step reverse sampling are strictly decreasing integer subsets of [1, T].
+alpha_bar_0 = 1 so that t = 0 uniformly means "clean data". The half
+log-SNR lambda_t is tabulated once per schedule; between integer steps it is
+interpolated linearly, and that piecewise-linear curve is inverted in closed
+form (as ``NoiseScheduleVP.inverse_lambda`` does for discrete schedules in
+DPM-Solver, Lu et al. 2022). Time grids for few-step reverse sampling are
+strictly decreasing integer subsets of [1, T].
 """
 
 import math
@@ -20,12 +24,15 @@ class NoiseSchedule:
 
     ``alpha_bars`` has length T+1 with ``alpha_bars[0] = 1``; entry t is the
     product of the first t noise decay factors, strictly decreasing in t.
+    ``log_snrs`` is derived from it: entry t is lambda_t for t in [1, T],
+    strictly decreasing, and entry 0 is +inf (clean data).
     """
 
     T: int
     betas: np.ndarray
     alphas: np.ndarray = field(repr=False)
     alpha_bars: np.ndarray = field(repr=False)
+    log_snrs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.T < 1:
@@ -40,6 +47,8 @@ class NoiseSchedule:
             raise ValueError("alpha_bars must start at 1 and stay positive")
         if not (np.diff(self.alpha_bars) < 0.0).all():
             raise ValueError("alpha_bars must be strictly decreasing")
+        lams = [math.inf] + [0.5 * math.log(ab / (1.0 - ab)) for ab in self.alpha_bars[1:].tolist()]
+        object.__setattr__(self, "log_snrs", np.array(lams))
 
     def alpha_bar(self, t):
         """Cumulative signal retention at integer step t in [0, T]."""
@@ -57,13 +66,28 @@ class NoiseSchedule:
         if not 1 <= t <= self.T:
             raise ValueError(f"log-SNR needs t in [1, {self.T}], got {t}")
         lo = math.floor(t)
-        ab_lo = float(self.alpha_bars[lo])
-        lam_lo = 0.5 * math.log(ab_lo / (1.0 - ab_lo))
+        lam_lo = float(self.log_snrs[lo])
         if t == lo:
             return lam_lo
-        ab_hi = float(self.alpha_bars[lo + 1])
-        lam_hi = 0.5 * math.log(ab_hi / (1.0 - ab_hi))
+        lam_hi = float(self.log_snrs[lo + 1])
         return lam_lo + (t - lo) * (lam_hi - lam_lo)
+
+    def timestep_at_log_snr(self, lam, t_lo, t_hi):
+        """Fractional t in [t_lo, t_hi] whose interpolated log-SNR is ``lam``.
+
+        The exact inverse of :meth:`log_snr` between integer steps
+        1 <= t_lo < t_hi <= T: locate the table segment [j, j+1] holding
+        ``lam``, then solve its linear interpolant for t.
+        """
+        if not 1 <= t_lo < t_hi <= self.T:
+            raise ValueError(f"need 1 <= t_lo < t_hi <= {self.T}, got [{t_lo}, {t_hi}]")
+        lams = self.log_snrs
+        if not lams[t_hi] <= lam <= lams[t_lo]:
+            raise ValueError(f"log-SNR {lam} outside the range of steps [{t_lo}, {t_hi}]")
+        # lams falls with t: j is the last step in [t_lo, t_hi) with lambda_j >= lam
+        j = t_lo - 1 + int(np.searchsorted(-lams[t_lo:t_hi], -lam, side="right"))
+        lam_j = float(lams[j])
+        return j + (lam - lam_j) / (float(lams[j + 1]) - lam_j)
 
     def alpha_bar_at(self, t):
         """alpha_bar at a possibly fractional t in [1, T] (via log-SNR)."""

@@ -1,6 +1,8 @@
 import pytest
 
+from astn import cli
 from astn.cli import DEFAULT_CONFIG, load_config, main, render_report, save_config
+from astn.denoiser import EpsilonPredictor
 from astn.metrics import MetricsReport, MetricsRow
 
 SMALL_CONFIG = {
@@ -133,6 +135,35 @@ def test_runtime_failure_exit_code(workspace):
     broken_path = tmp / "broken.json"
     save_config(broken, broken_path)
     assert main(["run", "--config", str(broken_path), "--out", str(out)]) == 3
+
+
+@pytest.mark.parametrize("damage", ["truncate", "bad_magic"])
+def test_corrupt_dataset_image_is_runtime_failure(workspace, capsys, damage):
+    tmp, cfg = workspace
+    out = tmp / "work"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    image = out / "dataset" / "pair001_d025_low.img"
+    payload = image.read_bytes()
+    image.write_bytes(payload[:-10] if damage == "truncate" else b"NOTANIMG" + payload[8:])
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "runtime failure" in err and "pair001_d025_low.img" in err
+
+
+def test_cell_type_error_is_runtime_failure(workspace, monkeypatch, capsys):
+    tmp, cfg = workspace
+    out = tmp / "work"
+    main(["generate", "--config", str(cfg), "--out", str(out)])
+
+    class Buggy(EpsilonPredictor):
+        def predict(self, x_t, t, cond=None):
+            raise TypeError("synthetic bug")
+
+    monkeypatch.setattr(cli, "_build_predictor_factory", lambda *args: (lambda pair: Buggy()))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "TypeError: synthetic bug" in capsys.readouterr().err
 
 
 def test_report_empty_csv(tmp_path, capsys):

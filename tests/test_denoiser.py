@@ -122,6 +122,48 @@ def test_conditional_predictor_requires_condition(sched):
         pred.predict(np.zeros((4, 4)), 10)
 
 
+def _bind_cases(sched, rng, shape=(6, 5)):
+    model = GaussianDataModel(mean=rng.random(shape), var=0.07)
+    affine = AffinePredictor(
+        a=rng.random(sched.T + 1), g=rng.random(sched.T + 1),
+        b=rng.random((sched.T + 1,) + shape), conditional=True,
+    )
+    return {
+        "gaussian_oracle": GaussianOracle(model, sched),
+        "conditioned_noise0": conditioned_oracle(model, 0.0, sched),
+        "conditioned_finite": conditioned_oracle(model, 0.05, sched),
+        "conditioned_inf": conditioned_oracle(model, math.inf, sched),
+        "affine_conditional": affine,
+        "zero": ZeroPredictor(),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "gaussian_oracle", "conditioned_noise0", "conditioned_finite", "conditioned_inf",
+    "affine_conditional", "zero",
+])
+def test_bind_equals_predict(sched, rng, name):
+    pred = _bind_cases(sched, rng)[name]
+    cond = rng.random((6, 5))
+    eps = pred.bind(cond)
+    for t in (1, 2, 37, 500, 999, 1000, 123.37, 1.5):
+        x_t = rng.standard_normal((6, 5))
+        assert np.array_equal(eps(x_t, t), pred.predict(x_t, t, cond))
+
+
+@pytest.mark.parametrize("name", ["conditioned_finite", "affine_conditional"])
+def test_bind_without_condition_raises(sched, rng, name):
+    pred = _bind_cases(sched, rng)[name]
+    with pytest.raises(ValueError, match="requires a condition"):
+        pred.bind(None)
+
+
+def test_bound_oracle_checks_condition_shape(sched, rng):
+    eps = _bind_cases(sched, rng)["conditioned_finite"].bind(rng.random((6, 5)))
+    with pytest.raises(ValueError, match="mismatched shapes"):
+        eps(np.zeros((5, 6)), 10)
+
+
 def test_affine_predict_math(sched, rng):
     pred = AffinePredictor.initial(sched.T, (4, 4), conditional=True)
     pred.a[77] = 0.5

@@ -197,6 +197,19 @@ def test_sweep_records_cell_failures(sched):
     assert "synthetic failure" in report.failures[0][1]
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_propagates_programming_errors(sched, threads):
+    pairs = _pairs(1, 32, 0.25)
+
+    class Buggy(EpsilonPredictor):
+        def predict(self, x_t, t, cond=None):
+            raise TypeError("synthetic bug")
+
+    with pytest.raises(TypeError, match="synthetic bug"):
+        regime_sweep([5], ["ddim"], pairs, Buggy(), sched, master_seed=1, regimes=("ast",),
+                     threads=threads)
+
+
 def test_sweep_timing_scales_with_steps(sched):
     pairs = _pairs(1, 64, 0.25)
     pred = _cond_oracle(sched, shape=(64, 64))

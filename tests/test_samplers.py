@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from astn.denoiser import EpsilonPredictor, GaussianDataModel, GaussianOracle, exact_noise_oracle
+from astn.denoiser import (
+    EpsilonPredictor,
+    GaussianDataModel,
+    GaussianOracle,
+    conditioned_oracle,
+    exact_noise_oracle,
+)
 from astn.forward import q_sample
 from astn.samplers import (
     MultistepState,
@@ -354,6 +360,50 @@ def test_run_sampler_records_trajectory(sched, toy):
     assert len(traj.step_times) == len(ts) == 10
     shapes = {snap.shape for _, snap in traj.snapshots}
     assert shapes == {x_init.shape}
+
+
+# one public step function per (kind, eta), folded by hand below
+_STEP_FNS = {
+    "ddpm": lambda st, x, t, u, p, c, s, rng: ddpm_step(x, t, u, p, c, s, rng),
+    "ddim": lambda st, x, t, u, p, c, s, rng: ddim_step(x, t, u, p, c, s),
+    "ddim_eta1": lambda st, x, t, u, p, c, s, rng: ddim_step(x, t, u, p, c, s, eta=1.0, rng=rng),
+    "dpm1": lambda st, x, t, u, p, c, s, rng: dpm_solver_1_step(x, t, u, p, c, s),
+    "dpm2": lambda st, x, t, u, p, c, s, rng: dpm_solver_2_step(x, t, u, p, c, s),
+    "dpmpp2m": lambda st, x, t, u, p, c, s, rng: dpm_solver_pp_2m_step(st, x, t, u, p, c, s),
+    "unipc2": lambda st, x, t, u, p, c, s, rng: unipc_step(st, x, t, u, p, c, s),
+}
+
+
+@pytest.mark.parametrize("N", [1, 2, 10, 50])
+@pytest.mark.parametrize("name", list(_STEP_FNS))
+def test_run_sampler_equals_fold_of_step_functions(sched, name, N):
+    rng = np.random.default_rng(77)
+    model = GaussianDataModel(mean=np.full((8, 8), 0.4), var=0.06)
+    pred = conditioned_oracle(model, 0.05, sched)
+    cond = rng.random((8, 8))
+    x_init = rng.standard_normal((8, 8))
+    kind, eta = ("ddim", 1.0) if name == "ddim_eta1" else (name, 0.0)
+    spec = SamplerSpec(kind=kind, grid=make_timestep_grid(sched.T, N, sched.T), eta=eta)
+    out, traj = run_sampler(spec, x_init, pred, cond, sched, rng=np.random.default_rng(3), record=True)
+
+    step, state, fold_rng = _STEP_FNS[name], MultistepState(), np.random.default_rng(3)
+    x, snapshots = x_init, []
+    steps = spec.grid.steps
+    for t, u in list(zip(steps[:-1], steps[1:])) + [(steps[-1], 0)]:
+        x = step(state, x, t, u, pred, cond, sched, fold_rng)
+        snapshots.append((u, x))
+    # both paths run the same coefficient and apply functions, so every kind,
+    # dpm2 with its fractional midpoint included, must match bit for bit
+    assert np.array_equal(out, x)
+    assert [u for u, _ in traj.snapshots] == [u for u, _ in snapshots]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(traj.snapshots, snapshots))
+
+
+def test_run_sampler_ddpm_needs_rng(sched, toy):
+    _, pred, x_init = toy
+    spec = SamplerSpec(kind="ddpm", grid=make_timestep_grid(1000, 5, sched.T))
+    with pytest.raises(ValueError, match="rng"):
+        run_sampler(spec, x_init, pred, None, sched)
 
 
 def test_run_sampler_nan_abort_names_timestep(sched, toy):

@@ -88,6 +88,72 @@ def test_log_snr_interpolation(sched):
         sched.log_snr(0)
 
 
+def _reference_log_snr(s, t):
+    # the per-call formula log_snr computed before the table existed
+    lo = math.floor(t)
+    ab_lo = float(s.alpha_bars[lo])
+    lam_lo = 0.5 * math.log(ab_lo / (1.0 - ab_lo))
+    if t == lo:
+        return lam_lo
+    ab_hi = float(s.alpha_bars[lo + 1])
+    lam_hi = 0.5 * math.log(ab_hi / (1.0 - ab_hi))
+    return lam_lo + (t - lo) * (lam_hi - lam_lo)
+
+
+def _bisect_timestep(s, lam, t_lo, t_hi):
+    # the 60-step bisection the midpoint solver used before the closed form
+    lo, hi = float(t_lo), float(t_hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if s.log_snr(mid) > lam:  # log-SNR decreases with t
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_log_snr_table_matches_formula_exactly(sched, sched_small):
+    for s in (sched, sched_small):
+        assert s.log_snrs.shape == (s.T + 1,) and s.log_snrs[0] == math.inf
+        for t in range(1, s.T + 1):
+            assert s.log_snr(t) == _reference_log_snr(s, t)
+        for t in (1.5, 12.25, s.T - 0.001):
+            assert s.log_snr(t) == _reference_log_snr(s, t)
+
+
+@pytest.mark.parametrize("N", [10, 25, 50, 100, 150, 500, 1000])
+def test_timestep_at_log_snr_matches_bisection(sched, N):
+    steps = make_timestep_grid(sched.T, N, sched.T).steps
+    for t, u in zip(steps[:-1], steps[1:]):
+        lam_t, lam_u = sched.log_snr(t), sched.log_snr(u)
+        lam_mid = lam_t + 0.5 * (lam_u - lam_t)
+        got = sched.timestep_at_log_snr(lam_mid, u, t)
+        assert u <= got <= t
+        assert abs(got - _bisect_timestep(sched, lam_mid, u, t)) <= 1e-9
+        assert sched.log_snr(got) == pytest.approx(lam_mid, abs=1e-12)
+        assert sched.timestep_at_log_snr(lam_t, u, t) == t
+        assert sched.timestep_at_log_snr(lam_u, u, t) == u
+
+
+def test_timestep_at_log_snr_table_endpoints(sched):
+    T = sched.T
+    for lam in (sched.log_snr(1), sched.log_snr(T), sched.log_snr(2), sched.log_snr(T - 1),
+                0.5 * (sched.log_snr(1) + sched.log_snr(T))):
+        got = sched.timestep_at_log_snr(lam, 1, T)
+        assert abs(got - _bisect_timestep(sched, lam, 1, T)) <= 1e-9
+    assert sched.timestep_at_log_snr(sched.log_snr(1), 1, T) == 1
+    assert sched.timestep_at_log_snr(sched.log_snr(T), 1, T) == T
+
+
+def test_timestep_at_log_snr_domain_errors(sched):
+    with pytest.raises(ValueError):
+        sched.timestep_at_log_snr(sched.log_snr(10), 10, 10)
+    with pytest.raises(ValueError):
+        sched.timestep_at_log_snr(sched.log_snr(10), 0, 20)
+    with pytest.raises(ValueError):
+        sched.timestep_at_log_snr(sched.log_snr(30), 10, 20)
+
+
 def test_alpha_bar_at_fractional(sched):
     assert sched.alpha_bar_at(500) == sched.alpha_bar(500)
     mid = sched.alpha_bar_at(500.5)
