@@ -25,12 +25,34 @@ def active_backend():
     return "numpy"
 
 
-def lincomb2(ca, a, cb, b):
-    return ca * a + cb * b
+def lincomb2(ca, a, cb, b, out=None, tmp=None):
+    """``ca*a + cb*b``, into ``out`` when it is given.
+
+    ``tmp`` is optional scratch for ``cb*b``, shaped like ``out``. Both forms
+    evaluate ``ca*a``, ``cb*b`` and their sum with the same elementwise
+    operations, so they are bit-identical. ``cb*b`` is formed first, so
+    ``out`` may alias ``a`` or ``b``; ``tmp`` must alias none of them.
+    """
+    if out is None:
+        return ca * a + cb * b
+    t = np.multiply(cb, b, out=tmp)
+    np.multiply(ca, a, out=out)
+    return np.add(out, t, out=out)
 
 
-def lincomb3(ca, a, cb, b, cc, c):
-    return (ca * a + cb * b) + cc * c
+def lincomb3(ca, a, cb, b, cc, c, out=None, tmp=None):
+    """``(ca*a + cb*b) + cc*c``, into ``out`` when it is given.
+
+    Bit-identical to the allocating form, like :func:`lincomb2`. ``out`` may
+    alias ``a`` but not ``b`` or ``c``; ``tmp`` must alias none of the others.
+    """
+    if out is None:
+        return (ca * a + cb * b) + cc * c
+    np.multiply(ca, a, out=out)
+    t = np.multiply(cb, b, out=tmp)
+    np.add(out, t, out=out)
+    t = np.multiply(cc, c, out=tmp)
+    return np.add(out, t, out=out)
 
 
 def ssim_map(x, y, window, c1, c2):

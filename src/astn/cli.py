@@ -133,7 +133,11 @@ def _build_predictor_factory(cfg, sched, shape, photons):
         oracle = GaussianOracle(model, sched)
         return lambda pair: oracle
     if kind == "affine":
-        pred = AffinePredictor.load(pc["path"])
+        try:
+            pred = AffinePredictor.load(pc["path"])
+        except ValueError as exc:
+            # a corrupt predictor file is a runtime failure, not a config error
+            raise RuntimeError(f"cannot load the affine predictor {pc['path']}: {exc}") from exc
         return lambda pair: pred
     if kind == "zero":
         zero = ZeroPredictor()

@@ -57,9 +57,16 @@ class EpsilonPredictor(ABC):
         ...
 
     def bind(self, cond):
-        """``(x_t, t) -> eps_hat`` with ``cond`` fixed; equals ``predict(x_t, t, cond)``."""
+        """``(x_t, t, out=None) -> eps_hat`` with ``cond`` fixed; equals ``predict(x_t, t, cond)``.
+
+        ``out`` is an optional array shaped like ``x_t`` that the bound
+        function may write its result into. Callers always use the returned
+        array, which may or may not be ``out``; this default ignores ``out``
+        and returns whatever ``predict`` returns. An override must accept
+        ``out`` and must not write into ``x_t``.
+        """
         self._require_condition(cond)
-        return lambda x_t, t: self.predict(x_t, t, cond)
+        return lambda x_t, t, out=None: self.predict(x_t, t, cond)
 
     def _require_condition(self, cond):
         if self.requires_condition and cond is None:
@@ -88,12 +95,33 @@ class GaussianDataModel:
         return self.mean + math.sqrt(self.var) * rng.standard_normal((n,) + self.mean.shape)
 
 
-def analytic_gaussian_epsilon(model, x_t, t, sched):
-    """Bayes-optimal noise estimate for Gaussian data (closed form above)."""
+def analytic_gaussian_epsilon(model, x_t, t, sched, out=None, tmp=None):
+    """Bayes-optimal noise estimate for Gaussian data (closed form above).
+
+    ``out``/``tmp`` are passed to :func:`~astn._kernels.lincomb2`.
+    """
     ab = sched.alpha_bar_at(t)
     denom = ab * model.var + (1.0 - ab)
     coef = math.sqrt(1.0 - ab) / denom
-    return k.lincomb2(coef, x_t, -coef * math.sqrt(ab), model.mean)
+    return k.lincomb2(coef, x_t, -coef * math.sqrt(ab), model.mean, out=out, tmp=tmp)
+
+
+def _bind_gaussian(model, sched, check):
+    """Bound ``(x_t, t, out=None)`` noise estimate for Gaussian data ``model``.
+
+    ``check(x_t)`` runs on every call. The first call given ``out`` allocates
+    the one scratch array the bound function keeps.
+    """
+    tmp = None
+
+    def eps(x_t, t, out=None):
+        nonlocal tmp
+        check(x_t)
+        if out is not None and tmp is None:
+            tmp = np.empty_like(out)
+        return analytic_gaussian_epsilon(model, x_t, t, sched, out=out, tmp=tmp)
+
+    return eps
 
 
 class GaussianOracle(EpsilonPredictor):
@@ -106,6 +134,10 @@ class GaussianOracle(EpsilonPredictor):
     def predict(self, x_t, t, cond=None):
         self._check_condition(x_t, cond)
         return analytic_gaussian_epsilon(self.model, x_t, t, self.sched)
+
+    def bind(self, cond):
+        self._require_condition(cond)
+        return _bind_gaussian(self.model, self.sched, lambda x_t: self._check_condition(x_t, cond))
 
 
 def exact_noise_oracle(x0, sched):
@@ -154,17 +186,10 @@ class ConditionedGaussianOracle(EpsilonPredictor):
     def bind(self, cond):
         """The posterior is computed here, once per condition image."""
         self._require_condition(cond)
-        post_mean, post_var = self._posterior(cond)
-        sched = self.sched
-
-        def eps(x_t, t):
-            require_same_shape(x_t, cond, "latent and condition")
-            ab = sched.alpha_bar_at(t)
-            denom = ab * post_var + (1.0 - ab)
-            coef = math.sqrt(1.0 - ab) / denom
-            return k.lincomb2(coef, x_t, -coef * math.sqrt(ab), post_mean)
-
-        return eps
+        posterior = GaussianDataModel(*self._posterior(cond))
+        return _bind_gaussian(
+            posterior, self.sched, lambda x_t: require_same_shape(x_t, cond, "latent and condition")
+        )
 
     def predict(self, x_t, t, cond=None):
         return self.bind(cond)(x_t, t)

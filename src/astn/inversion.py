@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from astn import _kernels as k
-from astn.samplers import predict_x0, run_sampler
+from astn.samplers import _workspace, predict_x0, run_sampler
 
 __all__ = ["ddim_invert", "invert_then_reconstruct"]
 
@@ -30,6 +30,8 @@ def ddim_invert(x_start, pred, cond, sched, grid, mode="predicted_x0"):
 
     ``grid`` is an ordinary (descending) sampling grid; it is traversed in
     reverse. Deterministic: identical inputs give bit-identical latents.
+    The walk updates one latent in place and evaluates into a workspace of
+    its own, so ``x_start`` and ``cond`` are never written.
     """
     if mode not in INVERSION_MODES:
         raise ValueError(f"unknown inversion mode {mode!r}")
@@ -37,17 +39,20 @@ def ddim_invert(x_start, pred, cond, sched, grid, mode="predicted_x0"):
         eps = pred.bind(cond)
     ascending = grid.steps[::-1]
     t0 = ascending[0]
+    # a fresh array, so the walk updates it in place
     x = math.sqrt(sched.alpha_bar(t0)) * np.asarray(x_start, dtype=np.float64)
+    ws = _workspace(x.shape)
     for t, t_next in zip(ascending[:-1], ascending[1:]):
         if mode == "literal_x0":
             x0_ref = x_start
         else:
-            x0_ref = predict_x0(x, t, eps(x, t), sched)
+            eps_hat = eps(x, t, out=ws["eps"])
+            x0_ref = predict_x0(x, t, eps_hat, sched, out=ws["x0"], tmp=ws["tmp"])
         ab_t, ab_n = sched.alpha_bar(t), sched.alpha_bar(t_next)
         a_t, s_t = math.sqrt(ab_t), math.sqrt(1.0 - ab_t)
         a_n, s_n = math.sqrt(ab_n), math.sqrt(1.0 - ab_n)
         # x_{t+1} = a_n x0_ref + s_n * (x - a_t x0_ref)/s_t
-        x = k.lincomb2(a_n - s_n / s_t * a_t, x0_ref, s_n / s_t, x)
+        x = k.lincomb2(a_n - s_n / s_t * a_t, x0_ref, s_n / s_t, x, out=x, tmp=ws["tmp"])
         if not np.isfinite(x).all():
             raise RuntimeError(f"inversion produced non-finite values at t={t_next}")
     return x

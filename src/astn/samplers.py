@@ -30,10 +30,23 @@ predictor to the condition once (``EpsilonPredictor.bind``), then runs one
 loop of apply calls. Each public ``*_step`` function is one such hop with
 the same two parts, so a fold of the step functions reproduces
 ``run_sampler`` bit for bit.
+
+The array work of one ``run_sampler`` call goes through a workspace of
+named latent-shaped buffers that the call allocates on first use and drops
+when it returns. Once every buffer is in use (after the first hop, the
+second for the multistep kinds) the loop allocates no images, except what
+a predictor that ignores ``out`` returns. The latent ping-pongs between two
+buffers, the multistep history swaps between two more, noise is drawn in
+place, and the bound predictor may write its estimate into a buffer it is
+offered (``EpsilonPredictor.bind``). The kernels write into these buffers
+with the same operations as their allocating forms, so the results are
+bit-identical. Nothing is kept between calls, so concurrent runs share no
+memory.
 """
 
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,8 +89,8 @@ class SamplerSpec:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         if self.eta < 0.0:
             raise ValueError("eta must be >= 0")
-        if self.eta > 0.0 and self.kind not in ("ddim", "ddpm"):
-            raise ValueError(f"eta applies only to ddim/ddpm, not {self.kind!r}")
+        if self.eta > 0.0 and self.kind != "ddim":
+            raise ValueError(f"eta applies only to ddim, not {self.kind!r}")
         if len(self.grid) == 0:
             raise ValueError("sampler grid is empty")
 
@@ -105,10 +118,13 @@ def _x0_coefs(t, sched):
     return 1.0 / a_t, -math.sqrt(1.0 - ab) / a_t
 
 
-def predict_x0(x_t, t, eps_hat, sched):
-    """Data prediction implied by a noise estimate: (x_t - s_t eps_hat)/a_t."""
+def predict_x0(x_t, t, eps_hat, sched, out=None, tmp=None):
+    """Data prediction implied by a noise estimate: (x_t - s_t eps_hat)/a_t.
+
+    ``out``/``tmp`` are passed to :func:`~astn._kernels.lincomb2`.
+    """
     c_x, c_eps = _x0_coefs(t, sched)
-    return k.lincomb2(c_x, x_t, c_eps, eps_hat)
+    return k.lincomb2(c_x, x_t, c_eps, eps_hat, out=out, tmp=tmp)
 
 
 def _check_hop(t, t_prev):
@@ -116,16 +132,29 @@ def _check_hop(t, t_prev):
         raise ValueError(f"reverse hop needs t > t_prev >= 0, got {t} -> {t_prev}")
 
 
+def _workspace(shape):
+    """Named float64 arrays of ``shape``, each allocated on first use.
+
+    One workspace belongs to one ``run_sampler`` call, inversion walk or step
+    function call and dies with it; nothing is shared between calls, so
+    concurrent runs never touch each other's memory.
+    """
+    return defaultdict(lambda: np.empty(shape))
+
+
 # Each kind is a coefficient function of one internal hop (t, u, schedule,
-# eta) and an apply function ``(x_t, t, coefs, eps, state, rng) -> x_u``
-# doing the array work, where ``eps(x, t)`` is a bound predictor. The
-# terminal hop to 0 is the same for every kind: _x0_coefs + _apply_linear.
+# eta) and an apply function ``(x_t, t, coefs, eps, state, rng, ws, out) ->
+# x_u`` doing the array work, where ``eps(x, t, out=)`` is a bound predictor
+# and ``ws`` the run's workspace. The apply writes x_u into ``out`` (or a
+# fresh array when ``out`` is None), may use ``out`` as scratch before that,
+# and never writes ``x_t``. The terminal hop to 0 is the same for every
+# kind: _x0_coefs + _apply_linear.
 
 
-def _apply_linear(x_t, t, c, eps, state, rng):
+def _apply_linear(x_t, t, c, eps, state, rng, ws, out):
     """c_x x_t + c_eps eps_hat: the terminal hop's x0_hat and the DPM-1 update."""
     c_x, c_eps = c
-    return k.lincomb2(c_x, x_t, c_eps, eps(x_t, t))
+    return k.lincomb2(c_x, x_t, c_eps, eps(x_t, t, out=ws["eps"]), out=out, tmp=ws["tmp"])
 
 
 def _ddpm_coefs(t, u, sched, eta):
@@ -138,14 +167,14 @@ def _ddpm_coefs(t, u, sched, eta):
     return _x0_coefs(t, sched), c0, ct, math.sqrt(btilde)
 
 
-def _ddpm_apply(x_t, t, c, eps, state, rng):
+def _ddpm_apply(x_t, t, c, eps, state, rng, ws, out):
     x0c, c0, ct, noise_sd = c
     if rng is None:
         raise ValueError("ddpm sampling needs an rng")
-    x0_hat = _apply_linear(x_t, t, x0c, eps, state, rng)
-    mean = k.lincomb2(c0, x0_hat, ct, x_t)
-    z = rng.standard_normal(x_t.shape)
-    return k.lincomb2(1.0, mean, noise_sd, z)
+    x0_hat = _apply_linear(x_t, t, x0c, eps, state, rng, ws, ws["x0"])
+    mean = k.lincomb2(c0, x0_hat, ct, x_t, out=out, tmp=ws["tmp"])
+    z = rng.standard_normal(out=ws["noise"])
+    return k.lincomb2(1.0, mean, noise_sd, z, out=mean, tmp=ws["tmp"])
 
 
 def _ddim_coefs(t, u, sched, eta):
@@ -157,15 +186,16 @@ def _ddim_coefs(t, u, sched, eta):
     return _x0_coefs(t, sched), math.sqrt(ab_u), math.sqrt(resid), sigma
 
 
-def _ddim_apply(x_t, t, c, eps, state, rng):
+def _ddim_apply(x_t, t, c, eps, state, rng, ws, out):
     (c_x, c_eps), a_u, resid_sd, sigma = c
-    eps_hat = eps(x_t, t)
-    x0_hat = k.lincomb2(c_x, x_t, c_eps, eps_hat)
-    out = k.lincomb2(a_u, x0_hat, resid_sd, eps_hat)
+    eps_hat = eps(x_t, t, out=ws["eps"])
+    x0_hat = k.lincomb2(c_x, x_t, c_eps, eps_hat, out=ws["x0"], tmp=ws["tmp"])
+    out = k.lincomb2(a_u, x0_hat, resid_sd, eps_hat, out=out, tmp=ws["tmp"])
     if sigma > 0.0:
         if rng is None:
             raise ValueError("stochastic ddim step (eta > 0) needs an rng")
-        out = k.lincomb2(1.0, out, sigma, rng.standard_normal(x_t.shape))
+        z = rng.standard_normal(out=ws["noise"])
+        out = k.lincomb2(1.0, out, sigma, z, out=out, tmp=ws["tmp"])
     return out
 
 
@@ -192,10 +222,11 @@ def _dpm2_coefs(t, u, sched, eta):
     )
 
 
-def _dpm2_apply(x_t, t, c, eps, state, rng):
+def _dpm2_apply(x_t, t, c, eps, state, rng, ws, out):
     t_mid, (m_x, m_eps), (c_x, c_eps) = c
-    x_mid = k.lincomb2(m_x, x_t, m_eps, eps(x_t, t))
-    return k.lincomb2(c_x, x_t, c_eps, eps(x_mid, t_mid))
+    # the midpoint latent lives in ``out`` until its evaluation is done
+    x_mid = k.lincomb2(m_x, x_t, m_eps, eps(x_t, t, out=ws["eps"]), out=out, tmp=ws["tmp"])
+    return k.lincomb2(c_x, x_t, c_eps, eps(x_mid, t_mid, out=ws["eps"]), out=x_mid, tmp=ws["tmp"])
 
 
 def _dpmpp2m_coefs(t, u, sched, eta):
@@ -208,18 +239,24 @@ def _dpmpp2m_coefs(t, u, sched, eta):
     )
 
 
-def _dpmpp2m_apply(x_t, t, c, eps, state, rng):
+def _keep_x0(state, lam_t, x0_hat, ws):
+    """Make ``x0_hat`` the multistep history; the next hop's x0 goes to the other buffer."""
+    state.prev_log_snr = lam_t
+    state.prev_x0 = x0_hat
+    ws["x0"], ws["x0_prev"] = ws["x0_prev"], ws["x0"]
+
+
+def _dpmpp2m_apply(x_t, t, c, eps, state, rng, ws, out):
     x0c, lam_t, h, c_x, c_d = c
-    x0_hat = _apply_linear(x_t, t, x0c, eps, state, rng)
+    x0_hat = _apply_linear(x_t, t, x0c, eps, state, rng, ws, ws["x0"])
     if state.prev_x0 is None:
         d = x0_hat
     else:
         r0 = (state.prev_log_snr - lam_t) / h
         # linear extrapolation of the data prediction to the half step
-        d = k.lincomb2(1.0 - 0.5 / r0, x0_hat, 0.5 / r0, state.prev_x0)
-    out = k.lincomb2(c_x, x_t, c_d, d)
-    state.prev_log_snr = lam_t
-    state.prev_x0 = x0_hat
+        d = k.lincomb2(1.0 - 0.5 / r0, x0_hat, 0.5 / r0, state.prev_x0, out=ws["d"], tmp=ws["tmp"])
+    out = k.lincomb2(c_x, x_t, c_d, d, out=out, tmp=ws["tmp"])
+    _keep_x0(state, lam_t, x0_hat, ws)
     return out
 
 
@@ -243,32 +280,33 @@ def _unipc_coefs(t, u, sched, eta):
     )
 
 
-def _unipc_apply(x_t, t, c, eps, state, rng):
+def _unipc_apply(x_t, t, c, eps, state, rng, ws, out):
     x0c, land_x0c, u, lam_t, h, b1, b2, c_x, c_m, c_half, c_corr = c
-    m0 = _apply_linear(x_t, t, x0c, eps, state, rng)
+    tmp = ws["tmp"]
+    m0 = _apply_linear(x_t, t, x0c, eps, state, rng, ws, ws["x0"])
 
+    # the predicted landing latent lives in ``out`` until its evaluation is done
     have_hist = state.prev_x0 is not None
     if have_hist:
         r0 = (state.prev_log_snr - lam_t) / h
-        d1_0 = (state.prev_x0 - m0) / r0
-        x_pred = k.lincomb3(c_x, x_t, c_m, m0, c_half, d1_0)
+        d1_0 = np.divide(np.subtract(state.prev_x0, m0, out=ws["d"]), r0, out=ws["d"])
+        x_pred = k.lincomb3(c_x, x_t, c_m, m0, c_half, d1_0, out=out, tmp=tmp)
     else:
-        x_pred = k.lincomb2(c_x, x_t, c_m, m0)
+        x_pred = k.lincomb2(c_x, x_t, c_m, m0, out=out, tmp=tmp)
 
-    m_land = _apply_linear(x_pred, u, land_x0c, eps, state, rng)
-    d1_t = m_land - m0
+    m_land = _apply_linear(x_pred, u, land_x0c, eps, state, rng, ws, ws["land"])
+    d1_t = np.subtract(m_land, m0, out=m_land)
 
     if have_hist:
         det = 1.0 - r0
         rho0 = (b1 - b2) / det
         rho1 = (b2 - r0 * b1) / det
-        corr = k.lincomb2(rho0, d1_0, rho1, d1_t)
-        out = k.lincomb3(c_x, x_t, c_m, m0, c_corr, corr)
+        corr = k.lincomb2(rho0, d1_0, rho1, d1_t, out=d1_0, tmp=tmp)
+        out = k.lincomb3(c_x, x_t, c_m, m0, c_corr, corr, out=x_pred, tmp=tmp)
     else:
-        out = k.lincomb3(c_x, x_t, c_m, m0, c_half, d1_t)
+        out = k.lincomb3(c_x, x_t, c_m, m0, c_half, d1_t, out=x_pred, tmp=tmp)
 
-    state.prev_log_snr = lam_t
-    state.prev_x0 = m0
+    _keep_x0(state, lam_t, m0, ws)
     return out
 
 
@@ -293,7 +331,9 @@ def _hop(kind, t, u, sched, eta):
 
 def _step(kind, state, x_t, t, t_prev, pred, cond, sched, eta=0.0, rng=None):
     apply, c = _hop(kind, t, t_prev, sched, eta)
-    return apply(x_t, t, c, pred.bind(cond), state, rng)
+    # a workspace of its own and a freshly allocated result, so the state's
+    # history and every returned image outlive the call untouched
+    return apply(x_t, t, c, pred.bind(cond), state, rng, _workspace(np.shape(x_t)), None)
 
 
 def ddpm_step(x_t, t, t_prev, pred, cond, sched, rng):
@@ -339,8 +379,14 @@ def run_sampler(spec, x_init, pred, cond, sched, rng=None, record=False):
     kinds never touch ``rng``; stochastic ones require it. Aborts with the
     offending timestep if a step produces non-finite values.
 
+    The hops write into one workspace owned by this call: the latent
+    ping-pongs between two buffers, so ``x_init`` and ``cond`` are never
+    written, and an ``x_t`` handed to the predictor is valid only during
+    that evaluation.
+
     Returns (final image, TrajectoryRecord); the record is empty unless
-    ``record`` is set.
+    ``record`` is set. The final image is the last latent buffer, not
+    shared with anything else.
     """
     grid = spec.grid.steps
     if cond is not None:
@@ -349,11 +395,12 @@ def run_sampler(spec, x_init, pred, cond, sched, rng=None, record=False):
     plan = [(t, u) + _hop(spec.kind, t, u, sched, spec.eta) for t, u in hops]
     eps = pred.bind(cond)
     x = np.asarray(x_init, dtype=np.float64)
+    ws = _workspace(x.shape)
     traj = TrajectoryRecord()
     state = MultistepState()
-    for t, u, apply, c in plan:
+    for i, (t, u, apply, c) in enumerate(plan):
         t0 = time.perf_counter()
-        x = apply(x, t, c, eps, state, rng)
+        x = apply(x, t, c, eps, state, rng, ws, ws[("latent", i % 2)])
         if not np.isfinite(x).all():
             raise RuntimeError(f"{spec.kind} produced non-finite values stepping {t} -> {u}")
         if record:

@@ -2,7 +2,7 @@ import pytest
 
 from astn import cli
 from astn.cli import DEFAULT_CONFIG, load_config, main, render_report, save_config
-from astn.denoiser import EpsilonPredictor
+from astn.denoiser import AffinePredictor, EpsilonPredictor
 from astn.metrics import MetricsReport, MetricsRow
 
 SMALL_CONFIG = {
@@ -149,6 +149,28 @@ def test_corrupt_dataset_image_is_runtime_failure(workspace, capsys, damage):
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "runtime failure" in err and "pair001_d025_low.img" in err
+
+
+@pytest.mark.parametrize("damage", ["bad_header", "bad_checksum"])
+def test_corrupt_affine_predictor_is_runtime_failure(workspace, capsys, damage):
+    tmp, cfg = workspace
+    out = tmp / "work"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    model = tmp / "bad_affine.txt"
+    AffinePredictor.initial(2, (32, 32), conditional=True).save(model)
+    lines = model.read_text().splitlines(keepends=True)
+    if damage == "bad_header":
+        lines[0] = "astn-affine 9 2 32 32 1\n"
+    else:
+        lines[1] = lines[1][:-9] + "00000000\n"
+    model.write_text("".join(lines))
+    broken = dict(SMALL_CONFIG, predictor={"kind": "affine", "path": str(model)})
+    broken_path = tmp / "broken.json"
+    save_config(broken, broken_path)
+    capsys.readouterr()
+    assert main(["run", "--config", str(broken_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "runtime failure" in err and "bad_affine.txt" in err
 
 
 def test_cell_type_error_is_runtime_failure(workspace, monkeypatch, capsys):

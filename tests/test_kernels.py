@@ -42,3 +42,40 @@ def test_ssim_map_rejects_non_separable_window(rng):
     x = rng.random((20, 20))
     with pytest.raises(ValueError, match="separable"):
         k.ssim_map(x, x, np.eye(11), 1e-4, 9e-4)
+
+
+def _lincomb_operands(rng, shape=(17, 13)):
+    return (0.7, rng.standard_normal(shape), -0.3, rng.standard_normal(shape),
+            1.9, rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("alias", [None, "a", "b"])
+def test_lincomb2_out_matches_allocating_form(rng, alias):
+    ca, a, cb, b, _, _ = _lincomb_operands(rng)
+    want = k.lincomb2(ca, a, cb, b)
+    out = {None: np.empty_like(a), "a": a, "b": b}[alias]
+    tmp = np.empty_like(a)
+    got = k.lincomb2(ca, a, cb, b, out=out, tmp=tmp)
+    assert got is out
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("alias", [None, "a"])
+def test_lincomb3_out_matches_allocating_form(rng, alias):
+    ca, a, cb, b, cc, c = _lincomb_operands(rng)
+    want = k.lincomb3(ca, a, cb, b, cc, c)
+    out = a if alias == "a" else np.empty_like(a)
+    got = k.lincomb3(ca, a, cb, b, cc, c, out=out, tmp=np.empty_like(a))
+    assert got is out
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("fn", ["lincomb2", "lincomb3"])
+def test_lincomb_out_without_tmp(rng, fn):
+    ops = _lincomb_operands(rng)
+    args = ops[:4] if fn == "lincomb2" else ops
+    want = getattr(k, fn)(*args)
+    out = np.empty_like(ops[1])
+    got = getattr(k, fn)(*args, out=out)
+    assert got is out
+    assert np.array_equal(got, want)

@@ -175,10 +175,12 @@ def test_sweep_smoke_grid_finite_metrics(sched):
 def test_sweep_is_reproducible_and_thread_invariant(sched):
     pairs = _pairs(2, 32, 0.25)
     pred = _cond_oracle(sched)
+    kinds = ["ddpm", "ddim", "dpm1", "dpm2", "dpmpp2m", "unipc2"]
     kwargs = dict(master_seed=9, regimes=("full", "ast"))
-    a = regime_sweep([10, 25], ["ddpm"], pairs, pred, sched, **kwargs)
-    b = regime_sweep([10, 25], ["ddpm"], pairs, pred, sched, **kwargs)
-    c = regime_sweep([10, 25], ["ddpm"], pairs, pred, sched, threads=3, **kwargs)
+    a = regime_sweep([10, 25], kinds, pairs, pred, sched, **kwargs)
+    b = regime_sweep([10, 25], kinds, pairs, pred, sched, **kwargs)
+    c = regime_sweep([10, 25], kinds, pairs, pred, sched, threads=3, **kwargs)
+    assert len(a.rows) == len(c.rows) == 2 * len(kinds) * 2 and not c.failures
     for other in (b, c):
         for ra, rb in zip(a.rows, other.rows):
             assert (ra.psnr_db, ra.rmse, ra.ssim) == (rb.psnr_db, rb.rmse, rb.ssim)

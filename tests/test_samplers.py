@@ -399,6 +399,76 @@ def test_run_sampler_equals_fold_of_step_functions(sched, name, N):
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(traj.snapshots, snapshots))
 
 
+class SpyPredictor(EpsilonPredictor):
+    """Forwards to ``inner``'s bound function, keeping every latent it is given."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen = []  # the x_t objects themselves
+        self.copies = []  # their values at evaluation time
+
+    def predict(self, x_t, t, cond=None):
+        return self.bind(cond)(x_t, t)
+
+    def bind(self, cond):
+        inner = self.inner.bind(cond)
+
+        def eps(x_t, t, out=None):
+            self.seen.append(x_t)
+            self.copies.append(x_t.copy())
+            return inner(x_t, t, out=out)
+
+        return eps
+
+
+_KIND_ETAS = [("ddpm", 0.0), ("ddim", 0.0), ("ddim", 1.0), ("dpm1", 0.0), ("dpm2", 0.0),
+              ("dpmpp2m", 0.0), ("unipc2", 0.0)]
+
+
+def _buffer_case(sched, kind, eta, N=10):
+    rng = np.random.default_rng(12)
+    model = GaussianDataModel(mean=np.full((8, 8), 0.4), var=0.06)
+    spec = SamplerSpec(kind=kind, grid=make_timestep_grid(sched.T, N, sched.T), eta=eta)
+    return spec, conditioned_oracle(model, 0.05, sched), rng.random((8, 8)), rng.standard_normal((8, 8))
+
+
+@pytest.mark.parametrize("kind, eta", _KIND_ETAS)
+def test_run_sampler_leaves_inputs_and_results_alone(sched, kind, eta):
+    spec, pred, cond, x_init = _buffer_case(sched, kind, eta)
+    x_before, cond_before = x_init.copy(), cond.copy()
+    a, _ = run_sampler(spec, x_init, pred, cond, sched, rng=np.random.default_rng(2))
+    a_before = a.copy()
+    b, _ = run_sampler(spec, x_init, pred, cond, sched, rng=np.random.default_rng(2))
+    assert np.array_equal(x_init, x_before) and np.array_equal(cond, cond_before)
+    assert not np.shares_memory(a, b)
+    assert np.array_equal(a, a_before) and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind, eta", _KIND_ETAS)
+def test_run_sampler_snapshots_keep_their_values(sched, kind, eta):
+    spec, pred, cond, x_init = _buffer_case(sched, kind, eta)
+    spy = SpyPredictor(pred)
+    out, traj = run_sampler(spec, x_init, spy, cond, sched, rng=np.random.default_rng(2), record=True)
+    snaps = [snap for _, snap in traj.snapshots]
+    assert np.array_equal(snaps[-1], out)
+    assert not any(np.shares_memory(snap, x) for snap in snaps for x in spy.seen + [out])
+    # hop j's first evaluation sees the latent hop j - 1 produced and recorded
+    per_hop = evaluations_per_run(kind, 2) - 1
+    for j in range(1, len(snaps)):
+        assert np.array_equal(snaps[j - 1], spy.copies[j * per_hop])
+
+
+@pytest.mark.parametrize("kind", ["ddim", "unipc2"])
+def test_run_sampler_reuses_two_latent_buffers(sched, kind):
+    spec, pred, cond, x_init = _buffer_case(sched, kind, 0.0, N=50)
+    spy = SpyPredictor(pred)
+    run_sampler(spec, x_init, spy, cond, sched)
+    assert len(spy.seen) == evaluations_per_run(kind, 50)
+    # x_init plus the two buffers the latent ping-pongs between
+    assert spy.seen[0] is x_init
+    assert len({id(x) for x in spy.seen}) <= 3
+
+
 def test_run_sampler_ddpm_needs_rng(sched, toy):
     _, pred, x_init = toy
     spec = SamplerSpec(kind="ddpm", grid=make_timestep_grid(1000, 5, sched.T))
@@ -440,3 +510,11 @@ def test_sampler_spec_validation(sched):
         SamplerSpec(kind="dpm1", grid=grid, eta=0.5)
     with pytest.raises(ValueError):
         SamplerSpec(kind="ddim", grid=grid, eta=-1.0)
+
+
+def test_sampler_spec_rejects_eta_for_ddpm(sched):
+    grid = make_timestep_grid(100, 10, sched.T)
+    for eta in (0.5, 3.0):
+        with pytest.raises(ValueError, match="eta applies only to ddim"):
+            SamplerSpec(kind="ddpm", grid=grid, eta=eta)
+    assert SamplerSpec(kind="ddpm", grid=grid).eta == 0.0
