@@ -233,7 +233,6 @@ def render_report(report, T=1000):
     """Grouped text table in the quality-table layout: full schedule block,
     reduced-step block, AST block; inverted/standard paired left/right."""
     inverted = {(r.sampler, r.steps): r for r in report.rows if r.regime == "inverted"}
-    used_inverted = set()
 
     def cell(row, attr, fmt):
         # inverted runs share the full-noise grids, so they pair only with
@@ -241,7 +240,6 @@ def render_report(report, T=1000):
         inv = inverted.get((row.sampler, row.steps)) if row.regime == "full" else None
         base = format(getattr(row, attr), fmt)
         if inv is not None:
-            used_inverted.add((row.sampler, row.steps))
             return f"{format(getattr(inv, attr), fmt)}/{base}"
         return base
 

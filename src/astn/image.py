@@ -7,12 +7,12 @@ are the single place where shape and finiteness contracts are enforced.
 
 import numpy as np
 
-__all__ = ["as_image", "new_image", "require_same_shape", "require_finite"]
+__all__ = ["as_image", "require_same_shape", "require_finite"]
 
 
-def as_image(data, copy=False):
+def as_image(data):
     """Coerce to a 2D float64 array, rejecting NaN/Inf entries."""
-    arr = np.array(data, dtype=np.float64, copy=True) if copy else np.asarray(data, dtype=np.float64)
+    arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"image must be 2D, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -21,19 +21,11 @@ def as_image(data, copy=False):
     return arr
 
 
-def new_image(height, width, fill=0.0):
-    """Fresh image of the given size filled with a constant."""
-    if height < 1 or width < 1:
-        raise ValueError(f"image dimensions must be positive, got {height}x{width}")
-    return np.full((height, width), float(fill), dtype=np.float64)
-
-
 def require_same_shape(a, b, what="images"):
     if a.shape != b.shape:
         raise ValueError(f"{what} have mismatched shapes {a.shape} vs {b.shape}")
 
 
-def require_finite(arr, context=""):
+def require_finite(arr):
     if not np.isfinite(arr).all():
-        where = f" ({context})" if context else ""
-        raise ValueError(f"non-finite values in image{where}")
+        raise ValueError("non-finite values in image")

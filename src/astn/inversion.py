@@ -1,24 +1,26 @@
 """Deterministic DDIM inversion: walk an image up the noise levels.
 
-The inversion traverses a sampling grid in ascending order, iterating
+The inversion traverses a sampling grid in ascending order with the
+deterministic DDIM update (Song et al. 2021) run upwards: each hop t -> u,
+t < u, is
 
-    x_{t'} = a_{t'} x0_ref + s_{t'} (x_t - a_t x0_ref) / s_t
+    x_u = a_u x0_hat + s_u eps_hat,    x0_hat = (x_t - s_t eps_hat) / a_t
 
-with sigma = 0 throughout. In ``literal_x0`` mode x0_ref stays pinned to the
-input image for every hop (which collapses to a closed-form rescaling,
-independent of the model); in ``predicted_x0`` mode x0_ref is the model's
-per-step data prediction, the convention that makes inversion the exact
-inverse of deterministic DDIM sampling under an exact predictor. The walk
-starts from the deterministic embedding x = a_t0 * input at the lowest grid
-step t0.
+with eps_hat the model's estimate at (x_t, t). In ``predicted_x0`` mode the
+walk is a plan of ordinary DDIM hops run by the samplers' executor, so it
+is the exact inverse of deterministic DDIM sampling under an exact
+predictor, and inverting then sampling costs twice the evaluations of
+sampling alone. The walk starts from the deterministic embedding
+x = a_t0 * input at the lowest grid step t0. ``literal_x0`` mode pins
+x0_hat to the input image instead, which collapses the walk to the closed
+form sqrt(ab_origin) * input, independent of the model.
 """
 
 import math
 
 import numpy as np
 
-from astn import _kernels as k
-from astn.samplers import _workspace, predict_x0, run_sampler
+from astn.samplers import _ddim_apply, _ddim_coefs, _walk, run_sampler
 
 __all__ = ["ddim_invert", "invert_then_reconstruct"]
 
@@ -30,32 +32,18 @@ def ddim_invert(x_start, pred, cond, sched, grid, mode="predicted_x0"):
 
     ``grid`` is an ordinary (descending) sampling grid; it is traversed in
     reverse. Deterministic: identical inputs give bit-identical latents.
-    The walk updates one latent in place and evaluates into a workspace of
-    its own, so ``x_start`` and ``cond`` are never written.
+    ``x_start`` and ``cond`` are never written, and the result is a fresh
+    array.
     """
     if mode not in INVERSION_MODES:
         raise ValueError(f"unknown inversion mode {mode!r}")
-    if mode == "predicted_x0":
-        eps = pred.bind(cond)
-    ascending = grid.steps[::-1]
-    t0 = ascending[0]
-    # a fresh array, so the walk updates it in place
-    x = math.sqrt(sched.alpha_bar(t0)) * np.asarray(x_start, dtype=np.float64)
-    ws = _workspace(x.shape)
-    for t, t_next in zip(ascending[:-1], ascending[1:]):
-        if mode == "literal_x0":
-            x0_ref = x_start
-        else:
-            eps_hat = eps(x, t, out=ws["eps"])
-            x0_ref = predict_x0(x, t, eps_hat, sched, out=ws["x0"], tmp=ws["tmp"])
-        ab_t, ab_n = sched.alpha_bar(t), sched.alpha_bar(t_next)
-        a_t, s_t = math.sqrt(ab_t), math.sqrt(1.0 - ab_t)
-        a_n, s_n = math.sqrt(ab_n), math.sqrt(1.0 - ab_n)
-        # x_{t+1} = a_n x0_ref + s_n * (x - a_t x0_ref)/s_t
-        x = k.lincomb2(a_n - s_n / s_t * a_t, x0_ref, s_n / s_t, x, out=x, tmp=ws["tmp"])
-        if not np.isfinite(x).all():
-            raise RuntimeError(f"inversion produced non-finite values at t={t_next}")
-    return x
+    x_start = np.asarray(x_start, dtype=np.float64)
+    if mode == "literal_x0":
+        return math.sqrt(sched.alpha_bar(grid.origin)) * x_start
+    up = grid.steps[::-1]
+    plan = [(t, u, _ddim_apply, _ddim_coefs(t, u, sched, 0.0)) for t, u in zip(up[:-1], up[1:])]
+    x = math.sqrt(sched.alpha_bar(up[0])) * x_start
+    return _walk("inversion", plan, x, pred.bind(cond), None, None)[0]
 
 
 def invert_then_reconstruct(x_start, pred, cond, sched, invert_grid, sample_spec, rng=None):

@@ -54,12 +54,17 @@ class RegimeSpec:
 
 
 def make_regime_spec(regime, n_or_N, kind, sched, eta=0.0):
-    """Build the RegimeSpec with the conventional grid for ``regime``."""
+    """Build the RegimeSpec with the conventional grid for ``regime``.
+
+    ``eta`` is DDIM's stochasticity; every other kind runs at eta 0, so one
+    sweep-wide eta never fails the other samplers' cells.
+    """
     if regime == "ast":
         grid = make_timestep_grid(n_or_N, n_or_N, sched.T)
     else:
         grid = make_timestep_grid(sched.T, n_or_N, sched.T)
-    return RegimeSpec(regime=regime, n_or_N=n_or_N, sampler=SamplerSpec(kind=kind, grid=grid, eta=eta))
+    sampler = SamplerSpec(kind=kind, grid=grid, eta=eta if kind == "ddim" else 0.0)
+    return RegimeSpec(regime=regime, n_or_N=n_or_N, sampler=sampler)
 
 
 def ast_n_latent(input_image, n, sched, rng, eps=None):

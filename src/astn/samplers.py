@@ -24,21 +24,22 @@ The terminal hop to t = 0 always returns x0_hat, for every sampler.
 
 Each kind's hop is split in two: a coefficient function of (t, u, schedule,
 eta) holds all of the hop's scalar math, and an apply function does the
-array update with those coefficients and the predictor. ``run_sampler``
-computes every hop's coefficients before its first evaluation, binds the
-predictor to the condition once (``EpsilonPredictor.bind``), then runs one
-loop of apply calls. Each public ``*_step`` function is one such hop with
-the same two parts, so a fold of the step functions reproduces
-``run_sampler`` bit for bit.
+array update with those coefficients and the predictor. A plan is a list of
+``(t, u, apply, coefficients)`` hops, computed before the first evaluation,
+and one executor runs every plan: ``run_sampler``'s grid, each public
+``*_step`` function (a one-hop plan, so a fold of the step functions
+reproduces ``run_sampler`` bit for bit) and DDIM inversion (upward DDIM
+hops, see ``astn.inversion``). Callers bind the predictor to the condition
+once (``EpsilonPredictor.bind``).
 
-The array work of one ``run_sampler`` call goes through a workspace of
-named latent-shaped buffers that the call allocates on first use and drops
-when it returns. Once every buffer is in use (after the first hop, the
-second for the multistep kinds) the loop allocates no images, except what
-a predictor that ignores ``out`` returns. The latent ping-pongs between two
-buffers, the multistep history swaps between two more, noise is drawn in
-place, and the bound predictor may write its estimate into a buffer it is
-offered (``EpsilonPredictor.bind``). The kernels write into these buffers
+The executor owns one call's workspace of named latent-shaped buffers,
+allocated on first use and dropped on return, the finiteness check after
+every hop and the optional ``TrajectoryRecord``. Once every buffer is in use
+(after the first hop, the second for the multistep kinds) a plan allocates
+no images, except what a predictor that ignores ``out`` returns. The latent
+ping-pongs between two buffers, the multistep history swaps between two
+more, noise is drawn in place, and the bound predictor may write its
+estimate into a buffer it is offered. The kernels write into these buffers
 with the same operations as their allocating forms, so the results are
 bit-identical. Nothing is kept between calls, so concurrent runs share no
 memory.
@@ -118,13 +119,10 @@ def _x0_coefs(t, sched):
     return 1.0 / a_t, -math.sqrt(1.0 - ab) / a_t
 
 
-def predict_x0(x_t, t, eps_hat, sched, out=None, tmp=None):
-    """Data prediction implied by a noise estimate: (x_t - s_t eps_hat)/a_t.
-
-    ``out``/``tmp`` are passed to :func:`~astn._kernels.lincomb2`.
-    """
+def predict_x0(x_t, t, eps_hat, sched):
+    """Data prediction implied by a noise estimate: (x_t - s_t eps_hat)/a_t."""
     c_x, c_eps = _x0_coefs(t, sched)
-    return k.lincomb2(c_x, x_t, c_eps, eps_hat, out=out, tmp=tmp)
+    return k.lincomb2(c_x, x_t, c_eps, eps_hat)
 
 
 def _check_hop(t, t_prev):
@@ -132,23 +130,12 @@ def _check_hop(t, t_prev):
         raise ValueError(f"reverse hop needs t > t_prev >= 0, got {t} -> {t_prev}")
 
 
-def _workspace(shape):
-    """Named float64 arrays of ``shape``, each allocated on first use.
-
-    One workspace belongs to one ``run_sampler`` call, inversion walk or step
-    function call and dies with it; nothing is shared between calls, so
-    concurrent runs never touch each other's memory.
-    """
-    return defaultdict(lambda: np.empty(shape))
-
-
 # Each kind is a coefficient function of one internal hop (t, u, schedule,
 # eta) and an apply function ``(x_t, t, coefs, eps, state, rng, ws, out) ->
 # x_u`` doing the array work, where ``eps(x, t, out=)`` is a bound predictor
-# and ``ws`` the run's workspace. The apply writes x_u into ``out`` (or a
-# fresh array when ``out`` is None), may use ``out`` as scratch before that,
-# and never writes ``x_t``. The terminal hop to 0 is the same for every
-# kind: _x0_coefs + _apply_linear.
+# and ``ws`` the run's workspace. The apply writes x_u into ``out``, may use
+# ``out`` as scratch before that, and never writes ``x_t``. The terminal hop
+# to 0 is the same for every kind: _x0_coefs + _apply_linear.
 
 
 def _apply_linear(x_t, t, c, eps, state, rng, ws, out):
@@ -179,7 +166,11 @@ def _ddpm_apply(x_t, t, c, eps, state, rng, ws, out):
 
 def _ddim_coefs(t, u, sched, eta):
     ab_t, ab_u = sched.alpha_bar(t), sched.alpha_bar(u)
-    sigma = eta * math.sqrt((1.0 - ab_u) / (1.0 - ab_t)) * math.sqrt(1.0 - ab_t / ab_u)
+    # sigma's roots are real only for t > u; inversion's upward hops run at
+    # eta 0 and must not take them
+    sigma = 0.0
+    if eta > 0.0:
+        sigma = eta * math.sqrt((1.0 - ab_u) / (1.0 - ab_t)) * math.sqrt(1.0 - ab_t / ab_u)
     resid = 1.0 - ab_u - sigma * sigma
     if resid < 0.0:
         raise ValueError(f"eta={eta} makes sigma^2 exceed 1 - alpha_bar at t_prev={u}")
@@ -329,11 +320,35 @@ def _hop(kind, t, u, sched, eta):
     return apply, coefs(t, u, sched, eta)
 
 
+def _walk(what, plan, x, eps, rng, state, record=False):
+    """Run the hops of ``plan`` from latent ``x``; the one sampler executor.
+
+    ``plan`` is a list of ``(t, u, apply, coefficients)`` and ``eps`` a bound
+    predictor. The hops write into a workspace owned by this call: the
+    latent ping-pongs between two of its buffers, so ``x`` is never written,
+    and an ``x_t`` handed to the predictor is valid only during that
+    evaluation. Aborts naming ``what`` and the hop if a hop produces
+    non-finite values. Returns (final latent, TrajectoryRecord); the record
+    is empty unless ``record`` is set.
+    """
+    ws = defaultdict(lambda: np.empty(x.shape))
+    traj = TrajectoryRecord()
+    for i, (t, u, apply, c) in enumerate(plan):
+        t0 = time.perf_counter()
+        x = apply(x, t, c, eps, state, rng, ws, ws[("latent", i % 2)])
+        if not np.isfinite(x).all():
+            raise RuntimeError(f"{what} produced non-finite values stepping {t} -> {u}")
+        if record:
+            traj.step_times.append(time.perf_counter() - t0)
+            traj.snapshots.append((u, x.copy()))
+    return x, traj
+
+
 def _step(kind, state, x_t, t, t_prev, pred, cond, sched, eta=0.0, rng=None):
-    apply, c = _hop(kind, t, t_prev, sched, eta)
-    # a workspace of its own and a freshly allocated result, so the state's
-    # history and every returned image outlive the call untouched
-    return apply(x_t, t, c, pred.bind(cond), state, rng, _workspace(np.shape(x_t)), None)
+    # a one-hop plan with a workspace of its own, so the state's history and
+    # every returned image outlive the call untouched
+    plan = [(t, t_prev) + _hop(kind, t, t_prev, sched, eta)]
+    return _walk(kind, plan, np.asarray(x_t, dtype=np.float64), pred.bind(cond), rng, state)[0]
 
 
 def ddpm_step(x_t, t, t_prev, pred, cond, sched, rng):
@@ -379,10 +394,8 @@ def run_sampler(spec, x_init, pred, cond, sched, rng=None, record=False):
     kinds never touch ``rng``; stochastic ones require it. Aborts with the
     offending timestep if a step produces non-finite values.
 
-    The hops write into one workspace owned by this call: the latent
-    ping-pongs between two buffers, so ``x_init`` and ``cond`` are never
-    written, and an ``x_t`` handed to the predictor is valid only during
-    that evaluation.
+    ``x_init`` and ``cond`` are never written, and an ``x_t`` handed to the
+    predictor is valid only during that evaluation.
 
     Returns (final image, TrajectoryRecord); the record is empty unless
     ``record`` is set. The final image is the last latent buffer, not
@@ -393,20 +406,8 @@ def run_sampler(spec, x_init, pred, cond, sched, rng=None, record=False):
         require_same_shape(x_init, cond, "latent and condition")
     hops = list(zip(grid[:-1], grid[1:])) + [(grid[-1], 0)]
     plan = [(t, u) + _hop(spec.kind, t, u, sched, spec.eta) for t, u in hops]
-    eps = pred.bind(cond)
     x = np.asarray(x_init, dtype=np.float64)
-    ws = _workspace(x.shape)
-    traj = TrajectoryRecord()
-    state = MultistepState()
-    for i, (t, u, apply, c) in enumerate(plan):
-        t0 = time.perf_counter()
-        x = apply(x, t, c, eps, state, rng, ws, ws[("latent", i % 2)])
-        if not np.isfinite(x).all():
-            raise RuntimeError(f"{spec.kind} produced non-finite values stepping {t} -> {u}")
-        if record:
-            traj.step_times.append(time.perf_counter() - t0)
-            traj.snapshots.append((u, x.copy()))
-    return x, traj
+    return _walk(spec.kind, plan, x, pred.bind(cond), rng, MultistepState(), record)
 
 
 def evaluations_per_run(kind, n_steps):

@@ -142,15 +142,13 @@ def make_linear_schedule(T, beta_start=1e-4, beta_end=0.02):
     return NoiseSchedule(T=T, betas=betas, alphas=alphas, alpha_bars=alpha_bars)
 
 
-def make_timestep_grid(origin, N, T, strategy="uniform"):
+def make_timestep_grid(origin, N, T):
     """N timesteps evenly spaced from ``origin`` down to 1.
 
     Rounding collisions in sparse grids are repaired by shifting duplicates
     so the grid keeps exactly N strictly decreasing entries. ``origin = N``
     yields the dense grid {N, N-1, ..., 1} used by AST-n.
     """
-    if strategy != "uniform":
-        raise ValueError(f"unknown grid strategy {strategy!r}")
     if not 1 <= N <= origin <= T:
         raise ValueError(f"need 1 <= N <= origin <= T, got N={N} origin={origin} T={T}")
     raw = np.linspace(float(origin), 1.0, N)

@@ -173,6 +173,17 @@ def test_corrupt_affine_predictor_is_runtime_failure(workspace, capsys, damage):
     assert "runtime failure" in err and "bad_affine.txt" in err
 
 
+def test_run_with_eta_runs_every_sampler(workspace):
+    tmp, cfg = workspace
+    out = tmp / "work"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    noisy = dict(SMALL_CONFIG, run=dict(SMALL_CONFIG["run"], samplers=["ddpm", "ddim", "unipc"], eta=0.5))
+    noisy_path = tmp / "noisy.json"
+    save_config(noisy, noisy_path)
+    assert main(["run", "--config", str(noisy_path), "--out", str(out)]) == 0
+    assert len(MetricsReport.read_csv(out / "metrics.csv").rows) == 3 * 2 * 2
+
+
 def test_cell_type_error_is_runtime_failure(workspace, monkeypatch, capsys):
     tmp, cfg = workspace
     out = tmp / "work"

@@ -186,6 +186,18 @@ def test_sweep_is_reproducible_and_thread_invariant(sched):
             assert (ra.psnr_db, ra.rmse, ra.ssim) == (rb.psnr_db, rb.rmse, rb.ssim)
 
 
+def test_sweep_eta_applies_to_ddim_cells_only(sched):
+    pairs = _pairs(1, 32, 0.25)
+    pred = _cond_oracle(sched)
+    kwargs = dict(master_seed=4, regimes=("ast",))
+    base = regime_sweep([10], ["ddpm", "ddim", "unipc2"], pairs, pred, sched, **kwargs)
+    noisy = regime_sweep([10], ["ddpm", "ddim", "unipc2"], pairs, pred, sched, eta=0.5, **kwargs)
+    assert len(noisy.rows) == 3 and not noisy.failures
+    for ra, rb in zip(base.rows, noisy.rows):
+        same = (ra.psnr_db, ra.rmse, ra.ssim) == (rb.psnr_db, rb.rmse, rb.ssim)
+        assert ra.sampler == rb.sampler and same == (ra.sampler != "ddim")
+
+
 def test_sweep_records_cell_failures(sched):
     pairs = _pairs(1, 32, 0.25)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from astn import _kernels as k
 from astn.denoiser import (
     EpsilonPredictor,
     GaussianDataModel,
@@ -11,6 +12,7 @@ from astn.denoiser import (
     exact_noise_oracle,
 )
 from astn.forward import q_sample
+from astn.inversion import ddim_invert
 from astn.samplers import (
     MultistepState,
     SamplerSpec,
@@ -24,7 +26,7 @@ from astn.samplers import (
     run_sampler,
     unipc_step,
 )
-from astn.schedule import make_timestep_grid
+from astn.schedule import TimestepGrid, make_timestep_grid
 
 
 class ConstantEps(EpsilonPredictor):
@@ -482,6 +484,47 @@ def test_run_sampler_nan_abort_names_timestep(sched, toy):
     with np.errstate(invalid="ignore"):
         with pytest.raises(RuntimeError, match=r"1000 -> "):
             run_sampler(spec, x_init, ExplodingPredictor(), None, sched)
+
+
+@pytest.mark.parametrize("name", list(_STEP_FNS))
+def test_step_functions_abort_on_non_finite_values(sched, toy, name):
+    _, _, x = toy
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(RuntimeError, match=r"non-finite values stepping 500 -> 400"):
+            _STEP_FNS[name](MultistepState(), x, 500, 400, ExplodingPredictor(), None, sched,
+                            np.random.default_rng(0))
+
+
+def test_inversion_reuses_two_latent_buffers(sched):
+    rng = np.random.default_rng(14)
+    model = GaussianDataModel(mean=np.full((8, 8), 0.4), var=0.06)
+    spy = SpyPredictor(conditioned_oracle(model, 0.05, sched))
+    x_start, cond = rng.random((8, 8)), rng.random((8, 8))
+    x_before, cond_before = x_start.copy(), cond.copy()
+    grid = make_timestep_grid(sched.T, 51, sched.T)
+    a = ddim_invert(x_start, spy, cond, sched, grid)
+    assert len(spy.seen) == 50
+    # the embedding plus the two buffers the latent ping-pongs between
+    assert np.array_equal(spy.seen[0], math.sqrt(sched.alpha_bar(grid.steps[-1])) * x_start)
+    assert len({id(x) for x in spy.seen}) <= 3
+    b = ddim_invert(x_start, spy, cond, sched, grid)
+    assert np.array_equal(x_start, x_before) and np.array_equal(cond, cond_before)
+    assert not np.shares_memory(a, b) and np.array_equal(a, b)
+
+
+def test_inversion_hop_is_the_ddim_update(sched):
+    rng = np.random.default_rng(15)
+    model = GaussianDataModel(mean=np.full((8, 8), 0.4), var=0.06)
+    pred = conditioned_oracle(model, 0.05, sched)
+    x_start, cond = rng.random((8, 8)), rng.random((8, 8))
+    for lo, hi in [(1, 1000), (250, 800), (41, 42)]:
+        x = math.sqrt(sched.alpha_bar(lo)) * x_start
+        eps_hat = pred.predict(x, lo, cond)
+        x0_hat = predict_x0(x, lo, eps_hat, sched)
+        ab_hi = sched.alpha_bar(hi)
+        expected = k.lincomb2(math.sqrt(ab_hi), x0_hat, math.sqrt(1.0 - ab_hi), eps_hat)
+        got = ddim_invert(x_start, pred, cond, sched, TimestepGrid(steps=(hi, lo), origin=hi))
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("kind", ["ddpm", "ddim", "dpm1", "dpm2", "dpmpp2m", "unipc2"])

@@ -200,5 +200,3 @@ def test_grid_domain_errors():
         make_timestep_grid(10, 11, 1000)
     with pytest.raises(ValueError):
         make_timestep_grid(1001, 5, 1000)
-    with pytest.raises(ValueError):
-        make_timestep_grid(10, 5, 1000, strategy="quadratic")
