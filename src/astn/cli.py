@@ -8,7 +8,9 @@ Subcommands:
                standard initializations paired side by side where both exist)
 
 Configuration is a single JSON file (see README for the schema). Exit codes:
-0 success, 2 configuration errors, 3 runtime failures.
+0 success, 2 configuration errors, 3 runtime failures. A configuration error
+is a ``ConfigError``, raised where a config value or a command-line input is
+parsed; any other exception, ``ValueError`` included, is a runtime failure.
 """
 
 import argparse
@@ -59,6 +61,14 @@ class ConfigError(Exception):
     pass
 
 
+def _parsed(what, parse):
+    """``parse()``, with a TypeError or ValueError it raises turned into a ConfigError about ``what``."""
+    try:
+        return parse()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
 def load_config(path):
     try:
         with open(path) as f:
@@ -101,21 +111,52 @@ def _resolve_regimes(tokens):
     return list(tokens)
 
 
+def _seed(args, cfg):
+    seed = args.seed
+    if seed is None:
+        seed = _parsed("seed", lambda: int(cfg.get("seed", DEFAULT_CONFIG["seed"])))
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"seed {seed} is not an unsigned 64-bit integer")
+    return seed
+
+
 def _build_schedule(cfg):
     sc = _section(cfg, "schedule")
-    try:
-        return make_linear_schedule(int(sc["T"]), float(sc["beta_start"]), float(sc["beta_end"]))
-    except ValueError as exc:
-        raise ConfigError(f"bad schedule: {exc}") from exc
+    return _parsed(
+        "schedule",
+        lambda: make_linear_schedule(int(sc["T"]), float(sc["beta_start"]), float(sc["beta_end"])),
+    )
+
+
+def _dataset_args(cfg):
+    """``generate_dataset``'s keyword arguments from the dataset section, checked."""
+    ds = _section(cfg, "dataset")
+
+    def parse():
+        args = {
+            "count": int(ds["count"]),
+            "size": int(ds["size"]),
+            "dose_fractions": [float(f) for f in ds["dose_fractions"]],
+            "n_ellipses": int(ds["n_ellipses"]),
+            "photons_full_dose": int(ds["photons_full_dose"]),
+        }
+        if args["count"] < 0 or args["photons_full_dose"] <= 0:
+            raise ValueError("need count >= 0 and photons_full_dose > 0")
+        dat.dose_tags(args["dose_fractions"])
+        dat.PhantomSpec(size=args["size"], n_ellipses=args["n_ellipses"])  # checks both
+        return args
+
+    return _parsed("dataset section", parse)
 
 
 def _build_predictor_factory(cfg, sched, shape, photons):
     pc = _section(cfg, "predictor")
     kind = pc.get("kind", "conditioned_oracle")
-    if kind == "conditioned_oracle":
-        model = GaussianDataModel(
+    if kind in ("conditioned_oracle", "gaussian_oracle"):
+        model = _parsed("predictor prior_mean/prior_var", lambda: GaussianDataModel(
             mean=np.full(shape, float(pc["prior_mean"])), var=float(pc["prior_var"])
-        )
+        ))
+    if kind == "conditioned_oracle":
         cn = pc.get("condition_noise", "auto")
         if cn == "auto":
             # Poisson surrogate noise scale at mid intensity: var ~ 0.5/(frac*photons)
@@ -124,15 +165,14 @@ def _build_predictor_factory(cfg, sched, shape, photons):
                 return conditioned_oracle(model, level, sched)
 
             return factory
-        level = float(cn)
-        return lambda pair: conditioned_oracle(model, level, sched)
+        oracle = _parsed("predictor condition_noise", lambda: conditioned_oracle(model, float(cn), sched))
+        return lambda pair: oracle
     if kind == "gaussian_oracle":
-        model = GaussianDataModel(
-            mean=np.full(shape, float(pc["prior_mean"])), var=float(pc["prior_var"])
-        )
         oracle = GaussianOracle(model, sched)
         return lambda pair: oracle
     if kind == "affine":
+        if "path" not in pc:
+            raise ConfigError("predictor kind 'affine' needs a path")
         try:
             pred = AffinePredictor.load(pc["path"])
         except ValueError as exc:
@@ -147,21 +187,13 @@ def _build_predictor_factory(cfg, sched, shape, photons):
 
 def cmd_generate(args):
     cfg = load_config(args.config)
-    ds = _section(cfg, "dataset")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", DEFAULT_CONFIG["seed"]))
+    dataset_args = _dataset_args(cfg)
+    seed = _seed(args, cfg)
     out = Path(args.out) / "dataset"
     manifest = out / "manifest.csv"
     if manifest.exists() and not args.force:
         raise ConfigError(f"{manifest} exists; pass --force to overwrite")
-    records = dat.generate_dataset(
-        out,
-        count=int(ds["count"]),
-        size=int(ds["size"]),
-        dose_fractions=[float(f) for f in ds["dose_fractions"]],
-        master_seed=seed,
-        n_ellipses=int(ds["n_ellipses"]),
-        photons_full_dose=int(ds["photons_full_dose"]),
-    )
+    records = dat.generate_dataset(out, master_seed=seed, **dataset_args)
     print(f"wrote {len(records)} dose pairs under {out}")
     return 0
 
@@ -169,11 +201,14 @@ def cmd_generate(args):
 def cmd_run(args):
     cfg = load_config(args.config)
     rc = _section(cfg, "run")
-    ds = _section(cfg, "dataset")
+    photons = _dataset_args(cfg)["photons_full_dose"]
     samplers = _resolve_samplers(rc["samplers"])
     regimes = _resolve_regimes(rc["regimes"])
-    origins = [int(n) for n in rc["origins"]]
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", DEFAULT_CONFIG["seed"]))
+    origins = _parsed("run origins", lambda: [int(n) for n in rc["origins"]])
+    eta = _parsed("run eta", lambda: float(rc.get("eta", 0.0)))
+    if not eta >= 0.0:
+        raise ConfigError(f"run eta {eta} must be >= 0")
+    seed = _seed(args, cfg)
     sched = _build_schedule(cfg)
     for n in origins:
         if not 1 <= n <= sched.T:
@@ -190,7 +225,7 @@ def cmd_run(args):
     if not dataset:
         raise ConfigError(f"{manifest} lists no pairs")
     shape = dataset[0].full_dose.shape
-    factory = _build_predictor_factory(cfg, sched, shape, int(ds["photons_full_dose"]))
+    factory = _build_predictor_factory(cfg, sched, shape, photons)
 
     report = regime_sweep(
         origins,
@@ -200,7 +235,7 @@ def cmd_run(args):
         sched,
         master_seed=seed,
         regimes=regimes,
-        eta=float(rc.get("eta", 0.0)),
+        eta=eta,
         threads=args.threads,
     )
     out = Path(args.out)
@@ -284,7 +319,7 @@ def render_report(report, T=1000):
 def cmd_report(args):
     try:
         report = MetricsReport.read_csv(args.metrics_csv)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {args.metrics_csv}: {exc}") from exc
     print(render_report(report))
     if args.out:
@@ -322,9 +357,6 @@ def main(argv=None):
     try:
         return args.fn(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

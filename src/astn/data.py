@@ -1,4 +1,4 @@
-"""Synthetic phantoms, dose-fraction noise, normalization, and image I/O.
+"""Synthetic phantoms, dose-fraction noise, and image I/O.
 
 Phantoms are sums of randomly placed rotated ellipses on a flat background,
 clamped to [0, 1] — a desk-scale surrogate for clinical slices. Low-dose
@@ -30,19 +30,17 @@ __all__ = [
     "DosePair",
     "generate_phantom",
     "simulate_low_dose",
-    "normalize_intensity",
     "write_image",
     "read_image",
     "write_pgm",
     "generate_dataset",
+    "dose_tags",
     "write_manifest",
     "read_manifest",
 ]
 
 MAGIC = b"ASTIMG01"
 MAX_DIM = 1 << 16
-
-HU_LO, HU_HI = -1024.0, 3072.0  # fixed intensity bounds for raw-unit input
 
 
 @dataclass(frozen=True)
@@ -107,14 +105,6 @@ def simulate_low_dose(x0, dose_fraction, rng, photons_full_dose=4096):
     return np.clip(counts / (dose_fraction * photons_full_dose), 0.0, 1.0)
 
 
-def normalize_intensity(raw, lo=HU_LO, hi=HU_HI):
-    """Affine map of raw intensities onto [0, 1] with clamping at the bounds."""
-    if hi <= lo:
-        raise ValueError("need hi > lo")
-    arr = np.asarray(raw, dtype=np.float64)
-    return np.clip((arr - lo) / (hi - lo), 0.0, 1.0)
-
-
 def write_image(path, buffer):
     """Write an image in the ASTIMG01 flat binary format (float32 payload)."""
     img = as_image(buffer)
@@ -159,13 +149,7 @@ def generate_dataset(out_dir, count, size, dose_fractions, master_seed,
 
     Deterministic in ``master_seed``; returns the manifest records.
     """
-    tags = [f"d{round(frac * 100):03d}" for frac in dose_fractions]
-    seed_keys = [round(frac * 1000) for frac in dose_fractions]
-    if len(set(tags)) != len(tags) or len(set(seed_keys)) != len(seed_keys):
-        raise ValueError(
-            f"dose fractions {list(dose_fractions)} collide in pair ids {tags} "
-            f"or noise-seed keys {seed_keys}"
-        )
+    tags, seed_keys = dose_tags(dose_fractions)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = []
@@ -194,6 +178,25 @@ def generate_dataset(out_dir, count, size, dose_fractions, master_seed,
             )
     write_manifest(out / "manifest.csv", records)
     return records
+
+
+def dose_tags(dose_fractions):
+    """Pair-id tags and noise-seed keys of ``dose_fractions``, one each per fraction.
+
+    Rejects a fraction outside (0, 1] and fractions that would share a tag
+    or a key, before any file is written.
+    """
+    for frac in dose_fractions:
+        if not 0.0 < frac <= 1.0:
+            raise ValueError(f"dose fraction {frac} outside (0, 1]")
+    tags = [f"d{round(frac * 100):03d}" for frac in dose_fractions]
+    seed_keys = [round(frac * 1000) for frac in dose_fractions]
+    if len(set(tags)) != len(tags) or len(set(seed_keys)) != len(seed_keys):
+        raise ValueError(
+            f"dose fractions {list(dose_fractions)} collide in pair ids {tags} "
+            f"or noise-seed keys {seed_keys}"
+        )
+    return tags, seed_keys
 
 
 def write_manifest(path, records):

@@ -29,7 +29,6 @@ __all__ = [
     "GaussianOracle",
     "ConditionedGaussianOracle",
     "ZeroPredictor",
-    "IdentityPredictor",
     "AffinePredictor",
     "analytic_gaussian_epsilon",
     "exact_noise_oracle",
@@ -205,13 +204,6 @@ class ZeroPredictor(EpsilonPredictor):
 
     def predict(self, x_t, t, cond=None):
         return np.zeros_like(x_t)
-
-
-class IdentityPredictor(EpsilonPredictor):
-    """Predicts the latent itself as the noise (debugging stub)."""
-
-    def predict(self, x_t, t, cond=None):
-        return x_t.copy()
 
 
 class AffinePredictor(EpsilonPredictor):

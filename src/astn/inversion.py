@@ -6,14 +6,11 @@ t < u, is
 
     x_u = a_u x0_hat + s_u eps_hat,    x0_hat = (x_t - s_t eps_hat) / a_t
 
-with eps_hat the model's estimate at (x_t, t). In ``predicted_x0`` mode the
-walk is a plan of ordinary DDIM hops run by the samplers' executor, so it
-is the exact inverse of deterministic DDIM sampling under an exact
-predictor, and inverting then sampling costs twice the evaluations of
-sampling alone. The walk starts from the deterministic embedding
-x = a_t0 * input at the lowest grid step t0. ``literal_x0`` mode pins
-x0_hat to the input image instead, which collapses the walk to the closed
-form sqrt(ab_origin) * input, independent of the model.
+with eps_hat the model's estimate at (x_t, t). The walk is a plan of
+ordinary DDIM hops run by the samplers' executor, so it is the exact inverse
+of deterministic DDIM sampling under an exact predictor, and inverting then
+sampling costs twice the evaluations of sampling alone. The walk starts from
+the deterministic embedding x = a_t0 * input at the lowest grid step t0.
 """
 
 import math
@@ -24,10 +21,8 @@ from astn.samplers import _ddim_apply, _ddim_coefs, _walk, run_sampler
 
 __all__ = ["ddim_invert", "invert_then_reconstruct"]
 
-INVERSION_MODES = ("literal_x0", "predicted_x0")
 
-
-def ddim_invert(x_start, pred, cond, sched, grid, mode="predicted_x0"):
+def ddim_invert(x_start, pred, cond, sched, grid):
     """Map ``x_start`` to an approximate latent at ``grid.origin``.
 
     ``grid`` is an ordinary (descending) sampling grid; it is traversed in
@@ -35,11 +30,7 @@ def ddim_invert(x_start, pred, cond, sched, grid, mode="predicted_x0"):
     ``x_start`` and ``cond`` are never written, and the result is a fresh
     array.
     """
-    if mode not in INVERSION_MODES:
-        raise ValueError(f"unknown inversion mode {mode!r}")
     x_start = np.asarray(x_start, dtype=np.float64)
-    if mode == "literal_x0":
-        return math.sqrt(sched.alpha_bar(grid.origin)) * x_start
     up = grid.steps[::-1]
     plan = [(t, u, _ddim_apply, _ddim_coefs(t, u, sched, 0.0)) for t, u in zip(up[:-1], up[1:])]
     x = math.sqrt(sched.alpha_bar(up[0])) * x_start
@@ -48,6 +39,6 @@ def ddim_invert(x_start, pred, cond, sched, grid, mode="predicted_x0"):
 
 def invert_then_reconstruct(x_start, pred, cond, sched, invert_grid, sample_spec, rng=None):
     """Invert along ``invert_grid`` then sample back with ``sample_spec``."""
-    latent = ddim_invert(x_start, pred, cond, sched, invert_grid, mode="predicted_x0")
+    latent = ddim_invert(x_start, pred, cond, sched, invert_grid)
     out, _ = run_sampler(sample_spec, latent, pred, cond, sched, rng=rng)
     return out

@@ -91,7 +91,7 @@ def reconstruct(regime, low_dose, pred, sched, rng, record=False):
     elif regime.regime == "ast":
         x_init = ast_n_latent(low_dose, regime.n_or_N, sched, rng)
     else:
-        x_init = ddim_invert(low_dose, pred, low_dose, sched, spec.grid, mode="predicted_x0")
+        x_init = ddim_invert(low_dose, pred, low_dose, sched, spec.grid)
     return run_sampler(spec, x_init, pred, low_dose, sched, rng=rng, record=record)
 
 

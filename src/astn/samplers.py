@@ -24,7 +24,14 @@ The terminal hop to t = 0 always returns x0_hat, for every sampler.
 
 Each kind's hop is split in two: a coefficient function of (t, u, schedule,
 eta) holds all of the hop's scalar math, and an apply function does the
-array update with those coefficients and the predictor. A plan is a list of
+array update with those coefficients and the predictor. An apply function
+does two things: its predictor evaluations, then one linear combination
+that writes x_u. Intermediates that the update uses only linearly (x0_hat,
+the DDPM mean, DPM-Solver++'s D, UniPC's d1_0, m_land and d1_t) are folded
+into that combination's coefficients instead of being written out; the
+multistep kinds still write x0_hat, because it is their history. Scalars
+that depend on the history's step ratio r0 are computed in the apply
+function, since the history is known only at run time. A plan is a list of
 ``(t, u, apply, coefficients)`` hops, computed before the first evaluation,
 and one executor runs every plan: ``run_sampler``'s grid, each public
 ``*_step`` function (a one-hop plan, so a fold of the step functions
@@ -34,15 +41,17 @@ once (``EpsilonPredictor.bind``).
 
 The executor owns one call's workspace of named latent-shaped buffers,
 allocated on first use and dropped on return, the finiteness check after
-every hop and the optional ``TrajectoryRecord``. Once every buffer is in use
-(after the first hop, the second for the multistep kinds) a plan allocates
-no images, except what a predictor that ignores ``out`` returns. The latent
-ping-pongs between two buffers, the multistep history swaps between two
-more, noise is drawn in place, and the bound predictor may write its
+every hop and the optional ``TrajectoryRecord``. The buffers are the two
+latents the result ping-pongs between, the predictor's estimate ``eps``,
+the kernels' scratch ``tmp``, the noise draw ``noise`` (ddpm and eta > 0
+ddim) and, for the multistep kinds, the data prediction ``x0`` and the
+history ``x0_prev`` it swaps with. Once every buffer is in use (after the
+first hop, the second for the multistep kinds) a plan allocates no images,
+except what a predictor that ignores ``out`` returns. Noise is drawn in
+place after the hop's evaluations, and the bound predictor may write its
 estimate into a buffer it is offered. The kernels write into these buffers
-with the same operations as their allocating forms, so the results are
-bit-identical. Nothing is kept between calls, so concurrent runs share no
-memory.
+with the same operations as their allocating forms. Nothing is kept between
+calls, so concurrent runs share no memory.
 """
 
 import math
@@ -149,19 +158,20 @@ def _ddpm_coefs(t, u, sched, eta):
     alpha_ratio = ab_t / ab_u
     beta_eff = 1.0 - alpha_ratio
     btilde = (1.0 - ab_u) / (1.0 - ab_t) * beta_eff
+    # posterior mean c0 x0_hat + ct x_t with x0_hat = c_x x_t + c_eps eps_hat
     c0 = math.sqrt(ab_u) * beta_eff / (1.0 - ab_t)
     ct = math.sqrt(alpha_ratio) * (1.0 - ab_u) / (1.0 - ab_t)
-    return _x0_coefs(t, sched), c0, ct, math.sqrt(btilde)
+    c_x, c_eps = _x0_coefs(t, sched)
+    return c0 * c_x + ct, c0 * c_eps, math.sqrt(btilde)
 
 
 def _ddpm_apply(x_t, t, c, eps, state, rng, ws, out):
-    x0c, c0, ct, noise_sd = c
+    c_x, c_eps, noise_sd = c
     if rng is None:
         raise ValueError("ddpm sampling needs an rng")
-    x0_hat = _apply_linear(x_t, t, x0c, eps, state, rng, ws, ws["x0"])
-    mean = k.lincomb2(c0, x0_hat, ct, x_t, out=out, tmp=ws["tmp"])
+    eps_hat = eps(x_t, t, out=ws["eps"])
     z = rng.standard_normal(out=ws["noise"])
-    return k.lincomb2(1.0, mean, noise_sd, z, out=mean, tmp=ws["tmp"])
+    return k.lincomb3(c_x, x_t, c_eps, eps_hat, noise_sd, z, out=out, tmp=ws["tmp"])
 
 
 def _ddim_coefs(t, u, sched, eta):
@@ -174,20 +184,21 @@ def _ddim_coefs(t, u, sched, eta):
     resid = 1.0 - ab_u - sigma * sigma
     if resid < 0.0:
         raise ValueError(f"eta={eta} makes sigma^2 exceed 1 - alpha_bar at t_prev={u}")
-    return _x0_coefs(t, sched), math.sqrt(ab_u), math.sqrt(resid), sigma
+    # a_u x0_hat + sqrt(resid) eps_hat with x0_hat = c_x x_t + c_eps eps_hat
+    c_x, c_eps = _x0_coefs(t, sched)
+    a_u = math.sqrt(ab_u)
+    return a_u * c_x, a_u * c_eps + math.sqrt(resid), sigma
 
 
 def _ddim_apply(x_t, t, c, eps, state, rng, ws, out):
-    (c_x, c_eps), a_u, resid_sd, sigma = c
+    c_x, c_eps, sigma = c
     eps_hat = eps(x_t, t, out=ws["eps"])
-    x0_hat = k.lincomb2(c_x, x_t, c_eps, eps_hat, out=ws["x0"], tmp=ws["tmp"])
-    out = k.lincomb2(a_u, x0_hat, resid_sd, eps_hat, out=out, tmp=ws["tmp"])
-    if sigma > 0.0:
-        if rng is None:
-            raise ValueError("stochastic ddim step (eta > 0) needs an rng")
-        z = rng.standard_normal(out=ws["noise"])
-        out = k.lincomb2(1.0, out, sigma, z, out=out, tmp=ws["tmp"])
-    return out
+    if sigma == 0.0:
+        return k.lincomb2(c_x, x_t, c_eps, eps_hat, out=out, tmp=ws["tmp"])
+    if rng is None:
+        raise ValueError("stochastic ddim step (eta > 0) needs an rng")
+    z = rng.standard_normal(out=ws["noise"])
+    return k.lincomb3(c_x, x_t, c_eps, eps_hat, sigma, z, out=out, tmp=ws["tmp"])
 
 
 def _dpm1_coefs(t, u, sched, eta):
@@ -241,12 +252,12 @@ def _dpmpp2m_apply(x_t, t, c, eps, state, rng, ws, out):
     x0c, lam_t, h, c_x, c_d = c
     x0_hat = _apply_linear(x_t, t, x0c, eps, state, rng, ws, ws["x0"])
     if state.prev_x0 is None:
-        d = x0_hat
+        out = k.lincomb2(c_x, x_t, c_d, x0_hat, out=out, tmp=ws["tmp"])
     else:
-        r0 = (state.prev_log_snr - lam_t) / h
-        # linear extrapolation of the data prediction to the half step
-        d = k.lincomb2(1.0 - 0.5 / r0, x0_hat, 0.5 / r0, state.prev_x0, out=ws["d"], tmp=ws["tmp"])
-    out = k.lincomb2(c_x, x_t, c_d, d, out=out, tmp=ws["tmp"])
+        # D = (1 - 0.5/r0) x0_hat + (0.5/r0) prev_x0, the data prediction
+        # extrapolated to the half step, folded into x_u = c_x x_t + c_d D
+        w = 0.5 / ((state.prev_log_snr - lam_t) / h)
+        out = k.lincomb3(c_x, x_t, c_d * (1.0 - w), x0_hat, c_d * w, state.prev_x0, out=out, tmp=ws["tmp"])
     _keep_x0(state, lam_t, x0_hat, ws)
     return out
 
@@ -272,31 +283,37 @@ def _unipc_coefs(t, u, sched, eta):
 
 
 def _unipc_apply(x_t, t, c, eps, state, rng, ws, out):
-    x0c, land_x0c, u, lam_t, h, b1, b2, c_x, c_m, c_half, c_corr = c
+    """UniPC-2 with every difference of data predictions folded into coefficients.
+
+    With m0 = x0_hat(x_t, t), d1_0 = (prev_x0 - m0)/r0, the predictor
+    x_pred = c_x x_t + c_m m0 + c_half d1_0 and the landing prediction
+    m_land = l_x x_pred + l_eps eps_hat(x_pred, u), the corrected step is
+    c_x x_t + c_m m0 + c_corr (rho0 d1_0 + rho1 (m_land - m0)). Eliminating
+    c_x x_t through x_pred leaves x_pred, eps_hat(x_pred, u), m0 and prev_x0;
+    without history it is x_pred + c_half (m_land - m0).
+    """
+    x0c, (l_x, l_eps), u, lam_t, h, b1, b2, c_x, c_m, c_half, c_corr = c
     tmp = ws["tmp"]
     m0 = _apply_linear(x_t, t, x0c, eps, state, rng, ws, ws["x0"])
-
+    prev = state.prev_x0
     # the predicted landing latent lives in ``out`` until its evaluation is done
-    have_hist = state.prev_x0 is not None
-    if have_hist:
-        r0 = (state.prev_log_snr - lam_t) / h
-        d1_0 = np.divide(np.subtract(state.prev_x0, m0, out=ws["d"]), r0, out=ws["d"])
-        x_pred = k.lincomb3(c_x, x_t, c_m, m0, c_half, d1_0, out=out, tmp=tmp)
-    else:
+    if prev is None:
         x_pred = k.lincomb2(c_x, x_t, c_m, m0, out=out, tmp=tmp)
-
-    m_land = _apply_linear(x_pred, u, land_x0c, eps, state, rng, ws, ws["land"])
-    d1_t = np.subtract(m_land, m0, out=m_land)
-
-    if have_hist:
+        e_land = eps(x_pred, u, out=ws["eps"])
+        out = k.lincomb3(1.0 + c_half * l_x, x_pred, c_half * l_eps, e_land, -c_half, m0, out=x_pred, tmp=tmp)
+    else:
+        r0 = (state.prev_log_snr - lam_t) / h
+        p = c_half / r0
+        x_pred = k.lincomb3(c_x, x_t, c_m - p, m0, p, prev, out=out, tmp=tmp)
+        e_land = eps(x_pred, u, out=ws["eps"])
         det = 1.0 - r0
         rho0 = (b1 - b2) / det
         rho1 = (b2 - r0 * b1) / det
-        corr = k.lincomb2(rho0, d1_0, rho1, d1_t, out=d1_0, tmp=tmp)
-        out = k.lincomb3(c_x, x_t, c_m, m0, c_corr, corr, out=x_pred, tmp=tmp)
-    else:
-        out = k.lincomb3(c_x, x_t, c_m, m0, c_half, d1_t, out=x_pred, tmp=tmp)
-
+        q = c_corr * rho1
+        c_prev = c_corr * rho0 / r0 - p
+        out = k.lincomb3(1.0 + q * l_x, x_pred, q * l_eps, e_land, -c_prev - q, m0, out=x_pred, tmp=tmp)
+        # exact: multiplying by 1.0 leaves ``out`` unchanged
+        out = k.lincomb2(1.0, out, c_prev, prev, out=out, tmp=tmp)
     _keep_x0(state, lam_t, m0, ws)
     return out
 

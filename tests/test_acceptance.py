@@ -77,7 +77,7 @@ def test_criterion_2_exact_round_trips(sched):
     assert step_err <= 1e-10
 
     grid = make_timestep_grid(1000, 1000, sched.T)
-    latent = ddim_invert(x0, pred, None, sched, grid, mode="predicted_x0")
+    latent = ddim_invert(x0, pred, None, sched, grid)
     out, _ = run_sampler(SamplerSpec(kind="ddim", grid=grid), latent, pred, None, sched)
     rt = math.sqrt(float(((out - x0) ** 2).mean()))
     assert rt < 1e-6

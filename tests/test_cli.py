@@ -227,3 +227,53 @@ def test_default_config_is_complete():
     # default experiment uses the standard origin set and dose fractions
     assert DEFAULT_CONFIG["run"]["origins"] == [10, 25, 50, 100, 150, 500]
     assert DEFAULT_CONFIG["dataset"]["dose_fractions"] == [0.25, 0.10]
+
+
+_BAD_GENERATE = {
+    "count": {"dataset": dict(SMALL_CONFIG["dataset"], count="many")},
+    "size": {"dataset": dict(SMALL_CONFIG["dataset"], size=8)},
+    "fraction_range": {"dataset": dict(SMALL_CONFIG["dataset"], dose_fractions=[0.25, 1.5])},
+    "fraction_collision": {"dataset": dict(SMALL_CONFIG["dataset"], dose_fractions=[0.1, 0.1001])},
+    "seed": {"seed": "lucky"},
+    "seed_negative": {"seed": -1},
+}
+_BAD_RUN = {
+    "origins": {"run": dict(SMALL_CONFIG["run"], origins=[5, "ten"])},
+    "eta": {"run": dict(SMALL_CONFIG["run"], eta=-0.5)},
+    "prior_mean": {"predictor": {"kind": "conditioned_oracle", "prior_mean": "grey"}},
+    "prior_var": {"predictor": {"kind": "gaussian_oracle", "prior_var": -1.0}},
+    "condition_noise_text": {"predictor": {"kind": "conditioned_oracle", "condition_noise": "loud"}},
+    "condition_noise_negative": {"predictor": {"kind": "conditioned_oracle", "condition_noise": -0.1}},
+    "affine_path": {"predictor": {"kind": "affine"}},
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_GENERATE) + list(_BAD_RUN))
+def test_bad_config_value_is_config_error(workspace, capsys, case):
+    tmp, cfg = workspace
+    out = tmp / "work"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    bad_path = tmp / "bad.json"
+    if case in _BAD_GENERATE:
+        save_config(dict(SMALL_CONFIG, **_BAD_GENERATE[case]), bad_path)
+        argv = ["generate", "--config", str(bad_path), "--out", str(out), "--force"]
+    else:
+        save_config(dict(SMALL_CONFIG, **_BAD_RUN[case]), bad_path)
+        argv = ["run", "--config", str(bad_path), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_value_error_outside_config_parsing_is_runtime_failure(workspace, monkeypatch, capsys):
+    tmp, cfg = workspace
+    out = tmp / "work"
+    main(["generate", "--config", str(cfg), "--out", str(out)])
+
+    def broken_sweep(*args, **kwargs):
+        raise ValueError("synthetic numeric fault")
+
+    monkeypatch.setattr(cli, "regime_sweep", broken_sweep)
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "runtime failure: ValueError: synthetic numeric fault" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from astn.data import (
     PhantomSpec,
     generate_dataset,
     generate_phantom,
-    normalize_intensity,
     read_image,
     read_manifest,
     simulate_low_dose,
@@ -96,17 +95,6 @@ def test_low_dose_validation(rng):
         simulate_low_dose(np.full((4, 4), 0.5), 0.0, rng)
     with pytest.raises(ValueError):
         simulate_low_dose(np.full((4, 4), 0.5), 1.5, rng)
-
-
-def test_normalize_fixed_bounds():
-    raw = np.array([[-1024.0, 3072.0], [1024.0, -2000.0]])
-    out = normalize_intensity(raw)
-    assert out[0, 0] == 0.0
-    assert out[0, 1] == 1.0
-    assert out[1, 0] == 0.5
-    assert out[1, 1] == 0.0  # clamped below the lower bound
-    with pytest.raises(ValueError):
-        normalize_intensity(raw, lo=10.0, hi=10.0)
 
 
 def test_image_round_trip_bit_exact(tmp_path):

@@ -7,7 +7,6 @@ from astn.denoiser import (
     AffinePredictor,
     GaussianDataModel,
     GaussianOracle,
-    IdentityPredictor,
     ZeroPredictor,
     analytic_gaussian_epsilon,
     conditioned_oracle,
@@ -90,7 +89,7 @@ def test_oracle_is_bayes_optimal_among_tested_predictors(sched):
     model = GaussianDataModel(mean=np.full((12, 12), 0.2), var=0.5)
     x0_batch = list(model.sample(rng, 60))
     oracle = GaussianOracle(model, sched)
-    others = [ZeroPredictor(), IdentityPredictor(), AffinePredictor.initial(sched.T, (12, 12))]
+    others = [ZeroPredictor(), AffinePredictor.initial(sched.T, (12, 12))]
     oracle_loss = training_loss(oracle, x0_batch, None, sched, np.random.default_rng(15))
     # 3-standard-error slack on the shared-seed Monte Carlo comparison
     slack = 3.0 * 0.02
@@ -106,7 +105,6 @@ def test_predictors_preserve_shape_and_finiteness(sched, rng):
         GaussianOracle(model, sched),
         conditioned_oracle(model, 0.2, sched),
         ZeroPredictor(),
-        IdentityPredictor(),
         AffinePredictor.initial(sched.T, (7, 9), conditional=True),
     ]
     for p in preds:

@@ -20,22 +20,6 @@ def affine_pred(sched):
     )
 
 
-def test_literal_mode_zero_fixed_point(sched):
-    grid = make_timestep_grid(1000, 50, sched.T)
-    x0 = np.zeros((6, 6))
-    latent = ddim_invert(x0, None, None, sched, grid, mode="literal_x0")
-    assert not latent.any()
-
-
-def test_literal_mode_is_closed_form_rescale(sched, rng):
-    # holding x0 fixed collapses the recursion to latent = sqrt(ab_origin) * x
-    x0 = rng.random((6, 6))
-    for N in (20, 400):
-        grid = make_timestep_grid(1000, N, sched.T)
-        latent = ddim_invert(x0, None, None, sched, grid, mode="literal_x0")
-        assert np.abs(latent - math.sqrt(sched.alpha_bar(1000)) * x0).max() < 1e-12
-
-
 def test_inversion_hop_and_ddim_step_are_mutual_inverses(sched, rng):
     from astn.schedule import TimestepGrid
 
@@ -55,7 +39,7 @@ def test_round_trip_exact_oracle_dense(sched, rng):
     x_start = rng.random((8, 8))
     pred = exact_noise_oracle(x_start, sched)
     grid = make_timestep_grid(1000, 1000, sched.T)
-    latent = ddim_invert(x_start, pred, None, sched, grid, mode="predicted_x0")
+    latent = ddim_invert(x_start, pred, None, sched, grid)
     spec = SamplerSpec(kind="ddim", grid=grid)
     out, _ = run_sampler(spec, latent, pred, None, sched)
     assert math.sqrt(float(((out - x_start) ** 2).mean())) < 1e-6
@@ -123,9 +107,3 @@ def test_invert_plus_reconstruct_doubles_wall_time(sched):
         invert_then_reconstruct(x_start, pred, None, sched, grid, spec)
         t_both = min(t_both, time.perf_counter() - t0)
     assert 0.75 * 2.0 <= t_both / t_recon <= 1.25 * 2.0
-
-
-def test_unknown_mode_rejected(sched, rng):
-    grid = make_timestep_grid(10, 5, sched.T)
-    with pytest.raises(ValueError):
-        ddim_invert(rng.random((4, 4)), None, None, sched, grid, mode="midpoint")

@@ -520,11 +520,158 @@ def test_inversion_hop_is_the_ddim_update(sched):
     for lo, hi in [(1, 1000), (250, 800), (41, 42)]:
         x = math.sqrt(sched.alpha_bar(lo)) * x_start
         eps_hat = pred.predict(x, lo, cond)
-        x0_hat = predict_x0(x, lo, eps_hat, sched)
-        ab_hi = sched.alpha_bar(hi)
-        expected = k.lincomb2(math.sqrt(ab_hi), x0_hat, math.sqrt(1.0 - ab_hi), eps_hat)
         got = ddim_invert(x_start, pred, cond, sched, TimestepGrid(steps=(hi, lo), origin=hi))
-        assert np.array_equal(got, expected)
+        # the hop's fused form: a_hi x0_hat + s_hi eps_hat with x0_hat expanded
+        ab_lo, ab_hi = sched.alpha_bar(lo), sched.alpha_bar(hi)
+        a_lo, a_hi = math.sqrt(ab_lo), math.sqrt(ab_hi)
+        c_x, c_eps = 1.0 / a_lo, -math.sqrt(1.0 - ab_lo) / a_lo
+        fused = k.lincomb2(a_hi * c_x, x, a_hi * c_eps + math.sqrt(1.0 - ab_hi), eps_hat)
+        assert np.array_equal(got, fused)
+        # the textbook two-stage update, up to rounding
+        x0_hat = predict_x0(x, lo, eps_hat, sched)
+        two_stage = k.lincomb2(a_hi, x0_hat, math.sqrt(1.0 - ab_hi), eps_hat)
+        assert np.abs(got - two_stage).max() <= 1e-12 * np.abs(two_stage).max()
+
+
+# ------------------------------------------- fused hops vs two-stage updates
+# The hop updates as they were written before each kind's scalar algebra was
+# folded into one linear combination: x0_hat, the ddpm mean, DPM-Solver++'s
+# D and UniPC's d1_0, m_land and d1_t are formed as arrays. Reference only.
+
+
+def _two_stage_hop(kind, x, t, u, eps, sched, eta, rng, state):
+    eps_hat = eps(x, t)
+    x0_hat = predict_x0(x, t, eps_hat, sched)
+    if u == 0:
+        return x0_hat
+    ab_t, ab_u = sched.alpha_bar(t), sched.alpha_bar(u)
+    lam_t, lam_u = sched.log_snr(t), sched.log_snr(u)
+    h = lam_u - lam_t
+    if kind == "ddpm":
+        beta_eff = 1.0 - ab_t / ab_u
+        btilde = (1.0 - ab_u) / (1.0 - ab_t) * beta_eff
+        c0 = math.sqrt(ab_u) * beta_eff / (1.0 - ab_t)
+        ct = math.sqrt(ab_t / ab_u) * (1.0 - ab_u) / (1.0 - ab_t)
+        mean = k.lincomb2(c0, x0_hat, ct, x)
+        return k.lincomb2(1.0, mean, math.sqrt(btilde), rng.standard_normal(x.shape))
+    if kind == "ddim":
+        sigma = 0.0
+        if eta > 0.0:
+            sigma = eta * math.sqrt((1.0 - ab_u) / (1.0 - ab_t)) * math.sqrt(1.0 - ab_t / ab_u)
+        out = k.lincomb2(math.sqrt(ab_u), x0_hat, math.sqrt(1.0 - ab_u - sigma * sigma), eps_hat)
+        if sigma > 0.0:
+            out = k.lincomb2(1.0, out, sigma, rng.standard_normal(x.shape))
+        return out
+    if kind == "dpm1":
+        return k.lincomb2(math.sqrt(ab_u / ab_t), x, -math.sqrt(1.0 - ab_u) * math.expm1(h), eps_hat)
+    if kind == "dpm2":
+        lam_mid = lam_t + 0.5 * h
+        ab_mid = 1.0 / (1.0 + math.exp(-2.0 * lam_mid))
+        x_mid = k.lincomb2(math.sqrt(ab_mid / ab_t), x,
+                           -math.sqrt(1.0 - ab_mid) * math.expm1(0.5 * h), eps_hat)
+        e_mid = eps(x_mid, sched.timestep_at_log_snr(lam_mid, u, t))
+        return k.lincomb2(math.sqrt(ab_u / ab_t), x, -math.sqrt(1.0 - ab_u) * math.expm1(h), e_mid)
+    c_x = math.sqrt((1.0 - ab_u) / (1.0 - ab_t))
+    hist = state.prev_x0 is not None
+    r0 = (state.prev_log_snr - lam_t) / h if hist else None
+    if kind == "dpmpp2m":
+        d = k.lincomb2(1.0 - 0.5 / r0, x0_hat, 0.5 / r0, state.prev_x0) if hist else x0_hat
+        out = k.lincomb2(c_x, x, -math.sqrt(ab_u) * math.expm1(-h), d)
+    else:  # unipc2
+        hh = -h
+        phi = math.expm1(hh) / hh - 1.0
+        b1 = phi / hh
+        b2 = (phi / hh - 0.5) * 2.0 / hh
+        a_u = math.sqrt(ab_u)
+        c_m, c_half, c_corr = -a_u * math.expm1(hh), -a_u * hh * 0.5, -a_u * hh
+        if hist:
+            d1_0 = (state.prev_x0 - x0_hat) / r0
+            x_pred = k.lincomb3(c_x, x, c_m, x0_hat, c_half, d1_0)
+        else:
+            x_pred = k.lincomb2(c_x, x, c_m, x0_hat)
+        d1_t = predict_x0(x_pred, u, eps(x_pred, u), sched) - x0_hat
+        if hist:
+            rho0 = (b1 - b2) / (1.0 - r0)
+            rho1 = (b2 - r0 * b1) / (1.0 - r0)
+            out = k.lincomb3(c_x, x, c_m, x0_hat, c_corr, k.lincomb2(rho0, d1_0, rho1, d1_t))
+        else:
+            out = k.lincomb3(c_x, x, c_m, x0_hat, c_half, d1_t)
+    state.prev_log_snr, state.prev_x0 = lam_t, x0_hat
+    return out
+
+
+def _two_stage_run(kind, grid, x, eps, sched, eta, rng):
+    state = MultistepState()
+    steps = grid.steps
+    for t, u in list(zip(steps[:-1], steps[1:])) + [(steps[-1], 0)]:
+        x = _two_stage_hop(kind, x, t, u, eps, sched, eta, rng, state)
+    return x
+
+
+def _fused_cases(sched):
+    """(size, predictor, cond) pairs: both Gaussian oracles at 8x8 and 64x64."""
+    rng = np.random.default_rng(41)
+    for size in (8, 64):
+        model = GaussianDataModel(mean=np.full((size, size), 0.4), var=0.06)
+        yield size, GaussianOracle(model, sched), None
+        yield size, conditioned_oracle(model, 0.05, sched), rng.random((size, size))
+
+
+@pytest.mark.parametrize("kind, eta", _KIND_ETAS)
+def test_fused_hops_match_two_stage_updates(sched, kind, eta):
+    grids = [make_timestep_grid(sched.T, N, sched.T) for N in (1, 2, 10, 50)]
+    grids.append(make_timestep_grid(25, 25, sched.T))
+    for size, pred, cond in _fused_cases(sched):
+        x_init = np.random.default_rng(size).standard_normal((size, size))
+        eps = pred.bind(cond)
+        for grid in grids:
+            spec = SamplerSpec(kind=kind, grid=grid, eta=eta)
+            got, _ = run_sampler(spec, x_init, pred, cond, sched, rng=np.random.default_rng(6))
+            ref = _two_stage_run(kind, grid, x_init, eps, sched, eta, np.random.default_rng(6))
+            # unchanged arithmetic: the dpm kinds, every 1-step grid and
+            # dpmpp2m's first hop (its whole 2-step run)
+            if kind in ("dpm1", "dpm2") or len(grid) == 1 or (kind, len(grid)) == ("dpmpp2m", 2):
+                assert np.array_equal(got, ref), (size, len(grid))
+            else:
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (size, len(grid))
+
+
+def test_fused_inversion_matches_two_stage_updates(sched):
+    for size, pred, cond in _fused_cases(sched):
+        x_start = np.random.default_rng(size).random((size, size))
+        eps = pred.bind(cond)
+        for N in (1, 10, 100):
+            grid = make_timestep_grid(sched.T, N, sched.T)
+            got = ddim_invert(x_start, pred, cond, sched, grid)
+            up = grid.steps[::-1]
+            ref = math.sqrt(sched.alpha_bar(up[0])) * x_start
+            for t, u in zip(up[:-1], up[1:]):
+                ref = _two_stage_hop("ddim", ref, t, u, eps, sched, 0.0, None, None)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (size, N)
+
+
+# lincomb2/3 calls per internal hop (first, later), the evaluations included:
+# the Gaussian oracle's estimate is one lincomb2
+_KERNEL_CALLS_PER_HOP = {"ddpm": (2, 2), "ddim": (2, 2), "dpm1": (2, 2), "dpm2": (4, 4),
+                         "dpmpp2m": (3, 3), "unipc2": (5, 6)}
+
+
+@pytest.mark.parametrize("kind, eta", _KIND_ETAS)
+def test_kernel_calls_per_hop(sched, monkeypatch, kind, eta):
+    calls = []
+    for name in ("lincomb2", "lincomb3"):
+        def spy(*args, _kernel=getattr(k, name), **kwargs):
+            calls.append(1)
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(k, name, spy)
+    model = GaussianDataModel(mean=np.full((8, 8), 0.4), var=0.06)
+    x_init = np.random.default_rng(5).standard_normal((8, 8))
+    for N in (2, 10):
+        calls.clear()
+        _run(kind, N, x_init, GaussianOracle(model, sched), sched, eta=eta)
+        first, later = _KERNEL_CALLS_PER_HOP[kind]
+        # the terminal hop is one evaluation plus one lincomb2
+        assert len(calls) == 2 + first + later * (N - 2)
 
 
 @pytest.mark.parametrize("kind", ["ddpm", "ddim", "dpm1", "dpm2", "dpmpp2m", "unipc2"])
