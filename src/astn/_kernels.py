@@ -4,6 +4,14 @@ Every sampler step, oracle evaluation and metric window reduces to a handful
 of elementwise kernels defined here. Scalar transcendentals (exp, log) are
 always computed outside the kernels.
 
+Aliasing rules. With ``out`` given, a kernel writes only ``out`` and, for
+``lincomb2``/``lincomb3``, ``tmp``. Each docstring says which operands
+``out`` and ``tmp`` may alias; within those rules every operand is read
+before it is overwritten, and outside them the result is silently wrong.
+``tmp`` may be ``b`` itself, which leaves ``b`` overwritten: the samplers
+pass the predictor's estimate buffer as ``tmp`` once they have read the
+estimate, so no kernel needs scratch of its own.
+
 ``ssim_map`` exploits that the SSIM window is separable (the Gaussian window
 of Wang et al., IEEE TIP 2004, is ``outer(g, g)``): each local moment is two
 1-D valid-mode passes of ``w`` taps instead of one 2-D pass of ``w * w``.
@@ -15,6 +23,7 @@ __all__ = [
     "active_backend",
     "lincomb2",
     "lincomb3",
+    "scaled_residual",
     "ssim_map",
     "add_ellipses",
 ]
@@ -30,13 +39,17 @@ def lincomb2(ca, a, cb, b, out=None, tmp=None):
 
     ``tmp`` is optional scratch for ``cb*b``, shaped like ``out``. Both forms
     evaluate ``ca*a``, ``cb*b`` and their sum with the same elementwise
-    operations, so they are bit-identical. ``cb*b`` is formed first, so
-    ``out`` may alias ``a`` or ``b``; ``tmp`` must alias none of them.
+    operations, so they are bit-identical; ``1.0*a`` is exact, so with
+    ``ca == 1.0`` and ``out`` being ``a`` that pass is skipped. ``cb*b`` is
+    formed first, so ``out`` may alias ``a`` or ``b``. ``tmp`` may be ``b``
+    (which is then overwritten) when ``out`` is not ``b``, and must alias
+    nothing else.
     """
     if out is None:
         return ca * a + cb * b
     t = np.multiply(cb, b, out=tmp)
-    np.multiply(ca, a, out=out)
+    if not (out is a and ca == 1.0):
+        np.multiply(ca, a, out=out)
     return np.add(out, t, out=out)
 
 
@@ -44,7 +57,8 @@ def lincomb3(ca, a, cb, b, cc, c, out=None, tmp=None):
     """``(ca*a + cb*b) + cc*c``, into ``out`` when it is given.
 
     Bit-identical to the allocating form, like :func:`lincomb2`. ``out`` may
-    alias ``a`` but not ``b`` or ``c``; ``tmp`` must alias none of the others.
+    alias ``a`` but not ``b`` or ``c``. ``tmp`` may be ``b`` (which is then
+    overwritten) when ``c`` is not ``b``, and must alias nothing else.
     """
     if out is None:
         return (ca * a + cb * b) + cc * c
@@ -53,6 +67,20 @@ def lincomb3(ca, a, cb, b, cc, c, out=None, tmp=None):
     np.add(out, t, out=out)
     t = np.multiply(cc, c, out=tmp)
     return np.add(out, t, out=out)
+
+
+def scaled_residual(c, a, cb, b, out=None):
+    """``c*(a - cb*b)``, into ``out`` when it is given.
+
+    Three in-place passes over ``out`` with no scratch; without ``out`` the
+    same passes run in one fresh array, so the two forms are bit-identical.
+    ``out`` may alias ``b`` but not ``a``.
+    """
+    if out is None:
+        out = np.empty(np.broadcast(a, b).shape, np.result_type(a, b, 1.0))
+    np.multiply(cb, b, out=out)
+    np.subtract(a, out, out=out)
+    return np.multiply(c, out, out=out)
 
 
 def ssim_map(x, y, window, c1, c2):

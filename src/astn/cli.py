@@ -199,6 +199,8 @@ def cmd_generate(args):
 
 
 def cmd_run(args):
+    if args.threads < 1:
+        raise ConfigError(f"--threads {args.threads} must be >= 1")
     cfg = load_config(args.config)
     rc = _section(cfg, "run")
     photons = _dataset_args(cfg)["photons_full_dose"]

@@ -58,11 +58,11 @@ class EpsilonPredictor(ABC):
     def bind(self, cond):
         """``(x_t, t, out=None) -> eps_hat`` with ``cond`` fixed; equals ``predict(x_t, t, cond)``.
 
-        ``out`` is an optional array shaped like ``x_t`` that the bound
-        function may write its result into. Callers always use the returned
-        array, which may or may not be ``out``; this default ignores ``out``
-        and returns whatever ``predict`` returns. An override must accept
-        ``out`` and must not write into ``x_t``.
+        ``out`` is an optional array shaped like ``x_t``, never ``x_t``
+        itself, that the bound function may write its result into. Callers
+        always use the returned array, which may or may not be ``out``; this
+        default ignores ``out`` and returns whatever ``predict`` returns. An
+        override must accept ``out`` and must not write into ``x_t``.
         """
         self._require_condition(cond)
         return lambda x_t, t, out=None: self.predict(x_t, t, cond)
@@ -94,31 +94,26 @@ class GaussianDataModel:
         return self.mean + math.sqrt(self.var) * rng.standard_normal((n,) + self.mean.shape)
 
 
-def analytic_gaussian_epsilon(model, x_t, t, sched, out=None, tmp=None):
+def analytic_gaussian_epsilon(model, x_t, t, sched, out=None):
     """Bayes-optimal noise estimate for Gaussian data (closed form above).
 
-    ``out``/``tmp`` are passed to :func:`~astn._kernels.lincomb2`.
+    Evaluated as ``coef * (x_t - sqrt(ab_t) m)`` by
+    :func:`~astn._kernels.scaled_residual`, in ``out`` alone when it is
+    given; ``out`` must not be ``x_t``.
     """
     ab = sched.alpha_bar_at(t)
-    denom = ab * model.var + (1.0 - ab)
-    coef = math.sqrt(1.0 - ab) / denom
-    return k.lincomb2(coef, x_t, -coef * math.sqrt(ab), model.mean, out=out, tmp=tmp)
+    coef = math.sqrt(1.0 - ab) / (ab * model.var + (1.0 - ab))
+    return k.scaled_residual(coef, x_t, math.sqrt(ab), model.mean, out=out)
 
 
 def _bind_gaussian(model, sched, check):
     """Bound ``(x_t, t, out=None)`` noise estimate for Gaussian data ``model``.
 
-    ``check(x_t)`` runs on every call. The first call given ``out`` allocates
-    the one scratch array the bound function keeps.
+    ``check(x_t)`` runs on every call.
     """
-    tmp = None
-
     def eps(x_t, t, out=None):
-        nonlocal tmp
         check(x_t)
-        if out is not None and tmp is None:
-            tmp = np.empty_like(out)
-        return analytic_gaussian_epsilon(model, x_t, t, sched, out=out, tmp=tmp)
+        return analytic_gaussian_epsilon(model, x_t, t, sched, out=out)
 
     return eps
 

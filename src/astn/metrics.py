@@ -107,14 +107,19 @@ class MetricsRow:
 
 @dataclass
 class MetricsReport:
-    """Rows keyed by (regime, sampler, steps) plus per-cell failures."""
+    """Rows keyed by (regime, sampler, steps), per-cell failures, and the
+    number of sweep cells that ran concurrently."""
 
     rows: list = field(default_factory=list)
     failures: list = field(default_factory=list)
+    threads: int = 1
 
     def write_csv(self, path):
+        note = f"# time_s is mean wall time per image; sweep threads: {self.threads}"
+        if self.threads > 1:
+            note += f", so time_s was measured under contention between {self.threads} concurrent cells"
         with open(path, "w", newline="") as f:
-            f.write("# time_s is mean wall time per image\n")
+            f.write(note + "\n")
             writer = csv.writer(f)
             writer.writerow(CSV_HEADER)
             for r in self.rows:

@@ -109,8 +109,12 @@ def regime_sweep(origins, samplers, dataset, pred, sched, master_seed,
     MetricsRow per cell holds metrics and wall time averaged over images.
     A cell that raises ValueError (a solver domain error) or RuntimeError
     (non-finite output) is recorded as failed and the sweep continues; any
-    other exception is a bug and propagates.
+    other exception is a bug and propagates. ``threads`` cells run at once
+    (at least 1); the report records it, since above 1 the cells' wall times
+    are measured under contention.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     cells = [
         (regime, kind, n)
         for regime in regimes
@@ -118,7 +122,7 @@ def regime_sweep(origins, samplers, dataset, pred, sched, master_seed,
         for n in origins
     ]
     factory = pred if callable(pred) else (lambda _pair: pred)
-    report = MetricsReport()
+    report = MetricsReport(threads=threads)
 
     def run_cell(ci_cell):
         ci, (regime_name, kind, n) = ci_cell

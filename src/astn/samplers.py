@@ -43,9 +43,14 @@ The executor owns one call's workspace of named latent-shaped buffers,
 allocated on first use and dropped on return, the finiteness check after
 every hop and the optional ``TrajectoryRecord``. The buffers are the two
 latents the result ping-pongs between, the predictor's estimate ``eps``,
-the kernels' scratch ``tmp``, the noise draw ``noise`` (ddpm and eta > 0
-ddim) and, for the multistep kinds, the data prediction ``x0`` and the
-history ``x0_prev`` it swaps with. Once every buffer is in use (after the
+the noise draw ``noise`` (ddpm and eta > 0 ddim) and, for the multistep
+kinds, the data prediction ``x0`` and the history ``x0_prev`` it swaps
+with. There is no scratch buffer: once an estimate has been read, ``eps``
+is the kernels' ``tmp`` (see the aliasing rules in ``astn._kernels``), and
+the Gaussian oracles need none. A ddim, dpm1 or dpm2 hop with an oracle
+thus touches four latent-sized arrays (x_t, the prior or posterior mean,
+``eps`` and the output), ddpm and eta > 0 ddim add ``noise``, and dpmpp2m
+and unipc2 add the history pair. Once every buffer is in use (after the
 first hop, the second for the multistep kinds) a plan allocates no images,
 except what a predictor that ignores ``out`` returns. Noise is drawn in
 place after the hop's evaluations, and the bound predictor may write its
@@ -150,7 +155,7 @@ def _check_hop(t, t_prev):
 def _apply_linear(x_t, t, c, eps, state, rng, ws, out):
     """c_x x_t + c_eps eps_hat: the terminal hop's x0_hat and the DPM-1 update."""
     c_x, c_eps = c
-    return k.lincomb2(c_x, x_t, c_eps, eps(x_t, t, out=ws["eps"]), out=out, tmp=ws["tmp"])
+    return k.lincomb2(c_x, x_t, c_eps, eps(x_t, t, out=ws["eps"]), out=out, tmp=ws["eps"])
 
 
 def _ddpm_coefs(t, u, sched, eta):
@@ -171,7 +176,7 @@ def _ddpm_apply(x_t, t, c, eps, state, rng, ws, out):
         raise ValueError("ddpm sampling needs an rng")
     eps_hat = eps(x_t, t, out=ws["eps"])
     z = rng.standard_normal(out=ws["noise"])
-    return k.lincomb3(c_x, x_t, c_eps, eps_hat, noise_sd, z, out=out, tmp=ws["tmp"])
+    return k.lincomb3(c_x, x_t, c_eps, eps_hat, noise_sd, z, out=out, tmp=ws["eps"])
 
 
 def _ddim_coefs(t, u, sched, eta):
@@ -194,11 +199,11 @@ def _ddim_apply(x_t, t, c, eps, state, rng, ws, out):
     c_x, c_eps, sigma = c
     eps_hat = eps(x_t, t, out=ws["eps"])
     if sigma == 0.0:
-        return k.lincomb2(c_x, x_t, c_eps, eps_hat, out=out, tmp=ws["tmp"])
+        return k.lincomb2(c_x, x_t, c_eps, eps_hat, out=out, tmp=ws["eps"])
     if rng is None:
         raise ValueError("stochastic ddim step (eta > 0) needs an rng")
     z = rng.standard_normal(out=ws["noise"])
-    return k.lincomb3(c_x, x_t, c_eps, eps_hat, sigma, z, out=out, tmp=ws["tmp"])
+    return k.lincomb3(c_x, x_t, c_eps, eps_hat, sigma, z, out=out, tmp=ws["eps"])
 
 
 def _dpm1_coefs(t, u, sched, eta):
@@ -227,8 +232,9 @@ def _dpm2_coefs(t, u, sched, eta):
 def _dpm2_apply(x_t, t, c, eps, state, rng, ws, out):
     t_mid, (m_x, m_eps), (c_x, c_eps) = c
     # the midpoint latent lives in ``out`` until its evaluation is done
-    x_mid = k.lincomb2(m_x, x_t, m_eps, eps(x_t, t, out=ws["eps"]), out=out, tmp=ws["tmp"])
-    return k.lincomb2(c_x, x_t, c_eps, eps(x_mid, t_mid, out=ws["eps"]), out=x_mid, tmp=ws["tmp"])
+    x_mid = _apply_linear(x_t, t, (m_x, m_eps), eps, state, rng, ws, out)
+    e_mid = eps(x_mid, t_mid, out=ws["eps"])
+    return k.lincomb2(c_x, x_t, c_eps, e_mid, out=x_mid, tmp=ws["eps"])
 
 
 def _dpmpp2m_coefs(t, u, sched, eta):
@@ -252,12 +258,12 @@ def _dpmpp2m_apply(x_t, t, c, eps, state, rng, ws, out):
     x0c, lam_t, h, c_x, c_d = c
     x0_hat = _apply_linear(x_t, t, x0c, eps, state, rng, ws, ws["x0"])
     if state.prev_x0 is None:
-        out = k.lincomb2(c_x, x_t, c_d, x0_hat, out=out, tmp=ws["tmp"])
+        out = k.lincomb2(c_x, x_t, c_d, x0_hat, out=out, tmp=ws["eps"])
     else:
         # D = (1 - 0.5/r0) x0_hat + (0.5/r0) prev_x0, the data prediction
         # extrapolated to the half step, folded into x_u = c_x x_t + c_d D
         w = 0.5 / ((state.prev_log_snr - lam_t) / h)
-        out = k.lincomb3(c_x, x_t, c_d * (1.0 - w), x0_hat, c_d * w, state.prev_x0, out=out, tmp=ws["tmp"])
+        out = k.lincomb3(c_x, x_t, c_d * (1.0 - w), x0_hat, c_d * w, state.prev_x0, out=out, tmp=ws["eps"])
     _keep_x0(state, lam_t, x0_hat, ws)
     return out
 
@@ -293,26 +299,28 @@ def _unipc_apply(x_t, t, c, eps, state, rng, ws, out):
     without history it is x_pred + c_half (m_land - m0).
     """
     x0c, (l_x, l_eps), u, lam_t, h, b1, b2, c_x, c_m, c_half, c_corr = c
-    tmp = ws["tmp"]
     m0 = _apply_linear(x_t, t, x0c, eps, state, rng, ws, ws["x0"])
     prev = state.prev_x0
+    # the estimate buffer is the kernels' scratch whenever no estimate is live
+    tmp = ws["eps"]
     # the predicted landing latent lives in ``out`` until its evaluation is done
     if prev is None:
         x_pred = k.lincomb2(c_x, x_t, c_m, m0, out=out, tmp=tmp)
-        e_land = eps(x_pred, u, out=ws["eps"])
+        e_land = eps(x_pred, u, out=tmp)
         out = k.lincomb3(1.0 + c_half * l_x, x_pred, c_half * l_eps, e_land, -c_half, m0, out=x_pred, tmp=tmp)
     else:
         r0 = (state.prev_log_snr - lam_t) / h
         p = c_half / r0
         x_pred = k.lincomb3(c_x, x_t, c_m - p, m0, p, prev, out=out, tmp=tmp)
-        e_land = eps(x_pred, u, out=ws["eps"])
+        e_land = eps(x_pred, u, out=tmp)
         det = 1.0 - r0
         rho0 = (b1 - b2) / det
         rho1 = (b2 - r0 * b1) / det
         q = c_corr * rho1
         c_prev = c_corr * rho0 / r0 - p
         out = k.lincomb3(1.0 + q * l_x, x_pred, q * l_eps, e_land, -c_prev - q, m0, out=x_pred, tmp=tmp)
-        # exact: multiplying by 1.0 leaves ``out`` unchanged
+        # two passes: c_prev prev into the dead estimate buffer, then added
+        # in place (lincomb2 skips the exact 1.0 * out)
         out = k.lincomb2(1.0, out, c_prev, prev, out=out, tmp=tmp)
     _keep_x0(state, lam_t, m0, ws)
     return out

@@ -277,3 +277,14 @@ def test_value_error_outside_config_parsing_is_runtime_failure(workspace, monkey
     capsys.readouterr()
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
     assert "runtime failure: ValueError: synthetic numeric fault" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_run_rejects_thread_count_below_one(workspace, capsys, threads):
+    tmp, cfg = workspace
+    out = tmp / "work"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 2
+    assert f"--threads {threads} must be >= 1" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()

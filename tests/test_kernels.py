@@ -79,3 +79,53 @@ def test_lincomb_out_without_tmp(rng, fn):
     got = getattr(k, fn)(*args, out=out)
     assert got is out
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("out_alias", [None, "a"])
+def test_lincomb2_tmp_may_be_b(rng, out_alias):
+    ca, a, cb, b, _, _ = _lincomb_operands(rng)
+    want = k.lincomb2(ca, a, cb, b)
+    out = a if out_alias == "a" else np.empty_like(a)
+    got = k.lincomb2(ca, a, cb, b, out=out, tmp=b)
+    assert got is out
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("out_alias", [None, "a"])
+def test_lincomb3_tmp_may_be_b(rng, out_alias):
+    ca, a, cb, b, cc, c = _lincomb_operands(rng)
+    want = k.lincomb3(ca, a, cb, b, cc, c)
+    out = a if out_alias == "a" else np.empty_like(a)
+    got = k.lincomb3(ca, a, cb, b, cc, c, out=out, tmp=b)
+    assert got is out
+    assert np.array_equal(got, want)
+
+
+def test_lincomb2_unit_coefficient_in_place(rng):
+    # y += cb*b in two passes equals the three-pass 1.0*y + cb*b bit for bit
+    _, a, cb, b, _, _ = _lincomb_operands(rng)
+    a[0, :4] = (-0.0, 5e-324, -1e308, 0.0)
+    want = np.add(np.multiply(1.0, a), np.multiply(cb, b))
+    got = k.lincomb2(1.0, a, cb, b, out=a, tmp=np.empty_like(a))
+    assert got is a
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("out_alias", [None, "b"])
+def test_scaled_residual_out_matches_allocating_form(rng, out_alias):
+    c, a, cb, b, _, _ = _lincomb_operands(rng)
+    want = k.scaled_residual(c, a, cb, b)
+    assert np.array_equal(want, c * (a - cb * b))
+    out = b if out_alias == "b" else np.empty_like(a)
+    got = k.scaled_residual(c, a, cb, b, out=out)
+    assert got is out
+    assert np.array_equal(got, want)
+
+
+def test_scaled_residual_matches_two_term_form(rng):
+    a, b = rng.standard_normal((2, 64, 64))
+    for c, cb in [(0.7, 0.3), (1.3, 0.9), (0.01, 0.99)]:
+        got = k.scaled_residual(c, a, cb, b)
+        ref = k.lincomb2(c, a, -c * cb, b)  # the oracles' former two-term form
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()

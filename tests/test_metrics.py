@@ -201,6 +201,18 @@ def test_report_csv_round_trip(tmp_path):
     assert "per image" in path.read_text().splitlines()[0]
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_report_csv_states_sweep_threads(tmp_path, threads):
+    report = MetricsReport(rows=[MetricsRow("ast", "ddim", 10, 30.0, 0.03, 0.9, 0.1, 7)], threads=threads)
+    path = tmp_path / "metrics.csv"
+    report.write_csv(path)
+    note = path.read_text().splitlines()[0]
+    assert note.startswith("#") and "per image" in note
+    assert f"sweep threads: {threads}" in note
+    assert ("contention" in note) == (threads > 1)
+    assert len(MetricsReport.read_csv(path).rows) == 1
+
+
 def test_report_csv_malformed_row_reports_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(",".join(CSV_HEADER) + "\nfull,ddim,abc,1,2,0.5,1,0\n")

@@ -181,6 +181,7 @@ def test_sweep_is_reproducible_and_thread_invariant(sched):
     b = regime_sweep([10, 25], kinds, pairs, pred, sched, **kwargs)
     c = regime_sweep([10, 25], kinds, pairs, pred, sched, threads=3, **kwargs)
     assert len(a.rows) == len(c.rows) == 2 * len(kinds) * 2 and not c.failures
+    assert (a.threads, c.threads) == (1, 3)
     for other in (b, c):
         for ra, rb in zip(a.rows, other.rows):
             assert (ra.psnr_db, ra.rmse, ra.ssim) == (rb.psnr_db, rb.rmse, rb.ssim)
@@ -236,3 +237,10 @@ def test_sweep_timing_scales_with_steps(sched):
 def test_sweep_rejects_empty_dataset(sched):
     with pytest.raises(ValueError):
         regime_sweep([5], ["ddim"], [], _cond_oracle(sched), sched, master_seed=0)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_sweep_rejects_thread_count_below_one(sched, threads):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        regime_sweep([5], ["ddim"], _pairs(1, 32, 0.25), _cond_oracle(sched), sched, master_seed=0,
+                     threads=threads)

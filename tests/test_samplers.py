@@ -13,6 +13,7 @@ from astn.denoiser import (
 )
 from astn.forward import q_sample
 from astn.inversion import ddim_invert
+from astn.regimes import make_regime_spec, reconstruct
 from astn.samplers import (
     MultistepState,
     SamplerSpec,
@@ -650,8 +651,8 @@ def test_fused_inversion_matches_two_stage_updates(sched):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (size, N)
 
 
-# lincomb2/3 calls per internal hop (first, later), the evaluations included:
-# the Gaussian oracle's estimate is one lincomb2
+# kernel calls per internal hop (first, later), the evaluations included:
+# the Gaussian oracle's estimate is one scaled_residual
 _KERNEL_CALLS_PER_HOP = {"ddpm": (2, 2), "ddim": (2, 2), "dpm1": (2, 2), "dpm2": (4, 4),
                          "dpmpp2m": (3, 3), "unipc2": (5, 6)}
 
@@ -659,7 +660,7 @@ _KERNEL_CALLS_PER_HOP = {"ddpm": (2, 2), "ddim": (2, 2), "dpm1": (2, 2), "dpm2":
 @pytest.mark.parametrize("kind, eta", _KIND_ETAS)
 def test_kernel_calls_per_hop(sched, monkeypatch, kind, eta):
     calls = []
-    for name in ("lincomb2", "lincomb3"):
+    for name in ("lincomb2", "lincomb3", "scaled_residual"):
         def spy(*args, _kernel=getattr(k, name), **kwargs):
             calls.append(1)
             return _kernel(*args, **kwargs)
@@ -672,6 +673,72 @@ def test_kernel_calls_per_hop(sched, monkeypatch, kind, eta):
         first, later = _KERNEL_CALLS_PER_HOP[kind]
         # the terminal hop is one evaluation plus one lincomb2
         assert len(calls) == 2 + first + later * (N - 2)
+
+
+# distinct latent-shaped arrays the kernels touch over a run: x_init, the
+# prior mean, the estimate buffer, the two latents, then the noise draw
+# (ddpm, ddim at eta > 0) or the multistep history pair (dpmpp2m, unipc2)
+_FOOTPRINT = {("ddpm", 0.0): 6, ("ddim", 0.0): 5, ("ddim", 1.0): 6, ("dpm1", 0.0): 5,
+              ("dpm2", 0.0): 5, ("dpmpp2m", 0.0): 7, ("unipc2", 0.0): 7}
+
+
+@pytest.mark.parametrize("kind, eta", _KIND_ETAS)
+def test_hop_footprint(sched, monkeypatch, kind, eta):
+    shape = (16, 16)
+    seen = set()
+
+    def note(x):
+        if isinstance(x, np.ndarray) and x.shape == shape:
+            seen.add(x.__array_interface__["data"][0])
+
+    for name in k.__all__:
+        def spy(*args, _kernel=getattr(k, name), **kwargs):
+            result = _kernel(*args, **kwargs)
+            for x in args + tuple(kwargs.values()) + (result,):
+                note(x)
+            return result
+        monkeypatch.setattr(k, name, spy)
+    model = GaussianDataModel(mean=np.full(shape, 0.4), var=0.06)
+    x_init = np.random.default_rng(5).standard_normal(shape)
+    _run(kind, 10, x_init, GaussianOracle(model, sched), sched, eta=eta)
+    assert len(seen) == _FOOTPRINT[(kind, eta)]
+
+
+class TwoTermOracle(EpsilonPredictor):
+    """Gaussian oracle written ``coef*x_t - coef*sqrt(ab)*m``, as one lincomb2."""
+
+    def __init__(self, model, sched):
+        self.model = model
+        self.sched = sched
+
+    def predict(self, x_t, t, cond=None):
+        ab = self.sched.alpha_bar_at(t)
+        coef = math.sqrt(1.0 - ab) / (ab * self.model.var + (1.0 - ab))
+        return k.lincomb2(coef, x_t, -coef * math.sqrt(ab), self.model.mean)
+
+
+@pytest.mark.parametrize("kind, eta", _KIND_ETAS)
+def test_runs_match_two_term_oracle(sched, kind, eta):
+    # the oracles' single-residual form changes only their rounding. 2-step
+    # grids are left out: their one internal hop T -> 1 cancels terms of a
+    # few hundred into an O(1) latent, so the last rounding of an estimate
+    # moves the result ~1e-11 in either form (both are that far from an
+    # extended-precision evaluation)
+    rng = np.random.default_rng(43)
+    for size in (8, 64):
+        model = GaussianDataModel(mean=np.full((size, size), 0.4), var=0.06)
+        low = rng.random((size, size))
+        cond_pred = conditioned_oracle(model, 0.05, sched)
+        posterior = GaussianDataModel(*cond_pred._posterior(low))
+        pairs = [(GaussianOracle(model, sched), TwoTermOracle(model, sched)),
+                 (cond_pred, TwoTermOracle(posterior, sched))]
+        for regime in ("full", "ast", "inverted"):
+            for n in (1, 10, 50):
+                spec = make_regime_spec(regime, n, kind, sched, eta=eta)
+                for pred, ref_pred in pairs:
+                    got, _ = reconstruct(spec, low, pred, sched, np.random.default_rng(n))
+                    ref, _ = reconstruct(spec, low, ref_pred, sched, np.random.default_rng(n))
+                    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (size, regime, n)
 
 
 @pytest.mark.parametrize("kind", ["ddpm", "ddim", "dpm1", "dpm2", "dpmpp2m", "unipc2"])
