@@ -13,7 +13,6 @@ from astn.schedule import NoiseSchedule, TimestepGrid, make_linear_schedule, mak
 from astn.forward import q_sample, marginal_moments, training_loss
 from astn.denoiser import (
     AffinePredictor,
-    ConditionedGaussianOracle,
     EpsilonPredictor,
     GaussianDataModel,
     GaussianOracle,

@@ -89,9 +89,8 @@ def save_config(cfg, path):
 
 
 def _section(cfg, name):
-    merged = dict(DEFAULT_CONFIG[name])
-    merged.update(cfg.get(name, {}))
-    return merged
+    """The ``name`` section of ``cfg`` over its defaults; it must be a JSON object."""
+    return _parsed(f"{name} section", lambda: {**DEFAULT_CONFIG[name], **cfg.get(name, {})})
 
 
 def _resolve_samplers(tokens):
@@ -151,13 +150,13 @@ def _dataset_args(cfg):
 
 def _build_predictor_factory(cfg, sched, shape, photons):
     pc = _section(cfg, "predictor")
-    kind = pc.get("kind", "conditioned_oracle")
+    kind = pc["kind"]
     if kind in ("conditioned_oracle", "gaussian_oracle"):
         model = _parsed("predictor prior_mean/prior_var", lambda: GaussianDataModel(
             mean=np.full(shape, float(pc["prior_mean"])), var=float(pc["prior_var"])
         ))
     if kind == "conditioned_oracle":
-        cn = pc.get("condition_noise", "auto")
+        cn = pc["condition_noise"]
         if cn == "auto":
             # Poisson surrogate noise scale at mid intensity: var ~ 0.5/(frac*photons)
             def factory(pair):
@@ -204,10 +203,10 @@ def cmd_run(args):
     cfg = load_config(args.config)
     rc = _section(cfg, "run")
     photons = _dataset_args(cfg)["photons_full_dose"]
-    samplers = _resolve_samplers(rc["samplers"])
-    regimes = _resolve_regimes(rc["regimes"])
+    samplers = _parsed("run samplers", lambda: _resolve_samplers(rc["samplers"]))
+    regimes = _parsed("run regimes", lambda: _resolve_regimes(rc["regimes"]))
     origins = _parsed("run origins", lambda: [int(n) for n in rc["origins"]])
-    eta = _parsed("run eta", lambda: float(rc.get("eta", 0.0)))
+    eta = _parsed("run eta", lambda: float(rc["eta"]))
     if not eta >= 0.0:
         raise ConfigError(f"run eta {eta} must be >= 0")
     seed = _seed(args, cfg)

@@ -1,12 +1,12 @@
 """Synthetic phantoms, dose-fraction noise, and image I/O.
 
-Phantoms are sums of randomly placed rotated ellipses on a flat background,
-clamped to [0, 1] — a desk-scale surrogate for clinical slices. Low-dose
-acquisition is simulated in the image domain: scaled pixel intensity is
-treated as an expected photon count lambda = dose_fraction * photons * x0,
-a Poisson draw is rescaled back to [0, 1], so smaller dose fractions give
-relatively noisier images while the per-pixel mean is preserved (before
-clamping).
+Phantoms are a flat background of 0.1 plus randomly placed rotated
+ellipses, each adding a value drawn uniformly from [-0.3, 0.5), clamped to
+[0, 1] — a desk-scale surrogate for clinical slices. Low-dose acquisition
+is simulated in the image domain: scaled pixel intensity is treated as an
+expected photon count lambda = dose_fraction * photons * x0, a Poisson draw
+is rescaled back to [0, 1], so smaller dose fractions give relatively
+noisier images while the per-pixel mean is preserved (before clamping).
 
 Flat binary image format ASTIMG01: 8-byte magic ``ASTIMG01``, width and
 height as 4-byte little-endian unsigned ints, then width*height 4-byte
@@ -41,6 +41,8 @@ __all__ = [
 
 MAGIC = b"ASTIMG01"
 MAX_DIM = 1 << 16
+BACKGROUND = 0.1
+ELLIPSE_INTENSITY = (-0.3, 0.5)  # range of each ellipse's additive value
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,6 @@ class PhantomSpec:
 
     size: int = 64
     n_ellipses: int = 6
-    intensity_lo: float = -0.3
-    intensity_hi: float = 0.5
-    background: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -86,9 +85,9 @@ def generate_phantom(spec):
         cx, cy = rng.uniform(-0.6, 0.6, size=2)
         ax, ay = rng.uniform(0.08, 0.5, size=2)
         theta = rng.uniform(0.0, math.pi)
-        value = rng.uniform(spec.intensity_lo, spec.intensity_hi)
+        value = rng.uniform(*ELLIPSE_INTENSITY)
         params[i] = (cx, cy, 1.0 / ax, 1.0 / ay, math.cos(theta), math.sin(theta), value)
-    img = np.full((spec.size, spec.size), spec.background, dtype=np.float64)
+    img = np.full((spec.size, spec.size), BACKGROUND, dtype=np.float64)
     if spec.n_ellipses:
         img = k.add_ellipses(img, params)
     return np.clip(img, 0.0, 1.0)

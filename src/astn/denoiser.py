@@ -9,8 +9,8 @@ estimate has the closed form
 
 which makes every downstream sampler claim checkable without a neural
 network. Conditioning is modelled as a noisy observation c = x_0 + eta with
-eta ~ N(0, noise_level^2 I); the conditional oracle simply swaps (m, s^2)
-for the Gaussian posterior of x_0 given c.
+eta ~ N(0, noise_level^2 I); an oracle given a noise level simply swaps
+(m, s^2) for the Gaussian posterior of x_0 given c.
 """
 
 import math
@@ -27,7 +27,6 @@ __all__ = [
     "EpsilonPredictor",
     "GaussianDataModel",
     "GaussianOracle",
-    "ConditionedGaussianOracle",
     "ZeroPredictor",
     "AffinePredictor",
     "analytic_gaussian_epsilon",
@@ -71,11 +70,6 @@ class EpsilonPredictor(ABC):
         if self.requires_condition and cond is None:
             raise ValueError(f"{type(self).__name__} requires a condition image")
 
-    def _check_condition(self, x_t, cond):
-        self._require_condition(cond)
-        if cond is not None:
-            require_same_shape(x_t, cond, "latent and condition")
-
 
 @dataclass(frozen=True)
 class GaussianDataModel:
@@ -106,64 +100,30 @@ def analytic_gaussian_epsilon(model, x_t, t, sched, out=None):
     return k.scaled_residual(coef, x_t, math.sqrt(ab), model.mean, out=out)
 
 
-def _bind_gaussian(model, sched, check):
-    """Bound ``(x_t, t, out=None)`` noise estimate for Gaussian data ``model``.
-
-    ``check(x_t)`` runs on every call.
-    """
-    def eps(x_t, t, out=None):
-        check(x_t)
-        return analytic_gaussian_epsilon(model, x_t, t, sched, out=out)
-
-    return eps
-
-
 class GaussianOracle(EpsilonPredictor):
-    """Predictor wrapper around :func:`analytic_gaussian_epsilon`."""
+    """Predictor wrapper around :func:`analytic_gaussian_epsilon`.
 
-    def __init__(self, model, sched):
-        self.model = model
-        self.sched = sched
-
-    def predict(self, x_t, t, cond=None):
-        self._check_condition(x_t, cond)
-        return analytic_gaussian_epsilon(self.model, x_t, t, self.sched)
-
-    def bind(self, cond):
-        self._require_condition(cond)
-        return _bind_gaussian(self.model, self.sched, lambda x_t: self._check_condition(x_t, cond))
-
-
-def exact_noise_oracle(x0, sched):
-    """Oracle that recovers exactly the noise that produced any q_sample(x0, t, eps).
-
-    The var = 0 special case of the Gaussian oracle: eps_hat =
-    (x_t - sqrt(ab_t) x0) / sqrt(1 - ab_t), the algebraic inverse of the
-    forward closed form.
-    """
-    return GaussianOracle(GaussianDataModel(mean=np.asarray(x0, dtype=np.float64), var=0.0), sched)
-
-
-class ConditionedGaussianOracle(EpsilonPredictor):
-    """Exact conditional-mean predictor given the noisy observation c.
-
-    The posterior of x_0 given c is Gaussian with precision-weighted moments
+    With ``noise_level`` None the condition is ignored. Otherwise the oracle
+    requires the noisy observation c and substitutes the Gaussian posterior
+    of x_0 given c, with precision-weighted moments
 
         post_var  = 1 / (1/s^2 + 1/noise_level^2)
-        post_mean = post_var * (m/s^2 + c/noise_level^2)
+        post_mean = post_var * (m/s^2 + c/noise_level^2),
 
-    which are substituted into the unconditional closed form. noise_level = 0
-    pins x_0 = c; noise_level = inf discards the condition.
+    into the closed form. noise_level = 0 pins x_0 = c; noise_level = inf
+    discards the condition.
     """
 
-    requires_condition = True
-
-    def __init__(self, model, noise_level, sched):
-        if noise_level < 0.0:
+    def __init__(self, model, sched, noise_level=None):
+        if noise_level is not None and noise_level < 0.0:
             raise ValueError("condition noise level must be >= 0")
         self.model = model
-        self.noise_level = noise_level
         self.sched = sched
+        self.noise_level = noise_level
+
+    @property
+    def requires_condition(self):
+        return self.noise_level is not None
 
     def _posterior(self, cond):
         m, s2 = self.model.mean, self.model.var
@@ -180,18 +140,33 @@ class ConditionedGaussianOracle(EpsilonPredictor):
     def bind(self, cond):
         """The posterior is computed here, once per condition image."""
         self._require_condition(cond)
-        posterior = GaussianDataModel(*self._posterior(cond))
-        return _bind_gaussian(
-            posterior, self.sched, lambda x_t: require_same_shape(x_t, cond, "latent and condition")
-        )
+        model = self.model if self.noise_level is None else GaussianDataModel(*self._posterior(cond))
+        sched = self.sched
+
+        def eps(x_t, t, out=None):
+            if cond is not None:
+                require_same_shape(x_t, cond, "latent and condition")
+            return analytic_gaussian_epsilon(model, x_t, t, sched, out=out)
+
+        return eps
 
     def predict(self, x_t, t, cond=None):
         return self.bind(cond)(x_t, t)
 
 
+def exact_noise_oracle(x0, sched):
+    """Oracle that recovers exactly the noise that produced any q_sample(x0, t, eps).
+
+    The var = 0 special case of the Gaussian oracle: eps_hat =
+    (x_t - sqrt(ab_t) x0) / sqrt(1 - ab_t), the algebraic inverse of the
+    forward closed form.
+    """
+    return GaussianOracle(GaussianDataModel(mean=np.asarray(x0, dtype=np.float64), var=0.0), sched)
+
+
 def conditioned_oracle(model, noise_level, sched):
-    """Factory for :class:`ConditionedGaussianOracle`."""
-    return ConditionedGaussianOracle(model, noise_level, sched)
+    """:class:`GaussianOracle` conditioned on an observation with noise ``noise_level``."""
+    return GaussianOracle(model, sched, noise_level)
 
 
 class ZeroPredictor(EpsilonPredictor):
@@ -238,14 +213,27 @@ class AffinePredictor(EpsilonPredictor):
             conditional=conditional,
         )
 
+    def bind(self, cond):
+        """Writes into ``out`` when it is given, with one scratch array per bind."""
+        self._require_condition(cond)
+        a, g, b, T = self.a, self.g, self.b, self.T
+        conditional = self.conditional
+        scratch = np.empty(b.shape[1:])
+
+        def eps(x_t, t, out=None):
+            if cond is not None:
+                require_same_shape(x_t, cond, "latent and condition")
+            ti = int(math.floor(t + 0.5))
+            if not 1 <= ti <= T:
+                raise ValueError(f"timestep {t} outside trained range [1, {T}]")
+            if conditional:
+                return k.lincomb3(a[ti], x_t, g[ti], cond, 1.0, b[ti], out=out, tmp=scratch)
+            return k.lincomb2(a[ti], x_t, 1.0, b[ti], out=out, tmp=scratch)
+
+        return eps
+
     def predict(self, x_t, t, cond=None):
-        self._check_condition(x_t, cond)
-        ti = int(math.floor(t + 0.5))
-        if not 1 <= ti <= self.T:
-            raise ValueError(f"timestep {t} outside trained range [1, {self.T}]")
-        if self.conditional:
-            return k.lincomb3(self.a[ti], x_t, self.g[ti], cond, 1.0, self.b[ti])
-        return k.lincomb2(self.a[ti], x_t, 1.0, self.b[ti])
+        return self.bind(cond)(x_t, t)
 
     # -- flat text serialization: one line per t: "t a_t g_t b-values... crc" --
 

@@ -1,10 +1,11 @@
 """Image-quality metrics (PSNR, SSIM, RMSE), wall-clock timing, and the
 metrics report table serialized to CSV.
 
-Metrics operate on [0,1]-normalized images (data_range defaults to 1).
-Identical images report the 300 dB PSNR cap instead of infinity so CSVs stay
-finite and sortable. SSIM uses the canonical 11x11 Gaussian window with
-sigma = 1.5, K1 = 0.01, K2 = 0.03, valid-mode windows (no padding).
+Metrics operate on [0,1]-normalized images (data range 1). Identical
+images report the 300 dB PSNR cap instead of infinity so CSVs stay finite
+and sortable. SSIM uses the fixed constants of Wang et al. (IEEE TIP 2004):
+the 11x11 Gaussian window with sigma = 1.5, K1 = 0.01, K2 = 0.03, in
+valid-mode windows (no padding).
 """
 
 import csv
@@ -29,6 +30,7 @@ __all__ = [
 ]
 
 PSNR_CAP_DB = 300.0
+DATA_RANGE = 1.0
 
 CSV_HEADER = ("regime", "sampler", "steps", "psnr_db", "rmse", "ssim", "time_s", "seed")
 
@@ -40,16 +42,14 @@ def rmse(ref, test):
     return float(np.sqrt((d * d).mean()))
 
 
-def psnr(ref, test, data_range=1.0):
+def psnr(ref, test):
     """Peak signal-to-noise ratio in dB, capped at 300 dB for identical images."""
     require_same_shape(ref, test)
-    if data_range <= 0.0:
-        raise ValueError("data_range must be positive")
     d = ref - test
     mse = float((d * d).mean())
     if mse == 0.0:
         return PSNR_CAP_DB
-    return min(10.0 * math.log10(data_range * data_range / mse), PSNR_CAP_DB)
+    return min(10.0 * math.log10(DATA_RANGE * DATA_RANGE / mse), PSNR_CAP_DB)
 
 
 def _gaussian_window(size, sigma):
@@ -60,20 +60,23 @@ def _gaussian_window(size, sigma):
     return w / w.sum()
 
 
-def ssim(ref, test, window=11, sigma=1.5, k1=0.01, k2=0.03, data_range=1.0):
+_SSIM_WINDOW = _gaussian_window(11, 1.5)
+_SSIM_C1 = (0.01 * DATA_RANGE) ** 2
+_SSIM_C2 = (0.03 * DATA_RANGE) ** 2
+
+
+def ssim(ref, test):
     """Mean structural similarity over Gaussian-weighted sliding windows."""
     require_same_shape(ref, test)
-    if ref.shape[0] < window or ref.shape[1] < window:
-        raise ValueError(f"image {ref.shape} smaller than the {window}x{window} ssim window")
-    w = _gaussian_window(window, sigma)
-    c1 = (k1 * data_range) ** 2
-    c2 = (k2 * data_range) ** 2
+    size = _SSIM_WINDOW.shape[0]
+    if ref.shape[0] < size or ref.shape[1] < size:
+        raise ValueError(f"image {ref.shape} smaller than the {size}x{size} ssim window")
     smap = k.ssim_map(
         np.ascontiguousarray(ref, dtype=np.float64),
         np.ascontiguousarray(test, dtype=np.float64),
-        w,
-        c1,
-        c2,
+        _SSIM_WINDOW,
+        _SSIM_C1,
+        _SSIM_C2,
     )
     return float(smap.mean())
 

@@ -29,28 +29,26 @@ REGIMES = ("full", "ast", "inverted")
 
 @dataclass(frozen=True)
 class RegimeSpec:
-    """Initialization regime plus the sampler that runs under it.
-
-    ``n_or_N`` is the AST origin n (grid = dense from n) or the step budget N
-    (grid = uniform from T) depending on the regime.
-    """
+    """Initialization regime plus the sampler that runs under it."""
 
     regime: str
-    n_or_N: int
     sampler: SamplerSpec
 
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         grid = self.sampler.grid
-        if self.regime == "ast":
-            if grid.origin != self.n_or_N or len(grid) != self.n_or_N:
-                raise ValueError(
-                    f"AST-{self.n_or_N} needs the dense grid from {self.n_or_N}, "
-                    f"got origin {grid.origin} with {len(grid)} steps"
-                )
-        elif len(grid) != self.n_or_N:
-            raise ValueError(f"{self.regime} regime budget {self.n_or_N} != grid length {len(grid)}")
+        if self.regime == "ast" and grid.origin != len(grid):
+            raise ValueError(
+                f"AST-{grid.origin} needs the dense grid from {grid.origin}, "
+                f"got {len(grid)} steps"
+            )
+
+    @property
+    def n_or_N(self):
+        """The AST origin n (grid dense from n) or the step budget N (grid
+        uniform from T): the grid length either way."""
+        return len(self.sampler.grid)
 
 
 def make_regime_spec(regime, n_or_N, kind, sched, eta=0.0):
@@ -64,19 +62,14 @@ def make_regime_spec(regime, n_or_N, kind, sched, eta=0.0):
     else:
         grid = make_timestep_grid(sched.T, n_or_N, sched.T)
     sampler = SamplerSpec(kind=kind, grid=grid, eta=eta if kind == "ddim" else 0.0)
-    return RegimeSpec(regime=regime, n_or_N=n_or_N, sampler=sampler)
+    return RegimeSpec(regime=regime, sampler=sampler)
 
 
-def ast_n_latent(input_image, n, sched, rng, eps=None):
-    """Noised latent of the input at level n via the closed-form forward marginal.
-
-    ``eps`` overrides the fresh standard-normal draw (testing hook).
-    """
+def ast_n_latent(input_image, n, sched, rng):
+    """Noised latent of the input at level n via the closed-form forward marginal."""
     if not 1 <= n <= sched.T:
         raise ValueError(f"AST origin {n} outside [1, {sched.T}]")
-    if eps is None:
-        eps = rng.standard_normal(input_image.shape)
-    return q_sample(input_image, n, eps, sched)
+    return q_sample(input_image, n, rng.standard_normal(input_image.shape), sched)
 
 
 def reconstruct(regime, low_dose, pred, sched, rng, record=False):

@@ -106,18 +106,20 @@ class TimestepGrid:
     """
 
     steps: tuple
-    origin: int
 
     def __post_init__(self):
         if len(self.steps) == 0:
             raise ValueError("empty timestep grid")
-        if self.steps[0] != self.origin:
-            raise ValueError("grid must start at its origin")
         arr = np.asarray(self.steps)
         if not (np.diff(arr) < 0).all():
             raise ValueError("grid steps must be strictly decreasing")
         if self.steps[-1] < 1:
             raise ValueError("grid steps must stay >= 1")
+
+    @property
+    def origin(self):
+        """The first (noisiest) step, where sampling starts."""
+        return self.steps[0]
 
     def __len__(self):
         return len(self.steps)
@@ -161,4 +163,4 @@ def make_timestep_grid(origin, N, T):
             steps[i] = steps[i + 1] + 1
     if steps[0] != origin or steps[-1] < 1:
         raise AssertionError("grid repair failed; this is a bug")
-    return TimestepGrid(steps=tuple(int(s) for s in steps), origin=origin)
+    return TimestepGrid(steps=tuple(int(s) for s in steps))

@@ -236,8 +236,12 @@ _BAD_GENERATE = {
     "fraction_collision": {"dataset": dict(SMALL_CONFIG["dataset"], dose_fractions=[0.1, 0.1001])},
     "seed": {"seed": "lucky"},
     "seed_negative": {"seed": -1},
+    "dataset_not_object": {"dataset": 5},
 }
 _BAD_RUN = {
+    "run_not_object": {"run": 5},
+    "samplers_not_list": {"run": dict(SMALL_CONFIG["run"], samplers=5)},
+    "regimes_null": {"run": dict(SMALL_CONFIG["run"], regimes=None)},
     "origins": {"run": dict(SMALL_CONFIG["run"], origins=[5, "ten"])},
     "eta": {"run": dict(SMALL_CONFIG["run"], eta=-0.5)},
     "prior_mean": {"predictor": {"kind": "conditioned_oracle", "prior_mean": "grey"}},

@@ -18,7 +18,7 @@ from astn.data import (
 
 
 def test_phantom_no_ellipses_is_uniform_background():
-    spec = PhantomSpec(size=32, n_ellipses=0, background=0.1, seed=1)
+    spec = PhantomSpec(size=32, n_ellipses=0, seed=1)
     img = generate_phantom(spec)
     assert np.array_equal(img, np.full((32, 32), 0.1))
 

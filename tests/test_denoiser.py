@@ -146,10 +146,16 @@ def test_bind_equals_predict(sched, rng, name):
     eps = pred.bind(cond)
     for t in (1, 2, 37, 500, 999, 1000, 123.37, 1.5):
         x_t = rng.standard_normal((6, 5))
-        assert np.array_equal(eps(x_t, t), pred.predict(x_t, t, cond))
+        want = pred.predict(x_t, t, cond)
+        assert np.array_equal(eps(x_t, t), want)
+        out = np.full_like(x_t, np.nan)
+        got = eps(x_t, t, out=out)
+        assert np.array_equal(got, want)
+        # the oracles and the affine model write their estimate into the offered buffer
+        assert (got is out) == (name != "zero")
 
 
-@pytest.mark.parametrize("name", ["conditioned_finite", "affine_conditional"])
+@pytest.mark.parametrize("name", ["conditioned_finite", "conditioned_inf", "affine_conditional"])
 def test_bind_without_condition_raises(sched, rng, name):
     pred = _bind_cases(sched, rng)[name]
     with pytest.raises(ValueError, match="requires a condition"):

@@ -26,10 +26,8 @@ def test_inversion_hop_and_ddim_step_are_mutual_inverses(sched, rng):
     x0 = rng.random((6, 6))
     pred = exact_noise_oracle(x0, sched)
     for lo, hi in [(1, 1000), (250, 800), (41, 42)]:
-        embedding = ddim_invert(x0, pred, None, sched,
-                                TimestepGrid(steps=(lo,), origin=lo))
-        latent = ddim_invert(x0, pred, None, sched,
-                             TimestepGrid(steps=(hi, lo), origin=hi))
+        embedding = ddim_invert(x0, pred, None, sched, TimestepGrid(steps=(lo,)))
+        latent = ddim_invert(x0, pred, None, sched, TimestepGrid(steps=(hi, lo)))
         # one DDIM step down must undo the walk's single hop up, exactly
         back = ddim_step(latent, hi, lo, pred, None, sched)
         assert np.abs(back - embedding).max() < 1e-10

@@ -521,7 +521,7 @@ def test_inversion_hop_is_the_ddim_update(sched):
     for lo, hi in [(1, 1000), (250, 800), (41, 42)]:
         x = math.sqrt(sched.alpha_bar(lo)) * x_start
         eps_hat = pred.predict(x, lo, cond)
-        got = ddim_invert(x_start, pred, cond, sched, TimestepGrid(steps=(hi, lo), origin=hi))
+        got = ddim_invert(x_start, pred, cond, sched, TimestepGrid(steps=(hi, lo)))
         # the hop's fused form: a_hi x0_hat + s_hi eps_hat with x0_hat expanded
         ab_lo, ab_hi = sched.alpha_bar(lo), sched.alpha_bar(hi)
         a_lo, a_hi = math.sqrt(ab_lo), math.sqrt(ab_hi)
