@@ -103,6 +103,15 @@ def _resolve_samplers(tokens):
     return kinds
 
 
+def _distinct(what, values):
+    """``values``, or a ConfigError if one repeats: seeds are keyed on a
+    cell's position, so a repeated cell would be written twice, differently."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"run {what} lists {v!r} twice")
+    return values
+
+
 def _resolve_regimes(tokens):
     for tok in tokens:
         if tok not in REGIMES:
@@ -170,13 +179,15 @@ def _build_predictor_factory(cfg, sched, shape, photons):
         oracle = GaussianOracle(model, sched)
         return lambda pair: oracle
     if kind == "affine":
-        if "path" not in pc:
-            raise ConfigError("predictor kind 'affine' needs a path")
+        path = pc.get("path")
+        # open() would take an integer for a file descriptor
+        if not isinstance(path, str):
+            raise ConfigError(f"predictor kind 'affine' needs a path string, got {path!r}")
         try:
-            pred = AffinePredictor.load(pc["path"])
+            pred = AffinePredictor.load(path)
         except ValueError as exc:
             # a corrupt predictor file is a runtime failure, not a config error
-            raise RuntimeError(f"cannot load the affine predictor {pc['path']}: {exc}") from exc
+            raise RuntimeError(f"cannot load the affine predictor {path}: {exc}") from exc
         return lambda pair: pred
     if kind == "zero":
         zero = ZeroPredictor()
@@ -203,9 +214,9 @@ def cmd_run(args):
     cfg = load_config(args.config)
     rc = _section(cfg, "run")
     photons = _dataset_args(cfg)["photons_full_dose"]
-    samplers = _parsed("run samplers", lambda: _resolve_samplers(rc["samplers"]))
-    regimes = _parsed("run regimes", lambda: _resolve_regimes(rc["regimes"]))
-    origins = _parsed("run origins", lambda: [int(n) for n in rc["origins"]])
+    samplers = _distinct("samplers", _parsed("run samplers", lambda: _resolve_samplers(rc["samplers"])))
+    regimes = _distinct("regimes", _parsed("run regimes", lambda: _resolve_regimes(rc["regimes"])))
+    origins = _distinct("origins", _parsed("run origins", lambda: [int(n) for n in rc["origins"]]))
     eta = _parsed("run eta", lambda: float(rc["eta"]))
     if not eta >= 0.0:
         raise ConfigError(f"run eta {eta} must be >= 0")

@@ -37,8 +37,8 @@ def ddim_invert(x_start, pred, cond, sched, grid):
     return _walk("inversion", plan, x, pred.bind(cond), None, None)[0]
 
 
-def invert_then_reconstruct(x_start, pred, cond, sched, invert_grid, sample_spec, rng=None):
-    """Invert along ``invert_grid`` then sample back with ``sample_spec``."""
-    latent = ddim_invert(x_start, pred, cond, sched, invert_grid)
+def invert_then_reconstruct(x_start, pred, cond, sched, sample_spec, rng=None):
+    """Invert along ``sample_spec``'s grid, then sample back down it."""
+    latent = ddim_invert(x_start, pred, cond, sched, sample_spec.grid)
     out, _ = run_sampler(sample_spec, latent, pred, cond, sched, rng=rng)
     return out

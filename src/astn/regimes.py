@@ -100,6 +100,7 @@ def regime_sweep(origins, samplers, dataset, pred, sched, master_seed,
     ``pair -> EpsilonPredictor`` for per-pair predictors. Each cell x image
     gets an independent PRNG stream derived from ``master_seed``; one
     MetricsRow per cell holds metrics and wall time averaged over images.
+    A (regime, sampler, steps) cell that repeats is a ValueError.
     A cell that raises ValueError (a solver domain error) or RuntimeError
     (non-finite output) is recorded as failed and the sweep continues; any
     other exception is a bug and propagates. ``threads`` cells run at once
@@ -114,6 +115,9 @@ def regime_sweep(origins, samplers, dataset, pred, sched, master_seed,
         for kind in samplers
         for n in origins
     ]
+    repeated = [c for i, c in enumerate(cells) if c in cells[:i]]
+    if repeated:
+        raise ValueError(f"sweep cells repeat: {repeated}")
     factory = pred if callable(pred) else (lambda _pair: pred)
     report = MetricsReport(threads=threads)
 

@@ -33,11 +33,10 @@ multistep kinds still write x0_hat, because it is their history. Scalars
 that depend on the history's step ratio r0 are computed in the apply
 function, since the history is known only at run time. A plan is a list of
 ``(t, u, apply, coefficients)`` hops, computed before the first evaluation,
-and one executor runs every plan: ``run_sampler``'s grid, each public
-``*_step`` function (a one-hop plan, so a fold of the step functions
-reproduces ``run_sampler`` bit for bit) and DDIM inversion (upward DDIM
-hops, see ``astn.inversion``). Callers bind the predictor to the condition
-once (``EpsilonPredictor.bind``).
+and one executor runs every plan: ``run_sampler``'s grid, ``sampler_step``
+(a one-hop plan, so a fold of it reproduces ``run_sampler`` bit for bit)
+and DDIM inversion (upward DDIM hops, see ``astn.inversion``). Callers
+bind the predictor to the condition once (``EpsilonPredictor.bind``).
 
 The executor owns one call's workspace of named latent-shaped buffers,
 allocated on first use and dropped on return, the finiteness check after
@@ -75,21 +74,10 @@ __all__ = [
     "TrajectoryRecord",
     "MultistepState",
     "predict_x0",
-    "ddpm_step",
-    "ddim_step",
-    "dpm_solver_1_step",
-    "dpm_solver_2_step",
-    "dpm_solver_pp_2m_step",
-    "unipc_step",
+    "sampler_step",
     "run_sampler",
     "evaluations_per_run",
 ]
-
-SAMPLER_KINDS = ("ddpm", "ddim", "dpm1", "dpm2", "dpmpp2m", "unipc2")
-
-# predictor evaluations per internal hop; the terminal hop always costs one
-_EVALS_PER_HOP = {"ddpm": 1, "ddim": 1, "dpm1": 1, "dpm2": 2, "dpmpp2m": 1, "unipc2": 2}
-
 
 @dataclass(frozen=True)
 class SamplerSpec:
@@ -100,12 +88,7 @@ class SamplerSpec:
     eta: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in SAMPLER_KINDS:
-            raise ValueError(f"unknown sampler kind {self.kind!r}")
-        if self.eta < 0.0:
-            raise ValueError("eta must be >= 0")
-        if self.eta > 0.0 and self.kind != "ddim":
-            raise ValueError(f"eta applies only to ddim, not {self.kind!r}")
+        _check_kind(self.kind, self.eta)
         if len(self.grid) == 0:
             raise ValueError("sampler grid is empty")
 
@@ -256,6 +239,8 @@ def _keep_x0(state, lam_t, x0_hat, ws):
 
 def _dpmpp2m_apply(x_t, t, c, eps, state, rng, ws, out):
     x0c, lam_t, h, c_x, c_d = c
+    if state is None:
+        raise ValueError("dpmpp2m sampling needs a MultistepState")
     x0_hat = _apply_linear(x_t, t, x0c, eps, state, rng, ws, ws["x0"])
     if state.prev_x0 is None:
         out = k.lincomb2(c_x, x_t, c_d, x0_hat, out=out, tmp=ws["eps"])
@@ -299,6 +284,8 @@ def _unipc_apply(x_t, t, c, eps, state, rng, ws, out):
     without history it is x_pred + c_half (m_land - m0).
     """
     x0c, (l_x, l_eps), u, lam_t, h, b1, b2, c_x, c_m, c_half, c_corr = c
+    if state is None:
+        raise ValueError("unipc2 sampling needs a MultistepState")
     m0 = _apply_linear(x_t, t, x0c, eps, state, rng, ws, ws["x0"])
     prev = state.prev_x0
     # the estimate buffer is the kernels' scratch whenever no estimate is live
@@ -326,14 +313,27 @@ def _unipc_apply(x_t, t, c, eps, state, rng, ws, out):
     return out
 
 
+# one row per sampler kind: (coefficient function, apply function, predictor
+# evaluations per internal hop); the terminal hop always costs one
 _STEPS = {
-    "ddpm": (_ddpm_coefs, _ddpm_apply),
-    "ddim": (_ddim_coefs, _ddim_apply),
-    "dpm1": (_dpm1_coefs, _apply_linear),
-    "dpm2": (_dpm2_coefs, _dpm2_apply),
-    "dpmpp2m": (_dpmpp2m_coefs, _dpmpp2m_apply),
-    "unipc2": (_unipc_coefs, _unipc_apply),
+    "ddpm": (_ddpm_coefs, _ddpm_apply, 1),
+    "ddim": (_ddim_coefs, _ddim_apply, 1),
+    "dpm1": (_dpm1_coefs, _apply_linear, 1),
+    "dpm2": (_dpm2_coefs, _dpm2_apply, 2),
+    "dpmpp2m": (_dpmpp2m_coefs, _dpmpp2m_apply, 1),
+    "unipc2": (_unipc_coefs, _unipc_apply, 2),
 }
+
+SAMPLER_KINDS = tuple(_STEPS)
+
+
+def _check_kind(kind, eta):
+    if kind not in _STEPS:
+        raise ValueError(f"unknown sampler kind {kind!r}")
+    if eta < 0.0:
+        raise ValueError("eta must be >= 0")
+    if eta > 0.0 and kind != "ddim":
+        raise ValueError(f"eta applies only to ddim, not {kind!r}")
 
 
 def _hop(kind, t, u, sched, eta):
@@ -341,7 +341,7 @@ def _hop(kind, t, u, sched, eta):
     _check_hop(t, u)
     if u == 0:
         return _apply_linear, _x0_coefs(t, sched)
-    coefs, apply = _STEPS[kind]
+    coefs, apply, _ = _STEPS[kind]
     return apply, coefs(t, u, sched, eta)
 
 
@@ -369,46 +369,21 @@ def _walk(what, plan, x, eps, rng, state, record=False):
     return x, traj
 
 
-def _step(kind, state, x_t, t, t_prev, pred, cond, sched, eta=0.0, rng=None):
+def sampler_step(kind, x_t, t, t_prev, pred, cond, sched, *, state=None, eta=0.0, rng=None):
+    """One hop t -> t_prev of sampler ``kind``; t_prev = 0 returns x0_hat.
+
+    ``eta`` applies to ddim only. ddpm and eta > 0 ddim need ``rng``, and
+    the internal hops of the multistep kinds (dpmpp2m, unipc2) need a
+    ``MultistepState``, which the hop reads and updates. Folding this over
+    a grid with one state and one rng reproduces ``run_sampler`` bit for
+    bit. ``x_t`` and ``cond`` are never written, and the result is a fresh
+    array.
+    """
+    _check_kind(kind, eta)
     # a one-hop plan with a workspace of its own, so the state's history and
     # every returned image outlive the call untouched
     plan = [(t, t_prev) + _hop(kind, t, t_prev, sched, eta)]
     return _walk(kind, plan, np.asarray(x_t, dtype=np.float64), pred.bind(cond), rng, state)[0]
-
-
-def ddpm_step(x_t, t, t_prev, pred, cond, sched, rng):
-    """Generalised ancestral transition from t to t_prev (noisy)."""
-    return _step("ddpm", None, x_t, t, t_prev, pred, cond, sched, rng=rng)
-
-
-def ddim_step(x_t, t, t_prev, pred, cond, sched, eta=0.0, rng=None):
-    """Non-Markovian DDIM transition; eta = 0 is the deterministic trajectory."""
-    return _step("ddim", None, x_t, t, t_prev, pred, cond, sched, eta, rng)
-
-
-def dpm_solver_1_step(x_t, t, t_prev, pred, cond, sched):
-    """First-order exponential-integrator step (identical to deterministic DDIM)."""
-    return _step("dpm1", None, x_t, t, t_prev, pred, cond, sched)
-
-
-def dpm_solver_2_step(x_t, t, t_prev, pred, cond, sched):
-    """Single-step midpoint rule; two predictor evaluations, order 2 in h."""
-    return _step("dpm2", None, x_t, t, t_prev, pred, cond, sched)
-
-
-def dpm_solver_pp_2m_step(state, x_t, t, t_prev, pred, cond, sched):
-    """Multistep second-order data-prediction step; first hop falls back to order 1."""
-    return _step("dpmpp2m", state, x_t, t, t_prev, pred, cond, sched)
-
-
-def unipc_step(state, x_t, t, t_prev, pred, cond, sched):
-    """Order-2 predictor-corrector step (B(h) = h variant).
-
-    The predictor is the multistep data-prediction update; the corrector
-    re-solves the hop with the fresh evaluation at the predicted landing
-    point folded in. Costs two predictor evaluations per internal hop.
-    """
-    return _step("unipc2", state, x_t, t, t_prev, pred, cond, sched)
 
 
 def run_sampler(spec, x_init, pred, cond, sched, rng=None, record=False):
@@ -436,13 +411,7 @@ def run_sampler(spec, x_init, pred, cond, sched, rng=None, record=False):
 
 
 def evaluations_per_run(kind, n_steps):
-    """Exact predictor evaluation count for a grid of ``n_steps`` entries.
-
-    Single-evaluation kinds cost one per hop (n_steps hops including the
-    terminal one); two-evaluation kinds pay double on internal hops but the
-    terminal hop is always a single evaluation: 2*n_steps - 1.
-    """
-    per_hop = _EVALS_PER_HOP[kind]
-    if per_hop == 1:
-        return n_steps
-    return 2 * n_steps - 1
+    """Exact predictor evaluation count for a grid of ``n_steps`` entries:
+    the kind's evaluations per internal hop, plus one for the terminal hop."""
+    _, _, evals = _STEPS[kind]
+    return 1 + (n_steps - 1) * evals

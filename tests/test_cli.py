@@ -249,6 +249,10 @@ _BAD_RUN = {
     "condition_noise_text": {"predictor": {"kind": "conditioned_oracle", "condition_noise": "loud"}},
     "condition_noise_negative": {"predictor": {"kind": "conditioned_oracle", "condition_noise": -0.1}},
     "affine_path": {"predictor": {"kind": "affine"}},
+    "affine_path_int": {"predictor": {"kind": "affine", "path": 5}},
+    "duplicate_sampler_alias": {"run": dict(SMALL_CONFIG["run"], samplers=["dpmpp", "dpmpp2m"])},
+    "duplicate_regime": {"run": dict(SMALL_CONFIG["run"], regimes=["full", "full"])},
+    "duplicate_origin": {"run": dict(SMALL_CONFIG["run"], origins=[10, 10])},
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from astn.denoiser import GaussianDataModel, GaussianOracle, exact_noise_oracle, train_affine_predictor
 from astn.inversion import ddim_invert, invert_then_reconstruct
-from astn.samplers import SamplerSpec, ddim_step, run_sampler
+from astn.samplers import SamplerSpec, run_sampler, sampler_step
 from astn.schedule import make_timestep_grid
 
 
@@ -29,7 +29,7 @@ def test_inversion_hop_and_ddim_step_are_mutual_inverses(sched, rng):
         embedding = ddim_invert(x0, pred, None, sched, TimestepGrid(steps=(lo,)))
         latent = ddim_invert(x0, pred, None, sched, TimestepGrid(steps=(hi, lo)))
         # one DDIM step down must undo the walk's single hop up, exactly
-        back = ddim_step(latent, hi, lo, pred, None, sched)
+        back = sampler_step("ddim", latent, hi, lo, pred, None, sched)
         assert np.abs(back - embedding).max() < 1e-10
 
 
@@ -47,9 +47,7 @@ def test_round_trip_exact_oracle_sparse(sched, rng):
     x_start = rng.random((8, 8))
     pred = exact_noise_oracle(x_start, sched)
     grid = make_timestep_grid(1000, 50, sched.T)
-    out = invert_then_reconstruct(
-        x_start, pred, None, sched, grid, SamplerSpec(kind="ddim", grid=grid)
-    )
+    out = invert_then_reconstruct(x_start, pred, None, sched, SamplerSpec(kind="ddim", grid=grid))
     assert math.sqrt(float(((out - x_start) ** 2).mean())) < 1e-6
 
 
@@ -58,9 +56,7 @@ def test_round_trip_error_decreases_with_steps(sched, affine_pred, rng):
     errs = []
     for N in (50, 150, 1000):
         grid = make_timestep_grid(1000, N, sched.T)
-        out = invert_then_reconstruct(
-            x_start, affine_pred, None, sched, grid, SamplerSpec(kind="ddim", grid=grid)
-        )
+        out = invert_then_reconstruct(x_start, affine_pred, None, sched, SamplerSpec(kind="ddim", grid=grid))
         errs.append(math.sqrt(float(((out - x_start) ** 2).mean())))
     assert errs[0] > errs[1] > errs[2]
 
@@ -71,9 +67,7 @@ def test_single_step_grid_composition(sched, rng):
     grid = make_timestep_grid(1, 1, sched.T)
     latent = ddim_invert(x_start, pred, None, sched, grid)
     assert np.abs(latent - math.sqrt(sched.alpha_bar(1)) * x_start).max() < 1e-12
-    out = invert_then_reconstruct(
-        x_start, pred, None, sched, grid, SamplerSpec(kind="ddim", grid=grid)
-    )
+    out = invert_then_reconstruct(x_start, pred, None, sched, SamplerSpec(kind="ddim", grid=grid))
     assert np.abs(out - x_start).max() < 1e-10
 
 
@@ -102,6 +96,6 @@ def test_invert_plus_reconstruct_doubles_wall_time(sched):
         run_sampler(spec, latent, pred, None, sched)
         t_recon = min(t_recon, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        invert_then_reconstruct(x_start, pred, None, sched, grid, spec)
+        invert_then_reconstruct(x_start, pred, None, sched, spec)
         t_both = min(t_both, time.perf_counter() - t0)
     assert 0.75 * 2.0 <= t_both / t_recon <= 1.25 * 2.0

@@ -244,3 +244,15 @@ def test_sweep_rejects_thread_count_below_one(sched, threads):
     with pytest.raises(ValueError, match="threads must be >= 1"):
         regime_sweep([5], ["ddim"], _pairs(1, 32, 0.25), _cond_oracle(sched), sched, master_seed=0,
                      threads=threads)
+
+
+@pytest.mark.parametrize("origins, samplers, regimes", [
+    ([10, 10], ["ddim"], ("full",)),
+    ([10], ["ddim", "ddim"], ("full",)),
+    ([10], ["ddim"], ("ast", "ast")),
+])
+def test_sweep_rejects_repeated_cells(sched, origins, samplers, regimes):
+    # seeds are keyed on a cell's position, so a repeat would score twice, differently
+    with pytest.raises(ValueError, match="sweep cells repeat"):
+        regime_sweep(origins, samplers, _pairs(1, 32, 0.25), _cond_oracle(sched), sched,
+                     master_seed=0, regimes=regimes)

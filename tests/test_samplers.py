@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -17,15 +18,10 @@ from astn.regimes import make_regime_spec, reconstruct
 from astn.samplers import (
     MultistepState,
     SamplerSpec,
-    ddim_step,
-    ddpm_step,
-    dpm_solver_1_step,
-    dpm_solver_2_step,
-    dpm_solver_pp_2m_step,
     evaluations_per_run,
     predict_x0,
     run_sampler,
-    unipc_step,
+    sampler_step,
 )
 from astn.schedule import TimestepGrid, make_timestep_grid
 
@@ -115,7 +111,7 @@ def test_ddpm_terminal_step_returns_x0hat(sched, rng):
     x0 = rng.random((5, 5))
     eps = rng.standard_normal((5, 5))
     x1 = q_sample(x0, 1, eps, sched)
-    out = ddpm_step(x1, 1, 0, exact_noise_oracle(x0, sched), None, sched, rng)
+    out = sampler_step("ddpm", x1, 1, 0, exact_noise_oracle(x0, sched), None, sched, rng=rng)
     assert np.abs(out - x0).max() < 1e-12
 
 
@@ -141,7 +137,7 @@ def test_ddpm_full_grid_matches_standard_normal(sched):
 def test_ddpm_hop_order_validation(sched, toy, rng):
     _, pred, x = toy
     with pytest.raises(ValueError):
-        ddpm_step(x, 100, 100, pred, None, sched, rng)
+        sampler_step("ddpm", x, 100, 100, pred, None, sched, rng=rng)
 
 
 # ---------------------------------------------------------------------- ddim
@@ -155,7 +151,7 @@ def test_ddim_step_lands_on_forward_marginal(sched, rng):
     eps = rng.standard_normal((6, 6))
     for t, t_prev in [(1000, 500), (500, 37), (150, 1), (42, 41)]:
         x_t = q_sample(x0, t, eps, sched)
-        got = ddim_step(x_t, t, t_prev, pred, None, sched)
+        got = sampler_step("ddim", x_t, t, t_prev, pred, None, sched)
         want = q_sample(x0, t_prev, eps, sched)
         assert np.abs(got - want).max() < 1e-10
 
@@ -163,7 +159,7 @@ def test_ddim_step_lands_on_forward_marginal(sched, rng):
 def test_ddim_terminal_returns_x0hat(sched, rng):
     x0 = rng.random((4, 4))
     x1 = q_sample(x0, 1, rng.standard_normal((4, 4)), sched)
-    out = ddim_step(x1, 1, 0, exact_noise_oracle(x0, sched), None, sched)
+    out = sampler_step("ddim", x1, 1, 0, exact_noise_oracle(x0, sched), None, sched)
     assert np.abs(out - x0).max() < 1e-12
 
 
@@ -176,10 +172,10 @@ def test_ddim_eta1_matches_ddpm_marginals(sched, toy):
     for i in range(300):
         x0 = model.sample(rng, 1)[0]
         x_t = q_sample(x0, t, rng.standard_normal(x0.shape), sched)
-        outs_ddim.append(ddim_step(x_t, t, t_prev, pred, None, sched, eta=1.0,
-                                   rng=np.random.default_rng(1000 + i)))
-        outs_ddpm.append(ddpm_step(x_t, t, t_prev, pred, None, sched,
-                                   np.random.default_rng(1000 + i)))
+        outs_ddim.append(sampler_step("ddim", x_t, t, t_prev, pred, None, sched, eta=1.0,
+                                      rng=np.random.default_rng(1000 + i)))
+        outs_ddpm.append(sampler_step("ddpm", x_t, t, t_prev, pred, None, sched,
+                                      rng=np.random.default_rng(1000 + i)))
     a, b = np.asarray(outs_ddim), np.asarray(outs_ddpm)
     n = a.size
     pooled_sd = math.sqrt((a.var() + b.var()) / 2.0)
@@ -190,13 +186,13 @@ def test_ddim_eta1_matches_ddpm_marginals(sched, toy):
 def test_ddim_sigma_domain_error(sched, toy, rng):
     _, pred, x = toy
     with pytest.raises(ValueError, match="sigma"):
-        ddim_step(x, 500, 499, pred, None, sched, eta=50.0, rng=rng)
+        sampler_step("ddim", x, 500, 499, pred, None, sched, eta=50.0, rng=rng)
 
 
 def test_ddim_eta_needs_rng(sched, toy):
     _, pred, x = toy
     with pytest.raises(ValueError, match="rng"):
-        ddim_step(x, 500, 400, pred, None, sched, eta=1.0, rng=None)
+        sampler_step("ddim", x, 500, 400, pred, None, sched, eta=1.0, rng=None)
 
 
 # ------------------------------------------------------------------- dpm solvers
@@ -210,8 +206,8 @@ def test_dpm1_equals_deterministic_ddim(sched, toy):
         x_s = x_init.copy()
         hops = list(zip(grid.steps[:-1], grid.steps[1:])) + [(grid.steps[-1], 0)]
         for t, u in hops:
-            x_d = ddim_step(x_d, t, u, pred, None, sched)
-            x_s = dpm_solver_1_step(x_s, t, u, pred, None, sched)
+            x_d = sampler_step("ddim", x_d, t, u, pred, None, sched)
+            x_s = sampler_step("dpm1", x_s, t, u, pred, None, sched)
             assert np.abs(x_d - x_s).max() < 1e-8
 
 
@@ -220,7 +216,7 @@ def test_dpm1_small_hop_limit(sched, toy):
     # shrinking hops give shrinking updates: |x_u - x_t| = O(h)
     prev_delta = None
     for t_prev in (400, 450, 490, 499):
-        out = dpm_solver_1_step(x, 500, t_prev, pred, None, sched)
+        out = sampler_step("dpm1", x, 500, t_prev, pred, None, sched)
         delta = float(np.abs(out - x).max())
         if prev_delta is not None:
             assert delta < prev_delta
@@ -233,7 +229,7 @@ def test_dpm2_exact_for_deterministic_data(sched, rng):
     pred = exact_noise_oracle(x0, sched)
     eps = rng.standard_normal((6, 6))
     x_t = q_sample(x0, 800, eps, sched)
-    got = dpm_solver_2_step(x_t, 800, 123, pred, None, sched)
+    got = sampler_step("dpm2", x_t, 800, 123, pred, None, sched)
     assert np.abs(got - q_sample(x0, 123, eps, sched)).max() < 1e-10
 
 
@@ -241,8 +237,8 @@ def test_dpm2_collapses_to_dpm1_for_constant_eps(sched, rng):
     eps = rng.standard_normal((5, 5))
     pred = ConstantEps(eps)
     x = rng.standard_normal((5, 5))
-    a = dpm_solver_2_step(x, 700, 300, pred, None, sched)
-    b = dpm_solver_1_step(x, 700, 300, pred, None, sched)
+    a = sampler_step("dpm2", x, 700, 300, pred, None, sched)
+    b = sampler_step("dpm1", x, 700, 300, pred, None, sched)
     assert np.abs(a - b).max() < 1e-12
 
 
@@ -259,7 +255,7 @@ def test_second_order_error_ratio(sched, toy, kind):
 def test_dpmpp2m_first_step_is_first_order(sched, toy):
     _, pred, x = toy
     state = MultistepState()
-    out = dpm_solver_pp_2m_step(state, x, 1000, 600, pred, None, sched)
+    out = sampler_step("dpmpp2m", x, 1000, 600, pred, None, sched, state=state)
     # first-order data-prediction step, written out directly
     eps_hat = pred.predict(x, 1000)
     m0 = predict_x0(x, 1000, eps_hat, sched)
@@ -282,8 +278,8 @@ def test_unipc_corrector_noop_for_constant_eps(sched, rng):
     # evaluation sees the same data prediction and contributes nothing
     eps = rng.standard_normal((5, 5))
     x = rng.standard_normal((5, 5))
-    a = unipc_step(MultistepState(), x, 900, 400, ConstantEps(eps), None, sched)
-    b = dpm_solver_1_step(x, 900, 400, ConstantEps(eps), None, sched)
+    a = sampler_step("unipc2", x, 900, 400, ConstantEps(eps), None, sched, state=MultistepState())
+    b = sampler_step("dpm1", x, 900, 400, ConstantEps(eps), None, sched)
     assert np.abs(a - b).max() < 1e-10
 
 
@@ -294,7 +290,7 @@ def test_unipc_single_hop_scalar_reference(sched):
     pred = GaussianOracle(model, sched)
     x = rng.standard_normal((1, 1))
     t, u = 800, 350
-    got = float(unipc_step(MultistepState(), x.copy(), t, u, pred, None, sched)[0, 0])
+    got = float(sampler_step("unipc2", x.copy(), t, u, pred, None, sched, state=MultistepState())[0, 0])
 
     ab_t, ab_u = sched.alpha_bar(t), sched.alpha_bar(u)
     lam = lambda tt: 0.5 * math.log(sched.alpha_bar(tt) / (1 - sched.alpha_bar(tt)))
@@ -365,41 +361,59 @@ def test_run_sampler_records_trajectory(sched, toy):
     assert shapes == {x_init.shape}
 
 
-# one public step function per (kind, eta), folded by hand below
-_STEP_FNS = {
-    "ddpm": lambda st, x, t, u, p, c, s, rng: ddpm_step(x, t, u, p, c, s, rng),
-    "ddim": lambda st, x, t, u, p, c, s, rng: ddim_step(x, t, u, p, c, s),
-    "ddim_eta1": lambda st, x, t, u, p, c, s, rng: ddim_step(x, t, u, p, c, s, eta=1.0, rng=rng),
-    "dpm1": lambda st, x, t, u, p, c, s, rng: dpm_solver_1_step(x, t, u, p, c, s),
-    "dpm2": lambda st, x, t, u, p, c, s, rng: dpm_solver_2_step(x, t, u, p, c, s),
-    "dpmpp2m": lambda st, x, t, u, p, c, s, rng: dpm_solver_pp_2m_step(st, x, t, u, p, c, s),
-    "unipc2": lambda st, x, t, u, p, c, s, rng: unipc_step(st, x, t, u, p, c, s),
-}
+# every (kind, eta) case, keyed by its test id
+_STEP_CASES = {"ddpm": ("ddpm", 0.0), "ddim": ("ddim", 0.0), "ddim_eta1": ("ddim", 1.0),
+               "dpm1": ("dpm1", 0.0), "dpm2": ("dpm2", 0.0), "dpmpp2m": ("dpmpp2m", 0.0),
+               "unipc2": ("unipc2", 0.0)}
+_KIND_ETAS = list(_STEP_CASES.values())
 
 
 @pytest.mark.parametrize("N", [1, 2, 10, 50])
-@pytest.mark.parametrize("name", list(_STEP_FNS))
+@pytest.mark.parametrize("name", list(_STEP_CASES))
 def test_run_sampler_equals_fold_of_step_functions(sched, name, N):
     rng = np.random.default_rng(77)
     model = GaussianDataModel(mean=np.full((8, 8), 0.4), var=0.06)
     pred = conditioned_oracle(model, 0.05, sched)
     cond = rng.random((8, 8))
     x_init = rng.standard_normal((8, 8))
-    kind, eta = ("ddim", 1.0) if name == "ddim_eta1" else (name, 0.0)
+    kind, eta = _STEP_CASES[name]
     spec = SamplerSpec(kind=kind, grid=make_timestep_grid(sched.T, N, sched.T), eta=eta)
     out, traj = run_sampler(spec, x_init, pred, cond, sched, rng=np.random.default_rng(3), record=True)
 
-    step, state, fold_rng = _STEP_FNS[name], MultistepState(), np.random.default_rng(3)
+    state, fold_rng = MultistepState(), np.random.default_rng(3)
     x, snapshots = x_init, []
     steps = spec.grid.steps
     for t, u in list(zip(steps[:-1], steps[1:])) + [(steps[-1], 0)]:
-        x = step(state, x, t, u, pred, cond, sched, fold_rng)
+        x = sampler_step(kind, x, t, u, pred, cond, sched, state=state, eta=eta, rng=fold_rng)
         snapshots.append((u, x))
     # both paths run the same coefficient and apply functions, so every kind,
     # dpm2 with its fractional midpoint included, must match bit for bit
     assert np.array_equal(out, x)
     assert [u for u, _ in traj.snapshots] == [u for u, _ in snapshots]
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(traj.snapshots, snapshots))
+
+
+@pytest.mark.parametrize("kind, eta, match", [
+    ("euler", 0.0, "unknown sampler kind"),
+    ("ddim", -1.0, "eta must be >= 0"),
+    ("dpm1", -0.5, "eta must be >= 0"),
+    ("dpm1", 0.5, "eta applies only to ddim"),
+    ("ddpm", 1.0, "eta applies only to ddim"),
+    ("dpmpp2m", 0.0, "MultistepState"),
+    ("unipc2", 0.0, "MultistepState"),
+])
+def test_sampler_step_rejects_bad_calls(sched, toy, kind, eta, match):
+    _, pred, x = toy
+    with pytest.raises(ValueError, match=match):
+        sampler_step(kind, x, 500, 400, pred, None, sched, eta=eta, rng=np.random.default_rng(0))
+
+
+def test_sampler_step_options_are_keyword_only(sched, toy):
+    _, pred, x = toy
+    params = inspect.signature(sampler_step).parameters
+    assert [p for p in params if params[p].kind is inspect.Parameter.KEYWORD_ONLY] == ["state", "eta", "rng"]
+    with pytest.raises(TypeError):
+        sampler_step("ddpm", x, 500, 400, pred, None, sched, np.random.default_rng(0))
 
 
 class SpyPredictor(EpsilonPredictor):
@@ -422,10 +436,6 @@ class SpyPredictor(EpsilonPredictor):
             return inner(x_t, t, out=out)
 
         return eps
-
-
-_KIND_ETAS = [("ddpm", 0.0), ("ddim", 0.0), ("ddim", 1.0), ("dpm1", 0.0), ("dpm2", 0.0),
-              ("dpmpp2m", 0.0), ("unipc2", 0.0)]
 
 
 def _buffer_case(sched, kind, eta, N=10):
@@ -487,13 +497,14 @@ def test_run_sampler_nan_abort_names_timestep(sched, toy):
             run_sampler(spec, x_init, ExplodingPredictor(), None, sched)
 
 
-@pytest.mark.parametrize("name", list(_STEP_FNS))
+@pytest.mark.parametrize("name", list(_STEP_CASES))
 def test_step_functions_abort_on_non_finite_values(sched, toy, name):
     _, _, x = toy
+    kind, eta = _STEP_CASES[name]
     with np.errstate(invalid="ignore"):
         with pytest.raises(RuntimeError, match=r"non-finite values stepping 500 -> 400"):
-            _STEP_FNS[name](MultistepState(), x, 500, 400, ExplodingPredictor(), None, sched,
-                            np.random.default_rng(0))
+            sampler_step(kind, x, 500, 400, ExplodingPredictor(), None, sched,
+                         state=MultistepState(), eta=eta, rng=np.random.default_rng(0))
 
 
 def test_inversion_reuses_two_latent_buffers(sched):
