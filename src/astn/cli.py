@@ -254,7 +254,7 @@ def cmd_run(args):
     out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.csv"
     report.write_csv(metrics_path)
-    _write_curves(report, out / "curves")
+    report.write_curves(out / "curves")
     print(f"wrote {len(report.rows)} rows to {metrics_path}")
     if report.failures:
         print(f"{len(report.failures)} sweep cells failed", file=sys.stderr)
@@ -262,24 +262,15 @@ def cmd_run(args):
     return 0
 
 
-def _write_curves(report, curve_dir):
-    curve_dir = Path(curve_dir)
-    curve_dir.mkdir(parents=True, exist_ok=True)
-    groups = {}
-    for r in report.rows:
-        groups.setdefault((r.sampler, r.regime), []).append(r)
-    for (sampler, regime), rows in groups.items():
-        rows.sort(key=lambda r: r.steps)
-        with open(curve_dir / f"{sampler}_{regime}.csv", "w") as f:
-            f.write("steps,psnr_db,rmse,ssim,time_s\n")
-            for r in rows:
-                f.write(f"{r.steps},{r.psnr_db:.6f},{r.rmse:.8e},{r.ssim:.8f},{r.time_s:.6f}\n")
+# (MetricsRow field, number format, column width) of the report table
+_REPORT_COLUMNS = (("psnr_db", ".3f", 17), ("rmse", ".4e", 21), ("ssim", ".3f", 15), ("time_s", ".3f", 15))
 
 
 def render_report(report, T=1000):
     """Grouped text table in the quality-table layout: full schedule block,
     reduced-step block, AST block; inverted/standard paired left/right."""
     inverted = {(r.sampler, r.steps): r for r in report.rows if r.regime == "inverted"}
+    full = {(r.sampler, r.steps) for r in report.rows if r.regime == "full"}
 
     def cell(row, attr, fmt):
         # inverted runs share the full-noise grids, so they pair only with
@@ -299,31 +290,22 @@ def render_report(report, T=1000):
         ("Full schedule", [r for r in report.rows if r.regime == "full" and r.steps >= T]),
         ("Reduced steps", [r for r in report.rows if r.regime == "full" and r.steps < T]),
         ("AST-n", [r for r in report.rows if r.regime == "ast"]),
+        # inverted rows without a standard partner still need to be shown
+        ("Inverted only",
+         [r for r in report.rows if r.regime == "inverted" and (r.sampler, r.steps) not in full]),
     ]
-    # inverted rows without a standard partner still need to be shown
-    leftover = [
-        r for r in report.rows
-        if r.regime == "inverted" and not any(
-            b.sampler == r.sampler and b.steps == r.steps and b.regime == "full"
-            for _, rows in blocks[:2] for b in rows
-        )
-    ]
-    if leftover:
-        blocks.append(("Inverted only", leftover))
 
     lines = []
-    header = f"{'model':<22} {'psnr_db':>17} {'rmse':>21} {'ssim':>15} {'time_s':>15}"
+    header = f"{'model':<22}" + "".join(f" {name:>{width}}" for name, _, width in _REPORT_COLUMNS)
     for title, rows in blocks:
         if not rows:
             continue
         lines.append(title)
         lines.append(header)
         for r in sorted(rows, key=lambda r: (-r.steps, r.sampler)):
-            lines.append(
-                f"{label(r):<22} {cell(r, 'psnr_db', '.3f'):>17} "
-                f"{cell(r, 'rmse', '.4e'):>21} {cell(r, 'ssim', '.3f'):>15} "
-                f"{cell(r, 'time_s', '.3f'):>15}"
-            )
+            lines.append(f"{label(r):<22}" + "".join(
+                f" {cell(r, name, fmt):>{width}}" for name, fmt, width in _REPORT_COLUMNS
+            ))
         lines.append("")
     return "\n".join(lines)
 
@@ -335,7 +317,7 @@ def cmd_report(args):
         raise ConfigError(f"cannot read {args.metrics_csv}: {exc}") from exc
     print(render_report(report))
     if args.out:
-        _write_curves(report, Path(args.out) / "curves")
+        report.write_curves(Path(args.out) / "curves")
     return 0
 
 

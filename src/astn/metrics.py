@@ -1,6 +1,11 @@
 """Image-quality metrics (PSNR, SSIM, RMSE), wall-clock timing, and the
 metrics report table serialized to CSV.
 
+``MetricsRow``'s fields are the one declaration of the sweep's output
+columns: ``metrics.csv`` writes and reads them in field order, and the
+per-(sampler, regime) curve files write a subset of them in the same number
+formats.
+
 Metrics operate on [0,1]-normalized images (data range 1). Identical
 images report the 300 dB PSNR cap instead of infinity so CSVs stay finite
 and sortable. SSIM uses the fixed constants of Wang et al. (IEEE TIP 2004):
@@ -11,7 +16,8 @@ valid-mode windows (no padding).
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -31,8 +37,6 @@ __all__ = [
 
 PSNR_CAP_DB = 300.0
 DATA_RANGE = 1.0
-
-CSV_HEADER = ("regime", "sampler", "steps", "psnr_db", "rmse", "ssim", "time_s", "seed")
 
 
 def rmse(ref, test):
@@ -108,6 +112,16 @@ class MetricsRow:
             raise ValueError("rmse and time_s must be >= 0")
 
 
+CSV_HEADER = tuple(f.name for f in fields(MetricsRow))
+_CURVE_COLUMNS = ("steps", "psnr_db", "rmse", "ssim", "time_s")
+# number formats of the CSV columns that need one; every other column prints with str
+_CSV_FORMATS = {"psnr_db": ".6f", "rmse": ".8e", "ssim": ".8f", "time_s": ".6f"}
+
+
+def _csv_values(row, columns):
+    return [format(getattr(row, c), _CSV_FORMATS.get(c, "")) for c in columns]
+
+
 @dataclass
 class MetricsReport:
     """Rows keyed by (regime, sampler, steps), per-cell failures, and the
@@ -126,46 +140,39 @@ class MetricsReport:
             writer = csv.writer(f)
             writer.writerow(CSV_HEADER)
             for r in self.rows:
-                writer.writerow(
-                    [
-                        r.regime,
-                        r.sampler,
-                        r.steps,
-                        f"{r.psnr_db:.6f}",
-                        f"{r.rmse:.8e}",
-                        f"{r.ssim:.8f}",
-                        f"{r.time_s:.6f}",
-                        r.seed,
-                    ]
-                )
+                writer.writerow(_csv_values(r, CSV_HEADER))
+
+    def write_curves(self, curve_dir):
+        """One quality-vs-steps file ``{sampler}_{regime}.csv`` per (sampler,
+        regime) under ``curve_dir``, rows by ascending steps, numbers as in
+        metrics.csv."""
+        curve_dir = Path(curve_dir)
+        curve_dir.mkdir(parents=True, exist_ok=True)
+        groups = {}
+        for r in self.rows:
+            groups.setdefault((r.sampler, r.regime), []).append(r)
+        for (sampler, regime), rows in groups.items():
+            with open(curve_dir / f"{sampler}_{regime}.csv", "w") as f:
+                f.write(",".join(_CURVE_COLUMNS) + "\n")
+                for r in sorted(rows, key=lambda r: r.steps):
+                    f.write(",".join(_csv_values(r, _CURVE_COLUMNS)) + "\n")
 
     @classmethod
     def read_csv(cls, path):
-        rows = []
         with open(path, newline="") as f:
-            lines = [ln for ln in f if not ln.startswith("#")]
-        reader = csv.reader(lines)
-        header = next(reader, None)
+            # a comment line reads as an empty record, so line_num stays the file's line number
+            reader = csv.reader("\n" if ln.startswith("#") else ln for ln in f)
+            records = [(reader.line_num, rec) for rec in reader if rec]
+        header = records[0][1] if records else None
         if header is None or tuple(header) != CSV_HEADER:
             raise ValueError(f"{path}: bad metrics header {header}")
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
+        types = [f.type for f in fields(MetricsRow)]
+        rows = []
+        for lineno, rec in records[1:]:
             if len(rec) != len(CSV_HEADER):
                 raise ValueError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields, got {len(rec)}")
             try:
-                rows.append(
-                    MetricsRow(
-                        regime=rec[0],
-                        sampler=rec[1],
-                        steps=int(rec[2]),
-                        psnr_db=float(rec[3]),
-                        rmse=float(rec[4]),
-                        ssim=float(rec[5]),
-                        time_s=float(rec[6]),
-                        seed=int(rec[7]),
-                    )
-                )
+                rows.append(MetricsRow(*(t(v) for t, v in zip(types, rec))))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
         return cls(rows=rows)

@@ -124,26 +124,17 @@ def regime_sweep(origins, samplers, dataset, pred, sched, master_seed,
     def run_cell(ci_cell):
         ci, (regime_name, kind, n) = ci_cell
         spec = make_regime_spec(regime_name, n, kind, sched, eta=eta)
-        acc = {"psnr": 0.0, "rmse": 0.0, "ssim": 0.0, "time": 0.0}
+        sums = dict.fromkeys(("psnr_db", "rmse", "ssim", "time_s"), 0.0)
         for ii, pair in enumerate(dataset):
             rng = np.random.default_rng(_cell_seed(master_seed, ci, ii))
             cell_pred = factory(pair)
             out, elapsed = timed(lambda: reconstruct(spec, pair.low_dose, cell_pred, sched, rng)[0])
-            acc["psnr"] += psnr(pair.full_dose, out)
-            acc["rmse"] += rmse(pair.full_dose, out)
-            acc["ssim"] += ssim(pair.full_dose, out)
-            acc["time"] += elapsed
-        m = len(dataset)
-        return MetricsRow(
-            regime=regime_name,
-            sampler=kind,
-            steps=n,
-            psnr_db=acc["psnr"] / m,
-            rmse=acc["rmse"] / m,
-            ssim=acc["ssim"] / m,
-            time_s=acc["time"] / m,
-            seed=master_seed,
-        )
+            sums["psnr_db"] += psnr(pair.full_dose, out)
+            sums["rmse"] += rmse(pair.full_dose, out)
+            sums["ssim"] += ssim(pair.full_dose, out)
+            sums["time_s"] += elapsed
+        means = {name: s / len(dataset) for name, s in sums.items()}
+        return MetricsRow(regime=regime_name, sampler=kind, steps=n, seed=master_seed, **means)
 
     def guarded(ci_cell):
         try:

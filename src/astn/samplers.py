@@ -189,10 +189,13 @@ def _ddim_apply(x_t, t, c, eps, state, rng, ws, out):
     return k.lincomb3(c_x, x_t, c_eps, eps_hat, sigma, z, out=out, tmp=ws["eps"])
 
 
-def _dpm1_coefs(t, u, sched, eta):
-    ab_t, ab_u = sched.alpha_bar(t), sched.alpha_bar(u)
-    h = sched.log_snr(u) - sched.log_snr(t)
+def _dpm1_pair(ab_t, ab_u, h):
+    """(c_x, c_eps) of the first-order DPM-Solver update over log-SNR step h."""
     return math.sqrt(ab_u / ab_t), -math.sqrt(1.0 - ab_u) * math.expm1(h)
+
+
+def _dpm1_coefs(t, u, sched, eta):
+    return _dpm1_pair(sched.alpha_bar(t), sched.alpha_bar(u), sched.log_snr(u) - sched.log_snr(t))
 
 
 def _dpm2_coefs(t, u, sched, eta):
@@ -202,14 +205,9 @@ def _dpm2_coefs(t, u, sched, eta):
     # predictor evaluation between the two integer steps
     lam_mid = lam_t + 0.5 * h
     t_mid = sched.timestep_at_log_snr(lam_mid, u, t)
-    ab_t = sched.alpha_bar(t)
     ab_mid = 1.0 / (1.0 + math.exp(-2.0 * lam_mid))
-    ab_u = sched.alpha_bar(u)
-    return (
-        t_mid,
-        (math.sqrt(ab_mid / ab_t), -math.sqrt(1.0 - ab_mid) * math.expm1(0.5 * h)),
-        (math.sqrt(ab_u / ab_t), -math.sqrt(1.0 - ab_u) * math.expm1(h)),
-    )
+    ab_t = sched.alpha_bar(t)
+    return t_mid, _dpm1_pair(ab_t, ab_mid, 0.5 * h), _dpm1_pair(ab_t, sched.alpha_bar(u), h)
 
 
 def _dpm2_apply(x_t, t, c, eps, state, rng, ws, out):
@@ -254,22 +252,18 @@ def _dpmpp2m_apply(x_t, t, c, eps, state, rng, ws, out):
 
 
 def _unipc_coefs(t, u, sched, eta):
-    lam_t, lam_u = sched.log_snr(t), sched.log_snr(u)
-    h = lam_u - lam_t
+    # x0 coefficients, log-SNR step and first-order update as in DPM-Solver++(2M)
+    x0c, lam_t, h, sig_ratio, c_m = _dpmpp2m_coefs(t, u, sched, eta)
     hh = -h
-    h_phi_1 = math.expm1(hh)
-    b_h = hh
-    ab_t, ab_u = sched.alpha_bar(t), sched.alpha_bar(u)
-    sig_ratio = math.sqrt((1.0 - ab_u) / (1.0 - ab_t))
-    a_u = math.sqrt(ab_u)
+    a_u = math.sqrt(sched.alpha_bar(u))
     # bh1 quadrature weights; the corrector solves [[1, 1], [r0, 1]] rho = [b1, b2]
-    phi_k = h_phi_1 / hh - 1.0
-    b1 = phi_k * 1.0 / b_h
+    phi_k = math.expm1(hh) / hh - 1.0
+    b1 = phi_k / hh
     phi_k = phi_k / hh - 0.5
-    b2 = phi_k * 2.0 / b_h
+    b2 = phi_k * 2.0 / hh
     return (
-        _x0_coefs(t, sched), _x0_coefs(u, sched), u, lam_t, h, b1, b2,
-        sig_ratio, -a_u * h_phi_1, -a_u * b_h * 0.5, -a_u * b_h,
+        x0c, _x0_coefs(u, sched), u, lam_t, h, b1, b2,
+        sig_ratio, c_m, -a_u * hh * 0.5, -a_u * hh,
     )
 
 

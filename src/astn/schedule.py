@@ -135,32 +135,21 @@ def make_linear_schedule(T, beta_start=1e-4, beta_end=0.02):
         raise ValueError("T must be >= 1")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError("need 0 < beta_start <= beta_end < 1")
-    if T == 1:
-        betas = np.array([beta_start], dtype=np.float64)
-    else:
-        betas = np.linspace(beta_start, beta_end, T, dtype=np.float64)
+    betas = np.linspace(beta_start, beta_end, T, dtype=np.float64)
     alphas = 1.0 - betas
     alpha_bars = np.concatenate([[1.0], np.cumprod(alphas)])
     return NoiseSchedule(T=T, betas=betas, alphas=alphas, alpha_bars=alpha_bars)
 
 
 def make_timestep_grid(origin, N, T):
-    """N timesteps evenly spaced from ``origin`` down to 1.
+    """N timesteps evenly spaced from ``origin`` down to 1, rounded half up.
 
-    Rounding collisions in sparse grids are repaired by shifting duplicates
-    so the grid keeps exactly N strictly decreasing entries. ``origin = N``
-    yields the dense grid {N, N-1, ..., 1} used by AST-n.
+    With N <= origin neighbouring points lie at least 1 apart, so their
+    rounded values never collide, and linspace hits ``origin`` and 1 exactly
+    at the ends. ``origin = N`` yields the dense grid {N, N-1, ..., 1} used
+    by AST-n.
     """
     if not 1 <= N <= origin <= T:
         raise ValueError(f"need 1 <= N <= origin <= T, got N={N} origin={origin} T={T}")
     raw = np.linspace(float(origin), 1.0, N)
-    steps = np.floor(raw + 0.5).astype(np.int64)
-    for i in range(1, N):
-        if steps[i] >= steps[i - 1]:
-            steps[i] = steps[i - 1] - 1
-    for i in range(N - 2, -1, -1):
-        if steps[i] <= steps[i + 1]:
-            steps[i] = steps[i + 1] + 1
-    if steps[0] != origin or steps[-1] < 1:
-        raise AssertionError("grid repair failed; this is a bug")
-    return TimestepGrid(steps=tuple(int(s) for s in steps))
+    return TimestepGrid(steps=tuple(int(s) for s in np.floor(raw + 0.5)))

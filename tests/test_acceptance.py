@@ -213,6 +213,26 @@ def test_criterion_6_standard_scheduling_degradation(sched):
             time.perf_counter() - t0, 300)
 
 
+def _interleaved_ratios(fns, rounds=7, calls=5):
+    """Wall-time ratio of each candidate in ``fns`` to the next one.
+
+    Every candidate is warmed first. Each round times the candidates in turn,
+    several back-to-back calls each, and divides neighbours, so both sides of
+    a ratio run under the same host conditions; a ratio is the median over
+    rounds, so no single stall decides it.
+    """
+    for fn in fns:
+        fn()
+    samples = np.empty((rounds, len(fns)))
+    for r in range(rounds):
+        for i, fn in enumerate(fns):
+            s = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            samples[r, i] = time.perf_counter() - s
+    return np.median(samples[:, :-1] / samples[:, 1:], axis=0)
+
+
 def test_criterion_7_timing_ratios(sched):
     t0 = time.perf_counter()
     model = GaussianDataModel(mean=np.full((128, 128), 0.4), var=0.2)
@@ -224,24 +244,8 @@ def test_criterion_7_timing_ratios(sched):
     spec150 = SamplerSpec(kind="ddim", grid=grid150)
     spec1000 = SamplerSpec(kind="ddim", grid=grid1000)
 
-    def interleaved_ratios(fns, rounds=7, calls=5):
-        # warm every candidate first. Each round times the candidates in
-        # turn, several back-to-back calls each, and divides neighbours, so
-        # both sides of a ratio run under the same host conditions; a ratio
-        # is the median over rounds, so no single stall decides it
-        for fn in fns:
-            fn()
-        samples = np.empty((rounds, len(fns)))
-        for r in range(rounds):
-            for i, fn in enumerate(fns):
-                s = time.perf_counter()
-                for _ in range(calls):
-                    fn()
-                samples[r, i] = time.perf_counter() - s
-        return np.median(samples[:, :-1] / samples[:, 1:], axis=0)
-
     x_img = rng.random((128, 128))
-    double, ratio = interleaved_ratios(
+    double, ratio = _interleaved_ratios(
         [
             lambda: invert_then_reconstruct(x_img, pred, None, sched, spec150),
             lambda: run_sampler(spec150, x_init, pred, None, sched),

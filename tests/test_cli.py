@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from astn import cli
@@ -87,6 +89,30 @@ def test_run_is_seed_deterministic(workspace):
         ",".join(line.split(",")[:6]) for line in text.splitlines() if not line.startswith("#")
     ]
     assert strip(first) == strip((out / "metrics.csv").read_text())
+
+
+def test_curve_rows_match_metrics_csv(workspace):
+    tmp, cfg = workspace
+    out = tmp / "work"
+    main(["generate", "--config", str(cfg), "--out", str(out)])
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "metrics.csv", newline="") as f:
+        metrics = list(csv.DictReader(ln for ln in f if not ln.startswith("#")))
+    by_cell = {(r["sampler"], r["regime"], r["steps"]): r for r in metrics}
+    assert main(["report", str(out / "metrics.csv"), "--out", str(tmp / "again")]) == 0
+    curve_files = sorted((out / "curves").glob("*.csv"))
+    assert len(curve_files) == 2
+    seen = 0
+    for path in curve_files:
+        sampler, regime = path.stem.split("_")
+        with open(path, newline="") as f:
+            for row in csv.DictReader(f):
+                cell = by_cell[(sampler, regime, row["steps"])]
+                assert row == {name: cell[name] for name in row}  # string for string
+                seen += 1
+        # the curves report --out writes from metrics.csv are the run's, byte for byte
+        assert (tmp / "again" / "curves" / path.name).read_bytes() == path.read_bytes()
+    assert seen == len(metrics)
 
 
 def test_generate_count_zero(tmp_path):

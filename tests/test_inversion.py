@@ -1,5 +1,4 @@
 import math
-import time
 
 import numpy as np
 import pytest
@@ -82,20 +81,19 @@ def test_inversion_is_deterministic(sched, rng):
 
 
 def test_invert_plus_reconstruct_doubles_wall_time(sched):
+    from test_acceptance import _interleaved_ratios
+
     model = GaussianDataModel(mean=np.full((128, 128), 0.4), var=0.2)
     pred = GaussianOracle(model, sched)
     x_start = np.random.default_rng(19).random((128, 128))
     grid = make_timestep_grid(1000, 200, sched.T)
     spec = SamplerSpec(kind="ddim", grid=grid)
-    latent = ddim_invert(x_start, pred, None, sched, grid)  # warmup
+    latent = ddim_invert(x_start, pred, None, sched, grid)
 
-    # interleave the two measurements so CPU-speed drift cancels in the ratio
-    t_recon = t_both = math.inf
-    for _ in range(5):
-        t0 = time.perf_counter()
-        run_sampler(spec, latent, pred, None, sched)
-        t_recon = min(t_recon, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        invert_then_reconstruct(x_start, pred, None, sched, spec)
-        t_both = min(t_both, time.perf_counter() - t0)
-    assert 0.75 * 2.0 <= t_both / t_recon <= 1.25 * 2.0
+    (double,) = _interleaved_ratios(
+        [
+            lambda: invert_then_reconstruct(x_start, pred, None, sched, spec),
+            lambda: run_sampler(spec, latent, pred, None, sched),
+        ]
+    )
+    assert 0.75 * 2.0 <= double <= 1.25 * 2.0

@@ -216,7 +216,13 @@ def test_report_csv_states_sweep_threads(tmp_path, threads):
 def test_report_csv_malformed_row_reports_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(",".join(CSV_HEADER) + "\nfull,ddim,abc,1,2,0.5,1,0\n")
-    with pytest.raises(ValueError, match=":2"):
+    with pytest.raises(ValueError, match=":2:"):
+        MetricsReport.read_csv(path)
+    # write_csv's comment line counts: the bad value sits on the file's line 3
+    MetricsReport().write_csv(path)
+    with open(path, "a") as f:
+        f.write("full,ddim,abc,1,2,0.5,1,0\n")
+    with pytest.raises(ValueError, match=":3:"):
         MetricsReport.read_csv(path)
 
 

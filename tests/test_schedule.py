@@ -183,16 +183,19 @@ def test_grid_sparse_spacing():
 
 def test_grid_cardinality_property():
     rng = np.random.default_rng(7)
+    drawn = []
     for _ in range(300):
         T = int(rng.integers(1, 400))
         origin = int(rng.integers(1, T + 1))
-        N = int(rng.integers(1, origin + 1))
+        drawn.append((origin, int(rng.integers(1, origin + 1)), T))
+    every = [(origin, N, 150) for origin in range(1, 151) for N in range(1, origin + 1)]
+    for origin, N, T in drawn + every:
         g = make_timestep_grid(origin, N, T)
         steps = np.asarray(g.steps)
         assert len(g) == N
         assert steps[0] == origin
         assert (np.diff(steps) < 0).all()
-        assert steps[-1] >= 1
+        assert steps[-1] == (1 if N > 1 else origin)
 
 
 def test_grid_domain_errors():
