@@ -18,12 +18,11 @@ from astn.denoiser import (
     GaussianOracle,
     analytic_gaussian_epsilon,
     conditioned_oracle,
-    exact_noise_oracle,
     train_affine_predictor,
 )
 from astn.samplers import SamplerSpec, TrajectoryRecord, predict_x0, run_sampler
 from astn.inversion import ddim_invert, invert_then_reconstruct
-from astn.regimes import RegimeSpec, ast_n_latent, reconstruct, regime_sweep
+from astn.regimes import RegimeSpec, ast_n_latent, reconstruct, regime_sweep, sweep_cells
 from astn.metrics import MetricsReport, MetricsRow, psnr, rmse, ssim, timed
 
 __version__ = "0.1.0"

@@ -24,8 +24,7 @@ import numpy as np
 from astn import data as dat
 from astn.denoiser import AffinePredictor, GaussianDataModel, GaussianOracle, ZeroPredictor, conditioned_oracle
 from astn.metrics import MetricsReport
-from astn.regimes import REGIMES, regime_sweep
-from astn.samplers import SAMPLER_KINDS
+from astn.regimes import regime_sweep, sweep_cells
 from astn.schedule import make_linear_schedule
 
 __all__ = ["main", "load_config", "save_config", "render_report", "ConfigError"]
@@ -90,33 +89,10 @@ def save_config(cfg, path):
 
 def _section(cfg, name):
     """The ``name`` section of ``cfg`` over its defaults; it must be a JSON object."""
-    return _parsed(f"{name} section", lambda: {**DEFAULT_CONFIG[name], **cfg.get(name, {})})
-
-
-def _resolve_samplers(tokens):
-    kinds = []
-    for tok in tokens:
-        kind = SAMPLER_ALIASES.get(tok, tok)
-        if kind not in SAMPLER_KINDS:
-            raise ConfigError(f"unknown sampler {tok!r}")
-        kinds.append(kind)
-    return kinds
-
-
-def _distinct(what, values):
-    """``values``, or a ConfigError if one repeats: seeds are keyed on a
-    cell's position, so a repeated cell would be written twice, differently."""
-    for i, v in enumerate(values):
-        if v in values[:i]:
-            raise ConfigError(f"run {what} lists {v!r} twice")
-    return values
-
-
-def _resolve_regimes(tokens):
-    for tok in tokens:
-        if tok not in REGIMES:
-            raise ConfigError(f"unknown regime {tok!r}")
-    return list(tokens)
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} section must be a JSON object, got {section!r}")
+    return {**DEFAULT_CONFIG[name], **section}
 
 
 def _seed(args, cfg):
@@ -214,17 +190,18 @@ def cmd_run(args):
     cfg = load_config(args.config)
     rc = _section(cfg, "run")
     photons = _dataset_args(cfg)["photons_full_dose"]
-    samplers = _distinct("samplers", _parsed("run samplers", lambda: _resolve_samplers(rc["samplers"])))
-    regimes = _distinct("regimes", _parsed("run regimes", lambda: _resolve_regimes(rc["regimes"])))
-    origins = _distinct("origins", _parsed("run origins", lambda: [int(n) for n in rc["origins"]]))
-    eta = _parsed("run eta", lambda: float(rc["eta"]))
-    if not eta >= 0.0:
-        raise ConfigError(f"run eta {eta} must be >= 0")
     seed = _seed(args, cfg)
     sched = _build_schedule(cfg)
-    for n in origins:
-        if not 1 <= n <= sched.T:
-            raise ConfigError(f"origin/budget {n} outside [1, T={sched.T}]")
+    for name in ("regimes", "samplers", "origins"):
+        if not isinstance(rc[name], list):
+            raise ConfigError(f"run {name} must be a JSON list, got {rc[name]!r}")
+    cells = _parsed("run section", lambda: sweep_cells(
+        rc["regimes"],
+        [SAMPLER_ALIASES.get(s, s) for s in rc["samplers"]],
+        [int(n) for n in rc["origins"]],
+        sched,
+        eta=float(rc["eta"]),
+    ))
 
     manifest = Path(args.out) / "dataset" / "manifest.csv"
     if not manifest.exists():
@@ -239,17 +216,7 @@ def cmd_run(args):
     shape = dataset[0].full_dose.shape
     factory = _build_predictor_factory(cfg, sched, shape, photons)
 
-    report = regime_sweep(
-        origins,
-        samplers,
-        dataset,
-        factory,
-        sched,
-        master_seed=seed,
-        regimes=regimes,
-        eta=eta,
-        threads=args.threads,
-    )
+    report = regime_sweep(cells, dataset, factory, sched, master_seed=seed, threads=args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.csv"

@@ -30,7 +30,6 @@ __all__ = [
     "ZeroPredictor",
     "AffinePredictor",
     "analytic_gaussian_epsilon",
-    "exact_noise_oracle",
     "conditioned_oracle",
     "train_affine_predictor",
 ]
@@ -79,8 +78,8 @@ class GaussianDataModel:
     var: float
 
     def __post_init__(self):
-        if self.var < 0.0:
-            raise ValueError("data variance must be >= 0")
+        if not self.var >= 0.0:
+            raise ValueError(f"data variance must be >= 0, got {self.var}")
 
     def sample(self, rng, n=1):
         if self.var == 0.0:
@@ -115,8 +114,8 @@ class GaussianOracle(EpsilonPredictor):
     """
 
     def __init__(self, model, sched, noise_level=None):
-        if noise_level is not None and noise_level < 0.0:
-            raise ValueError("condition noise level must be >= 0")
+        if noise_level is not None and not noise_level >= 0.0:
+            raise ValueError(f"condition noise level must be >= 0, got {noise_level}")
         self.model = model
         self.sched = sched
         self.noise_level = noise_level
@@ -152,16 +151,6 @@ class GaussianOracle(EpsilonPredictor):
 
     def predict(self, x_t, t, cond=None):
         return self.bind(cond)(x_t, t)
-
-
-def exact_noise_oracle(x0, sched):
-    """Oracle that recovers exactly the noise that produced any q_sample(x0, t, eps).
-
-    The var = 0 special case of the Gaussian oracle: eps_hat =
-    (x_t - sqrt(ab_t) x0) / sqrt(1 - ab_t), the algebraic inverse of the
-    forward closed form.
-    """
-    return GaussianOracle(GaussianDataModel(mean=np.asarray(x0, dtype=np.float64), var=0.0), sched)
 
 
 def conditioned_oracle(model, noise_level, sched):

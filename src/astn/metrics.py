@@ -145,9 +145,12 @@ class MetricsReport:
     def write_curves(self, curve_dir):
         """One quality-vs-steps file ``{sampler}_{regime}.csv`` per (sampler,
         regime) under ``curve_dir``, rows by ascending steps, numbers as in
-        metrics.csv."""
+        metrics.csv. The report owns the directory's curve set: any other
+        ``*.csv`` there, such as an earlier run's, is deleted."""
         curve_dir = Path(curve_dir)
         curve_dir.mkdir(parents=True, exist_ok=True)
+        for old in curve_dir.glob("*.csv"):
+            old.unlink()
         groups = {}
         for r in self.rows:
             groups.setdefault((r.sampler, r.regime), []).append(r)

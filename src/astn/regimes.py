@@ -22,7 +22,9 @@ from astn.metrics import MetricsReport, MetricsRow, psnr, rmse, ssim, timed
 from astn.samplers import SamplerSpec, run_sampler
 from astn.schedule import make_timestep_grid
 
-__all__ = ["REGIMES", "RegimeSpec", "ast_n_latent", "reconstruct", "regime_sweep", "make_regime_spec"]
+__all__ = [
+    "REGIMES", "RegimeSpec", "ast_n_latent", "reconstruct", "regime_sweep", "make_regime_spec", "sweep_cells",
+]
 
 REGIMES = ("full", "ast", "inverted")
 
@@ -92,15 +94,45 @@ def _cell_seed(master_seed, cell_index, image_index):
     return np.random.SeedSequence((master_seed, cell_index, image_index))
 
 
-def regime_sweep(origins, samplers, dataset, pred, sched, master_seed,
-                 regimes=("full", "ast"), eta=0.0, threads=1):
-    """Cross product of (regime, sampler, origin/budget) over the dataset.
+def _distinct(what, values):
+    """``values`` as a list, or a ValueError if one repeats: seeds are keyed
+    on a cell's position, so a repeated cell would be scored twice, differently."""
+    values = list(values)
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ValueError(f"sweep cells repeat: {what} {v!r} is listed twice")
+    return values
+
+
+def sweep_cells(regimes, kinds, origins, sched, eta=0.0):
+    """The RegimeSpec of every (regime, kind, origin/budget) cell, in that
+    nesting order: the one place a sweep's inputs are checked.
+
+    An unknown regime or kind, an origin/budget outside [1, T], an ``eta``
+    that is not >= 0 (NaN included) and a regime, kind or origin listed twice
+    are each a ValueError naming the input. ``eta`` applies to the ddim
+    cells only (see :func:`make_regime_spec`).
+    """
+    if not eta >= 0.0:
+        raise ValueError(f"eta must be >= 0, got {eta}")
+    regimes = _distinct("regime", regimes)
+    kinds = _distinct("sampler", kinds)
+    origins = _distinct("origin/budget", origins)
+    for n in origins:
+        if not 1 <= n <= sched.T:
+            raise ValueError(f"origin/budget {n} outside [1, T={sched.T}]")
+    return [make_regime_spec(r, n, k, sched, eta=eta) for r in regimes for k in kinds for n in origins]
+
+
+def regime_sweep(cells, dataset, pred, sched, master_seed, threads=1):
+    """Run each RegimeSpec of ``cells`` (see :func:`sweep_cells`) over the dataset.
 
     ``pred`` is an EpsilonPredictor used for every pair, or a callable
     ``pair -> EpsilonPredictor`` for per-pair predictors. Each cell x image
-    gets an independent PRNG stream derived from ``master_seed``; one
-    MetricsRow per cell holds metrics and wall time averaged over images.
-    A (regime, sampler, steps) cell that repeats is a ValueError.
+    gets an independent PRNG stream derived from ``master_seed`` and the
+    cell's index in ``cells``; one MetricsRow per cell holds metrics and wall
+    time averaged over images. A (regime, sampler, steps) cell that repeats
+    is a ValueError.
     A cell that raises ValueError (a solver domain error) or RuntimeError
     (non-finite output) is recorded as failed and the sweep continues; any
     other exception is a bug and propagates. ``threads`` cells run at once
@@ -109,21 +141,11 @@ def regime_sweep(origins, samplers, dataset, pred, sched, master_seed,
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    cells = [
-        (regime, kind, n)
-        for regime in regimes
-        for kind in samplers
-        for n in origins
-    ]
-    repeated = [c for i, c in enumerate(cells) if c in cells[:i]]
-    if repeated:
-        raise ValueError(f"sweep cells repeat: {repeated}")
+    keys = _distinct("cell", [(spec.regime, spec.sampler.kind, spec.n_or_N) for spec in cells])
     factory = pred if callable(pred) else (lambda _pair: pred)
     report = MetricsReport(threads=threads)
 
-    def run_cell(ci_cell):
-        ci, (regime_name, kind, n) = ci_cell
-        spec = make_regime_spec(regime_name, n, kind, sched, eta=eta)
+    def run_cell(ci, spec):
         sums = dict.fromkeys(("psnr_db", "rmse", "ssim", "time_s"), 0.0)
         for ii, pair in enumerate(dataset):
             rng = np.random.default_rng(_cell_seed(master_seed, ci, ii))
@@ -134,21 +156,22 @@ def regime_sweep(origins, samplers, dataset, pred, sched, master_seed,
             sums["ssim"] += ssim(pair.full_dose, out)
             sums["time_s"] += elapsed
         means = {name: s / len(dataset) for name, s in sums.items()}
-        return MetricsRow(regime=regime_name, sampler=kind, steps=n, seed=master_seed, **means)
+        return MetricsRow(regime=spec.regime, sampler=spec.sampler.kind, steps=spec.n_or_N,
+                          seed=master_seed, **means)
 
-    def guarded(ci_cell):
+    def guarded(ci):
         try:
-            return ci_cell[1], run_cell(ci_cell), None
+            return keys[ci], run_cell(ci, cells[ci]), None
         except (ValueError, RuntimeError) as exc:  # cell failures must not kill the sweep
-            return ci_cell[1], None, f"{type(exc).__name__}: {exc}"
+            return keys[ci], None, f"{type(exc).__name__}: {exc}"
 
     if not dataset:
         raise ValueError("empty dataset")
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(guarded, enumerate(cells)))
+            results = list(pool.map(guarded, range(len(cells))))
     else:
-        results = [guarded(c) for c in enumerate(cells)]
+        results = [guarded(ci) for ci in range(len(cells))]
 
     for cell, row, err in results:
         if err is None:

@@ -324,8 +324,8 @@ SAMPLER_KINDS = tuple(_STEPS)
 def _check_kind(kind, eta):
     if kind not in _STEPS:
         raise ValueError(f"unknown sampler kind {kind!r}")
-    if eta < 0.0:
-        raise ValueError("eta must be >= 0")
+    if not eta >= 0.0:
+        raise ValueError(f"eta must be >= 0, got {eta}")
     if eta > 0.0 and kind != "ddim":
         raise ValueError(f"eta applies only to ddim, not {kind!r}")
 

@@ -13,15 +13,15 @@ from astn.denoiser import (
     GaussianDataModel,
     GaussianOracle,
     conditioned_oracle,
-    exact_noise_oracle,
     train_affine_predictor,
 )
 from astn.forward import marginal_moments, q_sample, training_loss
 from astn.inversion import ddim_invert, invert_then_reconstruct
 from astn.metrics import psnr, rmse, ssim
-from astn.regimes import make_regime_spec, reconstruct, regime_sweep
+from astn.regimes import make_regime_spec, reconstruct, regime_sweep, sweep_cells
 from astn.samplers import SamplerSpec, run_sampler, sampler_step
 from astn.schedule import make_linear_schedule, make_timestep_grid
+from timing import interleaved_ratios
 
 ALL_KINDS = ("ddpm", "ddim", "dpm1", "dpm2", "dpmpp2m", "unipc2")
 
@@ -68,7 +68,7 @@ def test_criterion_2_exact_round_trips(sched):
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     x0 = rng.random((8, 8))
-    pred = exact_noise_oracle(x0, sched)
+    pred = GaussianOracle(GaussianDataModel(x0, 0.0), sched)
     eps = rng.standard_normal((8, 8))
     step_err = 0.0
     for t, u in [(1000, 500), (700, 150), (150, 10), (10, 1), (2, 1)]:
@@ -164,8 +164,8 @@ def test_criterion_5_ast_flatness(sched):
         return conditioned_oracle(model, level, sched)
 
     origins = (10, 25, 50, 100, 150, 500)
-    report = regime_sweep(origins, ALL_KINDS, pairs, factory, sched,
-                          master_seed=2024, regimes=("full", "ast"))
+    report = regime_sweep(sweep_cells(("full", "ast"), ALL_KINDS, origins, sched), pairs, factory, sched,
+                          master_seed=2024)
     # smoke property: the full origin x sampler x regime grid completes with
     # finite metrics in every cell
     assert not report.failures
@@ -213,26 +213,6 @@ def test_criterion_6_standard_scheduling_degradation(sched):
             time.perf_counter() - t0, 300)
 
 
-def _interleaved_ratios(fns, rounds=7, calls=5):
-    """Wall-time ratio of each candidate in ``fns`` to the next one.
-
-    Every candidate is warmed first. Each round times the candidates in turn,
-    several back-to-back calls each, and divides neighbours, so both sides of
-    a ratio run under the same host conditions; a ratio is the median over
-    rounds, so no single stall decides it.
-    """
-    for fn in fns:
-        fn()
-    samples = np.empty((rounds, len(fns)))
-    for r in range(rounds):
-        for i, fn in enumerate(fns):
-            s = time.perf_counter()
-            for _ in range(calls):
-                fn()
-            samples[r, i] = time.perf_counter() - s
-    return np.median(samples[:, :-1] / samples[:, 1:], axis=0)
-
-
 def test_criterion_7_timing_ratios(sched):
     t0 = time.perf_counter()
     model = GaussianDataModel(mean=np.full((128, 128), 0.4), var=0.2)
@@ -245,7 +225,7 @@ def test_criterion_7_timing_ratios(sched):
     spec1000 = SamplerSpec(kind="ddim", grid=grid1000)
 
     x_img = rng.random((128, 128))
-    double, ratio = _interleaved_ratios(
+    double, ratio = interleaved_ratios(
         [
             lambda: invert_then_reconstruct(x_img, pred, None, sched, spec150),
             lambda: run_sampler(spec150, x_init, pred, None, sched),
@@ -300,8 +280,8 @@ def test_criterion_9_determinism_and_formats(sched, tmp_path):
     model = GaussianDataModel(mean=np.full((32, 32), 0.5), var=0.0625)
     pred = conditioned_oracle(model, 0.03, sched)
     runs = [
-        regime_sweep([10, 25], ["ddim", "ddpm"], [pair], pred, sched,
-                     master_seed=5, regimes=("full", "ast"))
+        regime_sweep(sweep_cells(("full", "ast"), ["ddim", "ddpm"], [10, 25], sched), [pair], pred, sched,
+                     master_seed=5)
         for _ in range(2)
     ]
     for ra, rb in zip(runs[0].rows, runs[1].rows):

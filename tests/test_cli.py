@@ -1,4 +1,5 @@
 import csv
+import math
 
 import pytest
 
@@ -113,6 +114,27 @@ def test_curve_rows_match_metrics_csv(workspace):
         # the curves report --out writes from metrics.csv are the run's, byte for byte
         assert (tmp / "again" / "curves" / path.name).read_bytes() == path.read_bytes()
     assert seen == len(metrics)
+
+
+def test_rerun_owns_the_curve_set(workspace):
+    # a smaller run into the same --out must not leave the earlier run's curves behind
+    tmp, cfg = workspace
+    out = tmp / "work"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    wide = tmp / "wide.json"
+    save_config(dict(SMALL_CONFIG, run=dict(SMALL_CONFIG["run"], samplers=["ddim", "unipc"])), wide)
+    curves = lambda d: sorted(p.name for p in (d / "curves").glob("*.csv"))
+    assert main(["run", "--config", str(wide), "--out", str(out)]) == 0
+    assert curves(out) == ["ddim_ast.csv", "ddim_full.csv", "unipc2_ast.csv", "unipc2_full.csv"]
+    (out / "metrics.csv").rename(tmp / "wide_metrics.csv")
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert curves(out) == ["ddim_ast.csv", "ddim_full.csv"]
+
+    again = tmp / "again"
+    assert main(["report", str(tmp / "wide_metrics.csv"), "--out", str(again)]) == 0
+    assert len(curves(again)) == 4
+    assert main(["report", str(out / "metrics.csv"), "--out", str(again)]) == 0
+    assert curves(again) == ["ddim_ast.csv", "ddim_full.csv"]
 
 
 def test_generate_count_zero(tmp_path):
@@ -264,21 +286,26 @@ _BAD_GENERATE = {
     "seed_negative": {"seed": -1},
     "dataset_not_object": {"dataset": 5},
 }
+# case -> (config override, text naming the bad value in the error message)
 _BAD_RUN = {
-    "run_not_object": {"run": 5},
-    "samplers_not_list": {"run": dict(SMALL_CONFIG["run"], samplers=5)},
-    "regimes_null": {"run": dict(SMALL_CONFIG["run"], regimes=None)},
-    "origins": {"run": dict(SMALL_CONFIG["run"], origins=[5, "ten"])},
-    "eta": {"run": dict(SMALL_CONFIG["run"], eta=-0.5)},
-    "prior_mean": {"predictor": {"kind": "conditioned_oracle", "prior_mean": "grey"}},
-    "prior_var": {"predictor": {"kind": "gaussian_oracle", "prior_var": -1.0}},
-    "condition_noise_text": {"predictor": {"kind": "conditioned_oracle", "condition_noise": "loud"}},
-    "condition_noise_negative": {"predictor": {"kind": "conditioned_oracle", "condition_noise": -0.1}},
-    "affine_path": {"predictor": {"kind": "affine"}},
-    "affine_path_int": {"predictor": {"kind": "affine", "path": 5}},
-    "duplicate_sampler_alias": {"run": dict(SMALL_CONFIG["run"], samplers=["dpmpp", "dpmpp2m"])},
-    "duplicate_regime": {"run": dict(SMALL_CONFIG["run"], regimes=["full", "full"])},
-    "duplicate_origin": {"run": dict(SMALL_CONFIG["run"], origins=[10, 10])},
+    "run_not_object": ({"run": 5}, "got 5"),
+    "samplers_not_list": ({"run": dict(SMALL_CONFIG["run"], samplers=5)}, "run samplers must be a JSON list, got 5"),
+    "regimes_null": ({"run": dict(SMALL_CONFIG["run"], regimes=None)}, "run regimes must be a JSON list, got None"),
+    "origins": ({"run": dict(SMALL_CONFIG["run"], origins=[5, "ten"])}, "'ten'"),
+    "origin_range": ({"run": dict(SMALL_CONFIG["run"], origins=[5, 2000])}, "origin/budget 2000 outside [1, T=1000]"),
+    "eta": ({"run": dict(SMALL_CONFIG["run"], eta=-0.5)}, "eta must be >= 0, got -0.5"),
+    "prior_mean": ({"predictor": {"kind": "conditioned_oracle", "prior_mean": "grey"}}, "'grey'"),
+    "prior_var": ({"predictor": {"kind": "gaussian_oracle", "prior_var": -1.0}}, "got -1.0"),
+    "prior_var_nan": ({"predictor": {"kind": "gaussian_oracle", "prior_var": math.nan}}, "got nan"),
+    "condition_noise_text": ({"predictor": {"kind": "conditioned_oracle", "condition_noise": "loud"}}, "'loud'"),
+    "condition_noise_negative": ({"predictor": {"kind": "conditioned_oracle", "condition_noise": -0.1}}, "got -0.1"),
+    "condition_noise_nan": ({"predictor": {"kind": "conditioned_oracle", "condition_noise": math.nan}}, "got nan"),
+    "affine_path": ({"predictor": {"kind": "affine"}}, "got None"),
+    "affine_path_int": ({"predictor": {"kind": "affine", "path": 5}}, "got 5"),
+    "duplicate_sampler_alias": ({"run": dict(SMALL_CONFIG["run"], samplers=["dpmpp", "dpmpp2m"])},
+                                "sampler 'dpmpp2m' is listed twice"),
+    "duplicate_regime": ({"run": dict(SMALL_CONFIG["run"], regimes=["full", "full"])}, "regime 'full' is listed twice"),
+    "duplicate_origin": ({"run": dict(SMALL_CONFIG["run"], origins=[10, 10])}, "origin/budget 10 is listed twice"),
 }
 
 
@@ -292,11 +319,15 @@ def test_bad_config_value_is_config_error(workspace, capsys, case):
         save_config(dict(SMALL_CONFIG, **_BAD_GENERATE[case]), bad_path)
         argv = ["generate", "--config", str(bad_path), "--out", str(out), "--force"]
     else:
-        save_config(dict(SMALL_CONFIG, **_BAD_RUN[case]), bad_path)
+        override, named = _BAD_RUN[case]
+        save_config(dict(SMALL_CONFIG, **override), bad_path)
         argv = ["run", "--config", str(bad_path), "--out", str(out)]
     capsys.readouterr()
     assert main(argv) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if case in _BAD_RUN:
+        assert named in err
 
 
 def test_value_error_outside_config_parsing_is_runtime_failure(workspace, monkeypatch, capsys):

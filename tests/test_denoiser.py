@@ -10,10 +10,11 @@ from astn.denoiser import (
     ZeroPredictor,
     analytic_gaussian_epsilon,
     conditioned_oracle,
-    exact_noise_oracle,
     train_affine_predictor,
 )
 from astn.forward import q_sample, training_loss
+from astn.samplers import SamplerSpec
+from astn.schedule import make_timestep_grid
 
 
 def test_oracle_standard_normal_data(sched, rng):
@@ -28,7 +29,7 @@ def test_oracle_deterministic_data_recovers_noise(sched, rng):
     x0 = rng.random((6, 6))
     eps = rng.standard_normal((6, 6))
     x_t = q_sample(x0, 250, eps, sched)
-    out = exact_noise_oracle(x0, sched).predict(x_t, 250)
+    out = GaussianOracle(GaussianDataModel(x0, 0.0), sched).predict(x_t, 250)
     assert np.abs(out - eps).max() < 1e-12
 
 
@@ -307,3 +308,15 @@ def test_train_validation_errors(sched_small, rng):
 def test_gaussian_model_validation():
     with pytest.raises(ValueError):
         GaussianDataModel(mean=np.zeros((2, 2)), var=-1.0)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda sched: GaussianDataModel(mean=np.zeros((2, 2)), var=math.nan), "data variance"),
+    (lambda sched: GaussianOracle(GaussianDataModel(np.zeros((2, 2)), 0.1), sched, math.nan),
+     "condition noise level"),
+    (lambda sched: SamplerSpec("ddim", make_timestep_grid(1000, 10, sched.T), eta=math.nan), "eta"),
+], ids=["data_variance", "condition_noise", "ddim_eta"])
+def test_nan_is_not_a_nonnegative_value(sched, build, match):
+    # NaN fails every comparison, so an ``x < 0`` check would let it through
+    with pytest.raises(ValueError, match=f"{match} must be >= 0, got nan"):
+        build(sched)

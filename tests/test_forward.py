@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from astn.denoiser import GaussianDataModel, GaussianOracle, ZeroPredictor, exact_noise_oracle
+from astn.denoiser import GaussianDataModel, GaussianOracle, ZeroPredictor
 from astn.forward import marginal_moments, q_sample, training_loss
 
 
@@ -89,7 +89,7 @@ def test_training_loss_perfect_predictor(sched):
     # the exact-noise oracle on a batch of identical images recovers every
     # injected noise image, so the objective collapses to rounding error
     x0 = np.random.default_rng(3).random((8, 8))
-    pred = exact_noise_oracle(x0, sched)
+    pred = GaussianOracle(GaussianDataModel(x0, 0.0), sched)
     loss = training_loss(pred, [x0] * 8, None, sched, np.random.default_rng(4))
     assert loss < 1e-25
 

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from astn.denoiser import GaussianDataModel, GaussianOracle, exact_noise_oracle, train_affine_predictor
+from astn.denoiser import GaussianDataModel, GaussianOracle, train_affine_predictor
 from astn.inversion import ddim_invert, invert_then_reconstruct
 from astn.samplers import SamplerSpec, run_sampler, sampler_step
 from astn.schedule import make_timestep_grid
+from timing import interleaved_ratios
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +24,7 @@ def test_inversion_hop_and_ddim_step_are_mutual_inverses(sched, rng):
     from astn.schedule import TimestepGrid
 
     x0 = rng.random((6, 6))
-    pred = exact_noise_oracle(x0, sched)
+    pred = GaussianOracle(GaussianDataModel(x0, 0.0), sched)
     for lo, hi in [(1, 1000), (250, 800), (41, 42)]:
         embedding = ddim_invert(x0, pred, None, sched, TimestepGrid(steps=(lo,)))
         latent = ddim_invert(x0, pred, None, sched, TimestepGrid(steps=(hi, lo)))
@@ -34,7 +35,7 @@ def test_inversion_hop_and_ddim_step_are_mutual_inverses(sched, rng):
 
 def test_round_trip_exact_oracle_dense(sched, rng):
     x_start = rng.random((8, 8))
-    pred = exact_noise_oracle(x_start, sched)
+    pred = GaussianOracle(GaussianDataModel(x_start, 0.0), sched)
     grid = make_timestep_grid(1000, 1000, sched.T)
     latent = ddim_invert(x_start, pred, None, sched, grid)
     spec = SamplerSpec(kind="ddim", grid=grid)
@@ -44,7 +45,7 @@ def test_round_trip_exact_oracle_dense(sched, rng):
 
 def test_round_trip_exact_oracle_sparse(sched, rng):
     x_start = rng.random((8, 8))
-    pred = exact_noise_oracle(x_start, sched)
+    pred = GaussianOracle(GaussianDataModel(x_start, 0.0), sched)
     grid = make_timestep_grid(1000, 50, sched.T)
     out = invert_then_reconstruct(x_start, pred, None, sched, SamplerSpec(kind="ddim", grid=grid))
     assert math.sqrt(float(((out - x_start) ** 2).mean())) < 1e-6
@@ -62,7 +63,7 @@ def test_round_trip_error_decreases_with_steps(sched, affine_pred, rng):
 
 def test_single_step_grid_composition(sched, rng):
     x_start = rng.random((5, 5))
-    pred = exact_noise_oracle(x_start, sched)
+    pred = GaussianOracle(GaussianDataModel(x_start, 0.0), sched)
     grid = make_timestep_grid(1, 1, sched.T)
     latent = ddim_invert(x_start, pred, None, sched, grid)
     assert np.abs(latent - math.sqrt(sched.alpha_bar(1)) * x_start).max() < 1e-12
@@ -81,8 +82,6 @@ def test_inversion_is_deterministic(sched, rng):
 
 
 def test_invert_plus_reconstruct_doubles_wall_time(sched):
-    from test_acceptance import _interleaved_ratios
-
     model = GaussianDataModel(mean=np.full((128, 128), 0.4), var=0.2)
     pred = GaussianOracle(model, sched)
     x_start = np.random.default_rng(19).random((128, 128))
@@ -90,7 +89,7 @@ def test_invert_plus_reconstruct_doubles_wall_time(sched):
     spec = SamplerSpec(kind="ddim", grid=grid)
     latent = ddim_invert(x_start, pred, None, sched, grid)
 
-    (double,) = _interleaved_ratios(
+    (double,) = interleaved_ratios(
         [
             lambda: invert_then_reconstruct(x_start, pred, None, sched, spec),
             lambda: run_sampler(spec, latent, pred, None, sched),

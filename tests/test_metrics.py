@@ -14,6 +14,7 @@ from astn.metrics import (
     ssim,
     timed,
 )
+from timing import interleaved_ratios
 
 
 def _psnr_scalar_reference(ref, test, data_range=1.0):
@@ -164,14 +165,9 @@ def test_timed_scales_linearly():
     def ten():
         return [once() for _ in range(10)]
 
-    once()  # touch caches
-    # interleave the repeats so both groups see the same host CPU-speed state
-    t1s, t10s = [], []
-    for _ in range(7):
-        t1s.append(timed(once)[1])
-        t10s.append(timed(ten)[1])
-    t1, t10 = min(t1s), min(t10s)
-    assert 10 * t1 * 0.7 <= t10 <= 10 * t1 * 1.3
+    # the helper times through ``timed``, ten and once back to back per round
+    (t10_over_t1,) = interleaved_ratios([ten, once])
+    assert 10 * 0.7 <= t10_over_t1 <= 10 * 1.3
 
 
 def test_metrics_row_validation():

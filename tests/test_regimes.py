@@ -6,9 +6,10 @@ import pytest
 from astn.data import DosePair, PhantomSpec, generate_phantom, simulate_low_dose
 from astn.denoiser import EpsilonPredictor, GaussianDataModel, conditioned_oracle
 from astn.forward import q_sample
-from astn.regimes import RegimeSpec, ast_n_latent, make_regime_spec, reconstruct, regime_sweep
+from astn.regimes import RegimeSpec, ast_n_latent, make_regime_spec, reconstruct, regime_sweep, sweep_cells
 from astn.samplers import SamplerSpec, evaluations_per_run
 from astn.schedule import make_timestep_grid
+from timing import median_ratios
 
 
 class CountingPredictor(EpsilonPredictor):
@@ -149,10 +150,32 @@ def test_full_noise_coarse_grids_degrade_distribution(sched):
     assert d150.mean() > d1000.mean()
 
 
+def test_sweep_cells_order_and_specs(sched):
+    cells = sweep_cells(("full", "ast"), ["ddim", "ddpm"], [10, 25], sched, eta=0.3)
+    assert [(c.regime, c.sampler.kind, c.n_or_N) for c in cells] == [
+        (r, k, n) for r in ("full", "ast") for k in ("ddim", "ddpm") for n in (10, 25)
+    ]
+    assert cells[0] == make_regime_spec("full", 10, "ddim", sched, eta=0.3)
+    assert [c.sampler.eta for c in cells[:4]] == [0.3, 0.3, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("regimes, kinds, origins, eta, message", [
+    (["warm"], ["ddim"], [10], 0.0, "unknown regime 'warm'"),
+    (["full"], ["euler"], [10], 0.0, "unknown sampler kind 'euler'"),
+    (["full"], ["ddim"], [0], 0.0, r"origin/budget 0 outside \[1, T=1000\]"),
+    (["ast"], ["ddim"], [1001], 0.0, r"origin/budget 1001 outside \[1, T=1000\]"),
+    (["full"], ["ddpm"], [10], -0.5, "eta must be >= 0, got -0.5"),
+    (["full"], ["ddpm"], [10], math.nan, "eta must be >= 0, got nan"),
+])
+def test_sweep_cells_reject_bad_inputs(sched, regimes, kinds, origins, eta, message):
+    with pytest.raises(ValueError, match=message):
+        sweep_cells(regimes, kinds, origins, sched, eta=eta)
+
+
 def test_sweep_single_cell_single_row(sched):
     pairs = _pairs(1, 32, 0.25)
     pred = _cond_oracle(sched)
-    report = regime_sweep([50], ["ddim"], pairs, pred, sched, master_seed=1, regimes=("ast",))
+    report = regime_sweep(sweep_cells(["ast"], ["ddim"], [50], sched), pairs, pred, sched, master_seed=1)
     assert len(report.rows) == 1 and not report.failures
     row = report.rows[0]
     assert (row.regime, row.sampler, row.steps) == ("ast", "ddim", 50)
@@ -162,10 +185,8 @@ def test_sweep_single_cell_single_row(sched):
 def test_sweep_smoke_grid_finite_metrics(sched):
     pairs = _pairs(2, 32, 0.25)
     pred = _cond_oracle(sched)
-    report = regime_sweep(
-        [10, 25], ["ddim", "unipc2"], pairs, pred, sched, master_seed=3,
-        regimes=("full", "ast"),
-    )
+    cells = sweep_cells(("full", "ast"), ["ddim", "unipc2"], [10, 25], sched)
+    report = regime_sweep(cells, pairs, pred, sched, master_seed=3)
     assert len(report.rows) == 8 and not report.failures
     for row in report.rows:
         assert math.isfinite(row.psnr_db) and math.isfinite(row.rmse)
@@ -176,10 +197,10 @@ def test_sweep_is_reproducible_and_thread_invariant(sched):
     pairs = _pairs(2, 32, 0.25)
     pred = _cond_oracle(sched)
     kinds = ["ddpm", "ddim", "dpm1", "dpm2", "dpmpp2m", "unipc2"]
-    kwargs = dict(master_seed=9, regimes=("full", "ast"))
-    a = regime_sweep([10, 25], kinds, pairs, pred, sched, **kwargs)
-    b = regime_sweep([10, 25], kinds, pairs, pred, sched, **kwargs)
-    c = regime_sweep([10, 25], kinds, pairs, pred, sched, threads=3, **kwargs)
+    cells = sweep_cells(("full", "ast"), kinds, [10, 25], sched)
+    a = regime_sweep(cells, pairs, pred, sched, master_seed=9)
+    b = regime_sweep(cells, pairs, pred, sched, master_seed=9)
+    c = regime_sweep(cells, pairs, pred, sched, master_seed=9, threads=3)
     assert len(a.rows) == len(c.rows) == 2 * len(kinds) * 2 and not c.failures
     assert (a.threads, c.threads) == (1, 3)
     for other in (b, c):
@@ -190,9 +211,9 @@ def test_sweep_is_reproducible_and_thread_invariant(sched):
 def test_sweep_eta_applies_to_ddim_cells_only(sched):
     pairs = _pairs(1, 32, 0.25)
     pred = _cond_oracle(sched)
-    kwargs = dict(master_seed=4, regimes=("ast",))
-    base = regime_sweep([10], ["ddpm", "ddim", "unipc2"], pairs, pred, sched, **kwargs)
-    noisy = regime_sweep([10], ["ddpm", "ddim", "unipc2"], pairs, pred, sched, eta=0.5, **kwargs)
+    kinds = ["ddpm", "ddim", "unipc2"]
+    base = regime_sweep(sweep_cells(["ast"], kinds, [10], sched), pairs, pred, sched, master_seed=4)
+    noisy = regime_sweep(sweep_cells(["ast"], kinds, [10], sched, eta=0.5), pairs, pred, sched, master_seed=4)
     assert len(noisy.rows) == 3 and not noisy.failures
     for ra, rb in zip(base.rows, noisy.rows):
         same = (ra.psnr_db, ra.rmse, ra.ssim) == (rb.psnr_db, rb.rmse, rb.ssim)
@@ -206,9 +227,10 @@ def test_sweep_records_cell_failures(sched):
         def predict(self, x_t, t, cond=None):
             raise RuntimeError("synthetic failure")
 
-    report = regime_sweep([5], ["ddim"], pairs, Broken(), sched, master_seed=1, regimes=("ast",))
+    report = regime_sweep(sweep_cells(["ast"], ["ddim"], [5], sched), pairs, Broken(), sched, master_seed=1)
     assert not report.rows
     assert len(report.failures) == 1
+    assert report.failures[0][0] == ("ast", "ddim", 5)
     assert "synthetic failure" in report.failures[0][1]
 
 
@@ -221,29 +243,34 @@ def test_sweep_propagates_programming_errors(sched, threads):
             raise TypeError("synthetic bug")
 
     with pytest.raises(TypeError, match="synthetic bug"):
-        regime_sweep([5], ["ddim"], pairs, Buggy(), sched, master_seed=1, regimes=("ast",),
+        regime_sweep(sweep_cells(["ast"], ["ddim"], [5], sched), pairs, Buggy(), sched, master_seed=1,
                      threads=threads)
 
 
 def test_sweep_timing_scales_with_steps(sched):
     pairs = _pairs(1, 64, 0.25)
     pred = _cond_oracle(sched, shape=(64, 64))
-    report = regime_sweep([150, 1000], ["ddim"], pairs, pred, sched, master_seed=4,
-                          regimes=("full",))
-    by_steps = {r.steps: r.time_s for r in report.rows}
-    assert 0.10 <= by_steps[150] / by_steps[1000] <= 0.25
+    cells = sweep_cells(["full"], ["ddim"], [150, 1000], sched)
+
+    def cell_times():
+        # the 150- and 1000-step cells run back to back within one sweep
+        return [r.time_s for r in regime_sweep(cells, pairs, pred, sched, master_seed=4).rows]
+
+    (ratio,) = median_ratios(cell_times)
+    assert 0.10 <= ratio <= 0.25
 
 
 def test_sweep_rejects_empty_dataset(sched):
     with pytest.raises(ValueError):
-        regime_sweep([5], ["ddim"], [], _cond_oracle(sched), sched, master_seed=0)
+        regime_sweep(sweep_cells(["full"], ["ddim"], [5], sched), [], _cond_oracle(sched), sched,
+                     master_seed=0)
 
 
 @pytest.mark.parametrize("threads", [0, -1])
 def test_sweep_rejects_thread_count_below_one(sched, threads):
     with pytest.raises(ValueError, match="threads must be >= 1"):
-        regime_sweep([5], ["ddim"], _pairs(1, 32, 0.25), _cond_oracle(sched), sched, master_seed=0,
-                     threads=threads)
+        regime_sweep(sweep_cells(["full"], ["ddim"], [5], sched), _pairs(1, 32, 0.25), _cond_oracle(sched),
+                     sched, master_seed=0, threads=threads)
 
 
 @pytest.mark.parametrize("origins, samplers, regimes", [
@@ -254,5 +281,10 @@ def test_sweep_rejects_thread_count_below_one(sched, threads):
 def test_sweep_rejects_repeated_cells(sched, origins, samplers, regimes):
     # seeds are keyed on a cell's position, so a repeat would score twice, differently
     with pytest.raises(ValueError, match="sweep cells repeat"):
-        regime_sweep(origins, samplers, _pairs(1, 32, 0.25), _cond_oracle(sched), sched,
-                     master_seed=0, regimes=regimes)
+        sweep_cells(regimes, samplers, origins, sched)
+
+
+def test_sweep_rejects_repeated_given_cells(sched):
+    cells = sweep_cells(["full"], ["ddim"], [10], sched) * 2
+    with pytest.raises(ValueError, match=r"sweep cells repeat: cell \('full', 'ddim', 10\)"):
+        regime_sweep(cells, _pairs(1, 32, 0.25), _cond_oracle(sched), sched, master_seed=0)

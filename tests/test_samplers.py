@@ -10,7 +10,6 @@ from astn.denoiser import (
     GaussianDataModel,
     GaussianOracle,
     conditioned_oracle,
-    exact_noise_oracle,
 )
 from astn.forward import q_sample
 from astn.inversion import ddim_invert
@@ -111,7 +110,8 @@ def test_ddpm_terminal_step_returns_x0hat(sched, rng):
     x0 = rng.random((5, 5))
     eps = rng.standard_normal((5, 5))
     x1 = q_sample(x0, 1, eps, sched)
-    out = sampler_step("ddpm", x1, 1, 0, exact_noise_oracle(x0, sched), None, sched, rng=rng)
+    pred = GaussianOracle(GaussianDataModel(x0, 0.0), sched)
+    out = sampler_step("ddpm", x1, 1, 0, pred, None, sched, rng=rng)
     assert np.abs(out - x0).max() < 1e-12
 
 
@@ -119,7 +119,7 @@ def test_ddpm_exact_oracle_converges_to_x0(sched):
     rng = np.random.default_rng(8)
     x0 = rng.random((8, 8))
     x_init = rng.standard_normal((8, 8))
-    out = _run("ddpm", 1000, x_init, exact_noise_oracle(x0, sched), sched, seed=9)
+    out = _run("ddpm", 1000, x_init, GaussianOracle(GaussianDataModel(x0, 0.0), sched), sched, seed=9)
     assert math.sqrt(float(((out - x0) ** 2).mean())) < 1e-6
 
 
@@ -147,7 +147,7 @@ def test_ddim_step_lands_on_forward_marginal(sched, rng):
     # one deterministic step with the exact-noise oracle maps
     # q_sample(x0, t, eps) onto q_sample(x0, t_prev, eps) exactly
     x0 = rng.random((6, 6))
-    pred = exact_noise_oracle(x0, sched)
+    pred = GaussianOracle(GaussianDataModel(x0, 0.0), sched)
     eps = rng.standard_normal((6, 6))
     for t, t_prev in [(1000, 500), (500, 37), (150, 1), (42, 41)]:
         x_t = q_sample(x0, t, eps, sched)
@@ -159,7 +159,7 @@ def test_ddim_step_lands_on_forward_marginal(sched, rng):
 def test_ddim_terminal_returns_x0hat(sched, rng):
     x0 = rng.random((4, 4))
     x1 = q_sample(x0, 1, rng.standard_normal((4, 4)), sched)
-    out = sampler_step("ddim", x1, 1, 0, exact_noise_oracle(x0, sched), None, sched)
+    out = sampler_step("ddim", x1, 1, 0, GaussianOracle(GaussianDataModel(x0, 0.0), sched), None, sched)
     assert np.abs(out - x0).max() < 1e-12
 
 
@@ -226,7 +226,7 @@ def test_dpm1_small_hop_limit(sched, toy):
 
 def test_dpm2_exact_for_deterministic_data(sched, rng):
     x0 = rng.random((6, 6))
-    pred = exact_noise_oracle(x0, sched)
+    pred = GaussianOracle(GaussianDataModel(x0, 0.0), sched)
     eps = rng.standard_normal((6, 6))
     x_t = q_sample(x0, 800, eps, sched)
     got = sampler_step("dpm2", x_t, 800, 123, pred, None, sched)
@@ -321,7 +321,7 @@ def test_unipc_beats_2m_on_fine_grids(sched, toy):
 
 def test_run_sampler_single_step_grid(sched, rng):
     x0 = rng.random((4, 4))
-    pred = exact_noise_oracle(x0, sched)
+    pred = GaussianOracle(GaussianDataModel(x0, 0.0), sched)
     x1 = q_sample(x0, 1, rng.standard_normal((4, 4)), sched)
     spec = SamplerSpec(kind="ddim", grid=make_timestep_grid(1, 1, sched.T))
     out, _ = run_sampler(spec, x1, pred, None, sched)
