@@ -68,6 +68,14 @@ def _parsed(what, parse):
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
+def _integer(what, value):
+    """``value`` as ``int()`` parses it, except that a bool or a number with a
+    fractional part is a ConfigError instead of a silently truncated int."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"bad {what}: {value!r} is not an integer")
+    return _parsed(what, lambda: int(value))
+
+
 def load_config(path):
     try:
         with open(path) as f:
@@ -98,7 +106,7 @@ def _section(cfg, name):
 def _seed(args, cfg):
     seed = args.seed
     if seed is None:
-        seed = _parsed("seed", lambda: int(cfg.get("seed", DEFAULT_CONFIG["seed"])))
+        seed = _integer("seed", cfg.get("seed", DEFAULT_CONFIG["seed"]))
     if not 0 <= seed < 1 << 64:
         raise ConfigError(f"seed {seed} is not an unsigned 64-bit integer")
     return seed
@@ -108,7 +116,7 @@ def _build_schedule(cfg):
     sc = _section(cfg, "schedule")
     return _parsed(
         "schedule",
-        lambda: make_linear_schedule(int(sc["T"]), float(sc["beta_start"]), float(sc["beta_end"])),
+        lambda: make_linear_schedule(_integer("schedule T", sc["T"]), float(sc["beta_start"]), float(sc["beta_end"])),
     )
 
 
@@ -118,11 +126,11 @@ def _dataset_args(cfg):
 
     def parse():
         args = {
-            "count": int(ds["count"]),
-            "size": int(ds["size"]),
+            "count": _integer("dataset count", ds["count"]),
+            "size": _integer("dataset size", ds["size"]),
             "dose_fractions": [float(f) for f in ds["dose_fractions"]],
-            "n_ellipses": int(ds["n_ellipses"]),
-            "photons_full_dose": int(ds["photons_full_dose"]),
+            "n_ellipses": _integer("dataset n_ellipses", ds["n_ellipses"]),
+            "photons_full_dose": _integer("dataset photons_full_dose", ds["photons_full_dose"]),
         }
         if args["count"] < 0 or args["photons_full_dose"] <= 0:
             raise ValueError("need count >= 0 and photons_full_dose > 0")
@@ -198,7 +206,7 @@ def cmd_run(args):
     cells = _parsed("run section", lambda: sweep_cells(
         rc["regimes"],
         [SAMPLER_ALIASES.get(s, s) for s in rc["samplers"]],
-        [int(n) for n in rc["origins"]],
+        [_integer("run origin", n) for n in rc["origins"]],
         sched,
         eta=float(rc["eta"]),
     ))

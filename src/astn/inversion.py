@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from astn.samplers import _ddim_apply, _ddim_coefs, _walk, run_sampler
+from astn.samplers import _plan, _walk, run_sampler
 
 __all__ = ["ddim_invert", "invert_then_reconstruct"]
 
@@ -32,9 +32,9 @@ def ddim_invert(x_start, pred, cond, sched, grid):
     """
     x_start = np.asarray(x_start, dtype=np.float64)
     up = grid.steps[::-1]
-    plan = [(t, u, _ddim_apply, _ddim_coefs(t, u, sched, 0.0)) for t, u in zip(up[:-1], up[1:])]
+    plan = _plan("ddim", zip(up[:-1], up[1:]), sched, 0.0)
     x = math.sqrt(sched.alpha_bar(up[0])) * x_start
-    return _walk("inversion", plan, x, pred.bind(cond), None, None)[0]
+    return _walk("inversion", plan, x, pred.bind(cond), None)[0]
 
 
 def invert_then_reconstruct(x_start, pred, cond, sched, sample_spec, rng=None):

@@ -19,7 +19,7 @@ import numpy as np
 from astn.forward import q_sample
 from astn.inversion import ddim_invert
 from astn.metrics import MetricsReport, MetricsRow, psnr, rmse, ssim, timed
-from astn.samplers import SamplerSpec, run_sampler
+from astn.samplers import SamplerSpec, _plan, run_sampler
 from astn.schedule import make_timestep_grid
 
 __all__ = [
@@ -109,9 +109,10 @@ def sweep_cells(regimes, kinds, origins, sched, eta=0.0):
     nesting order: the one place a sweep's inputs are checked.
 
     An unknown regime or kind, an origin/budget outside [1, T], an ``eta``
-    that is not >= 0 (NaN included) and a regime, kind or origin listed twice
-    are each a ValueError naming the input. ``eta`` applies to the ddim
-    cells only (see :func:`make_regime_spec`).
+    that is not >= 0 (NaN included) or that makes DDIM's sigma^2 exceed
+    1 - alpha_bar on a hop of a cell's grid, and a regime, kind or origin
+    listed twice are each a ValueError naming the input. ``eta`` applies to
+    the ddim cells only (see :func:`make_regime_spec`).
     """
     if not eta >= 0.0:
         raise ValueError(f"eta must be >= 0, got {eta}")
@@ -121,7 +122,14 @@ def sweep_cells(regimes, kinds, origins, sched, eta=0.0):
     for n in origins:
         if not 1 <= n <= sched.T:
             raise ValueError(f"origin/budget {n} outside [1, T={sched.T}]")
-    return [make_regime_spec(r, n, k, sched, eta=eta) for r in regimes for k in kinds for n in origins]
+    cells = [make_regime_spec(r, n, k, sched, eta=eta) for r in regimes for k in kinds for n in origins]
+    for spec in cells:
+        # DDIM's sigma is the one coefficient that can reject a valid grid,
+        # so only eta > 0 cells are compiled here, and their plans dropped
+        if spec.sampler.eta > 0.0:
+            steps = spec.sampler.grid.steps
+            _plan(spec.sampler.kind, zip(steps, steps[1:]), sched, spec.sampler.eta)
+    return cells
 
 
 def regime_sweep(cells, dataset, pred, sched, master_seed, threads=1):

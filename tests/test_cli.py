@@ -285,6 +285,9 @@ _BAD_GENERATE = {
     "seed": {"seed": "lucky"},
     "seed_negative": {"seed": -1},
     "dataset_not_object": {"dataset": 5},
+    "count_fraction": {"dataset": dict(SMALL_CONFIG["dataset"], count=2.9)},
+    "n_ellipses_bool": {"dataset": dict(SMALL_CONFIG["dataset"], n_ellipses=True)},
+    "seed_fraction": {"seed": 77.5},
 }
 # case -> (config override, text naming the bad value in the error message)
 _BAD_RUN = {
@@ -306,6 +309,11 @@ _BAD_RUN = {
                                 "sampler 'dpmpp2m' is listed twice"),
     "duplicate_regime": ({"run": dict(SMALL_CONFIG["run"], regimes=["full", "full"])}, "regime 'full' is listed twice"),
     "duplicate_origin": ({"run": dict(SMALL_CONFIG["run"], origins=[10, 10])}, "origin/budget 10 is listed twice"),
+    "origin_fraction": ({"run": dict(SMALL_CONFIG["run"], origins=[5, 10.7])}, "bad run origin: 10.7 is not an integer"),
+    "origin_bool": ({"run": dict(SMALL_CONFIG["run"], origins=[5, True])}, "bad run origin: True is not an integer"),
+    "schedule_T_fraction": ({"schedule": {"T": 1000.5}}, "bad schedule T: 1000.5 is not an integer"),
+    "eta_beyond_ddim_sigma": ({"run": dict(SMALL_CONFIG["run"], samplers=["ddim", "ddpm"], eta=1.5)},
+                              "eta=1.5 makes sigma^2 exceed 1 - alpha_bar at t_prev=750"),
 }
 
 
@@ -328,6 +336,22 @@ def test_bad_config_value_is_config_error(workspace, capsys, case):
     assert "config error" in err
     if case in _BAD_RUN:
         assert named in err
+
+
+def test_integral_numbers_and_strings_parse_as_integers(workspace):
+    tmp, cfg = workspace
+    plain, loose = tmp / "plain", tmp / "loose"
+    integral = dict(SMALL_CONFIG, seed="77", dataset=dict(SMALL_CONFIG["dataset"], count=2.0, size="32"),
+                    run=dict(SMALL_CONFIG["run"], origins=[5.0, "10"]))
+    loose_cfg = tmp / "integral.json"
+    save_config(integral, loose_cfg)
+    for path, out in ((cfg, plain), (loose_cfg, loose)):
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    rows = [MetricsReport.read_csv(out / "metrics.csv").rows for out in (plain, loose)]
+    strip = lambda r: (r.regime, r.sampler, r.steps, r.seed, r.psnr_db, r.rmse, r.ssim)
+    assert [strip(r) for r in rows[0]] == [strip(r) for r in rows[1]]
+    assert sorted({r.steps for r in rows[1]}) == [5, 10]
 
 
 def test_value_error_outside_config_parsing_is_runtime_failure(workspace, monkeypatch, capsys):

@@ -166,6 +166,7 @@ def test_sweep_cells_order_and_specs(sched):
     (["ast"], ["ddim"], [1001], 0.0, r"origin/budget 1001 outside \[1, T=1000\]"),
     (["full"], ["ddpm"], [10], -0.5, "eta must be >= 0, got -0.5"),
     (["full"], ["ddpm"], [10], math.nan, "eta must be >= 0, got nan"),
+    (["full"], ["ddpm", "ddim"], [10], 1.5, r"eta=1.5 makes sigma\^2 exceed 1 - alpha_bar at t_prev=889"),
 ])
 def test_sweep_cells_reject_bad_inputs(sched, regimes, kinds, origins, eta, message):
     with pytest.raises(ValueError, match=message):
