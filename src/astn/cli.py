@@ -76,6 +76,14 @@ def _integer(what, value):
     return _parsed(what, lambda: int(value))
 
 
+def _real(what, value):
+    """``value`` as ``float()`` parses it, except that a bool is a ConfigError
+    instead of a silent 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise ConfigError(f"bad {what}: {value!r} is not a number")
+    return _parsed(what, lambda: float(value))
+
+
 def load_config(path):
     try:
         with open(path) as f:
@@ -116,7 +124,11 @@ def _build_schedule(cfg):
     sc = _section(cfg, "schedule")
     return _parsed(
         "schedule",
-        lambda: make_linear_schedule(_integer("schedule T", sc["T"]), float(sc["beta_start"]), float(sc["beta_end"])),
+        lambda: make_linear_schedule(
+            _integer("schedule T", sc["T"]),
+            _real("schedule beta_start", sc["beta_start"]),
+            _real("schedule beta_end", sc["beta_end"]),
+        ),
     )
 
 
@@ -128,7 +140,7 @@ def _dataset_args(cfg):
         args = {
             "count": _integer("dataset count", ds["count"]),
             "size": _integer("dataset size", ds["size"]),
-            "dose_fractions": [float(f) for f in ds["dose_fractions"]],
+            "dose_fractions": [_real("dataset dose fraction", f) for f in ds["dose_fractions"]],
             "n_ellipses": _integer("dataset n_ellipses", ds["n_ellipses"]),
             "photons_full_dose": _integer("dataset photons_full_dose", ds["photons_full_dose"]),
         }
@@ -146,7 +158,8 @@ def _build_predictor_factory(cfg, sched, shape, photons):
     kind = pc["kind"]
     if kind in ("conditioned_oracle", "gaussian_oracle"):
         model = _parsed("predictor prior_mean/prior_var", lambda: GaussianDataModel(
-            mean=np.full(shape, float(pc["prior_mean"])), var=float(pc["prior_var"])
+            mean=np.full(shape, _real("predictor prior_mean", pc["prior_mean"])),
+            var=_real("predictor prior_var", pc["prior_var"]),
         ))
     if kind == "conditioned_oracle":
         cn = pc["condition_noise"]
@@ -157,7 +170,8 @@ def _build_predictor_factory(cfg, sched, shape, photons):
                 return conditioned_oracle(model, level, sched)
 
             return factory
-        oracle = _parsed("predictor condition_noise", lambda: conditioned_oracle(model, float(cn), sched))
+        level = _real("predictor condition_noise", cn)
+        oracle = _parsed("predictor condition_noise", lambda: conditioned_oracle(model, level, sched))
         return lambda pair: oracle
     if kind == "gaussian_oracle":
         oracle = GaussianOracle(model, sched)
@@ -208,7 +222,7 @@ def cmd_run(args):
         [SAMPLER_ALIASES.get(s, s) for s in rc["samplers"]],
         [_integer("run origin", n) for n in rc["origins"]],
         sched,
-        eta=float(rc["eta"]),
+        eta=_real("run eta", rc["eta"]),
     ))
 
     manifest = Path(args.out) / "dataset" / "manifest.csv"

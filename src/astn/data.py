@@ -198,28 +198,38 @@ def dose_tags(dose_fractions):
     return tags, seed_keys
 
 
+# the manifest's columns, in file order
+_MANIFEST_COLUMNS = ("pair_id", "full_path", "low_path", "dose_fraction", "seed")
+
+
 def write_manifest(path, records):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["pair_id", "full_path", "low_path", "dose_fraction", "seed"])
-        for r in records:
-            writer.writerow([r["pair_id"], r["full_path"], r["low_path"], r["dose_fraction"], r["seed"]])
+        writer.writerow(_MANIFEST_COLUMNS)
+        writer.writerows([r[c] for c in _MANIFEST_COLUMNS] for r in records)
 
 
 def read_manifest(path):
-    """Load manifest records and their images into DosePairs."""
+    """Load manifest records and their images into DosePairs.
+
+    A bad header or a malformed row raises ValueError naming the file and line.
+    """
     base = Path(path).parent
     pairs = []
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for rec in reader:
-            pairs.append(
-                DosePair(
-                    pair_id=rec["pair_id"],
-                    full_dose=read_image(base / rec["full_path"]),
-                    low_dose=read_image(base / rec["low_path"]),
-                    dose_fraction=float(rec["dose_fraction"]),
-                    seed=int(rec["seed"]),
-                )
-            )
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None or tuple(header) != _MANIFEST_COLUMNS:
+            raise ValueError(f"{path}:1: bad manifest header {header}")
+        # blank lines hold no record
+        for rec in filter(None, reader):
+            where = f"{path}:{reader.line_num}"
+            if len(rec) != len(_MANIFEST_COLUMNS):
+                raise ValueError(f"{where}: expected {len(_MANIFEST_COLUMNS)} fields, got {len(rec)}")
+            pair_id, full_path, low_path, dose_fraction, seed = rec
+            try:
+                pairs.append(DosePair(pair_id, read_image(base / full_path), read_image(base / low_path),
+                                      float(dose_fraction), int(seed)))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from exc
     return pairs

@@ -33,10 +33,10 @@ hops apply as DPM-1's (eta = 0) or DDPM's (eta > 0). One compile step,
 ``_plan``, turns hops into a plan, a list of ``(t, u, apply, coefficients)``
 holding every scalar of the run (the grid fixes the multistep step ratio
 r0), and one executor runs every plan: ``run_sampler``'s grid,
-``sampler_step`` (a one-hop plan, so a fold of it reproduces
-``run_sampler`` bit for bit) and DDIM inversion (upward DDIM hops, see
-``astn.inversion``). Callers bind the predictor to the condition once
-(``EpsilonPredictor.bind``).
+``sampler_step`` (a one-hop plan from no history: for the multistep kinds,
+the first-order hop every grid of theirs starts with) and DDIM inversion
+(upward DDIM hops, see ``astn.inversion``). Callers bind the predictor to
+the condition once (``EpsilonPredictor.bind``).
 
 The executor owns one call's workspace of named latent-shaped buffers,
 allocated on first use and dropped on return, the finiteness check after
@@ -55,8 +55,8 @@ except what a predictor that ignores ``out`` returns. Noise is drawn in
 place after the hop's evaluations, and the bound predictor may write its
 estimate into a buffer it is offered. The kernels write into these buffers
 with the same operations as their allocating forms. Nothing is kept between
-calls, so concurrent runs share no memory; ``sampler_step`` alone seeds its
-workspace's history from a ``MultistepState`` and writes the new one back.
+calls, so concurrent runs share no memory, and the multistep history lives
+in the workspace alone.
 """
 
 import math
@@ -73,7 +73,6 @@ __all__ = [
     "SAMPLER_KINDS",
     "SamplerSpec",
     "TrajectoryRecord",
-    "MultistepState",
     "predict_x0",
     "sampler_step",
     "run_sampler",
@@ -100,14 +99,6 @@ class TrajectoryRecord:
 
     snapshots: list = field(default_factory=list)
     step_times: list = field(default_factory=list)
-
-
-@dataclass
-class MultistepState:
-    """One-slot history of (log-SNR, data prediction) for multistep solvers."""
-
-    prev_log_snr: float = None
-    prev_x0: np.ndarray = None
 
 
 def _x0_coefs(t, sched):
@@ -309,16 +300,16 @@ def _check_kind(kind, eta):
         raise ValueError(f"eta applies only to ddim, not {kind!r}")
 
 
-def _plan(kind, hops, sched, eta, lam_prev=None):
+def _plan(kind, hops, sched, eta):
     """Compile the hops ``(t, u)`` of sampler ``kind`` into a plan.
 
     A plan is a list of ``(t, u, apply, coefficients)`` and holds every
-    scalar of the run. ``lam_prev`` is the log-SNR of the history the first
-    hop starts from (None: none); each internal hop of a multistep kind
-    predicts the next hop's history at its own t. A hop to 0 returns x0_hat.
+    scalar of the run. The first hop starts from no history; each internal
+    hop of a multistep kind predicts the next hop's history at its own t,
+    and ``lam_prev`` is that history's log-SNR. A hop to 0 returns x0_hat.
     """
     coefs, _, keeps_history = _STEPS[kind]
-    plan = []
+    plan, lam_prev = [], None
     for t, u in hops:
         if u == 0:
             plan.append((t, u, _apply_linear, _x0_coefs(t, sched)))
@@ -329,18 +320,17 @@ def _plan(kind, hops, sched, eta, lam_prev=None):
     return plan
 
 
-def _walk(what, plan, x, eps, rng, record=False, ws=None):
+def _walk(what, plan, x, eps, rng, record=False):
     """Run the hops of ``plan`` from latent ``x``; the one sampler executor.
 
     ``plan`` comes from :func:`_plan` and ``eps`` is a bound predictor. The
-    hops write into a workspace owned by this call (``ws``, or a fresh one):
-    the latent ping-pongs between two of its buffers, so ``x`` is never
-    written, and an ``x_t`` handed to the predictor is valid only during that
-    evaluation. Aborts naming ``what`` and the hop if a hop produces
+    hops write into a workspace owned by this call: the latent ping-pongs
+    between two of its buffers, so ``x`` is never written, and an ``x_t``
+    handed to the predictor is valid only during that evaluation. Aborts naming ``what`` and the hop if a hop produces
     non-finite values. Returns (final latent, TrajectoryRecord); the record
     is empty unless ``record`` is set.
     """
-    ws = defaultdict(lambda: np.empty(x.shape)) if ws is None else ws
+    ws = defaultdict(lambda: np.empty(x.shape))
     traj = TrajectoryRecord()
     for i, (t, u, apply, c) in enumerate(plan):
         t0 = time.perf_counter()
@@ -353,32 +343,22 @@ def _walk(what, plan, x, eps, rng, record=False, ws=None):
     return x, traj
 
 
-def sampler_step(kind, x_t, t, t_prev, pred, cond, sched, *, state=None, eta=0.0, rng=None):
-    """One hop t -> t_prev of sampler ``kind``; t_prev = 0 returns x0_hat.
+def sampler_step(kind, x_t, t, t_prev, pred, cond, sched, *, eta=0.0, rng=None):
+    """One hop t -> t_prev of sampler ``kind`` from no history; t_prev = 0
+    returns x0_hat.
 
-    ``eta`` applies to ddim only. ddpm and eta > 0 ddim need ``rng``, and
-    the internal hops of the multistep kinds (dpmpp2m, unipc2) need a
-    ``MultistepState``, which the hop reads and updates. Folding this over
-    a grid with one state and one rng reproduces ``run_sampler`` bit for
-    bit. ``x_t`` and ``cond`` are never written, and the result is a fresh
-    array.
+    ``eta`` applies to ddim only, and ddpm and eta > 0 ddim need ``rng``.
+    For the history-free kinds, folding this over a grid with one rng
+    reproduces ``run_sampler`` bit for bit; for the multistep kinds
+    (dpmpp2m, unipc2) the hop is the first-order one their grids start
+    with. ``x_t`` and ``cond`` are never written, and the result is a
+    fresh array.
     """
     _check_kind(kind, eta)
     if not t > t_prev >= 0:
         raise ValueError(f"reverse hop needs t > t_prev >= 0, got {t} -> {t_prev}")
-    keeps_history = _STEPS[kind][2] and t_prev != 0
-    if keeps_history and state is None:
-        raise ValueError(f"{kind} sampling needs a MultistepState")
-    # a one-hop plan with a workspace of its own, seeded with the state's
-    # history, so the history and every returned image outlive the call
-    ws = defaultdict(lambda: np.empty(np.shape(x_t)))
-    if keeps_history and state.prev_x0 is not None:
-        ws["x0_prev"] = state.prev_x0
-    plan = _plan(kind, [(t, t_prev)], sched, eta, state.prev_log_snr if "x0_prev" in ws else None)
-    out = _walk(kind, plan, np.asarray(x_t, dtype=np.float64), pred.bind(cond), rng, ws=ws)[0]
-    if keeps_history:
-        state.prev_log_snr, state.prev_x0 = sched.log_snr(t), ws["x0_prev"]
-    return out
+    plan = _plan(kind, [(t, t_prev)], sched, eta)
+    return _walk(kind, plan, np.asarray(x_t, dtype=np.float64), pred.bind(cond), rng)[0]
 
 
 def run_sampler(spec, x_init, pred, cond, sched, rng=None, record=False):

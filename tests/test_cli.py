@@ -199,6 +199,20 @@ def test_corrupt_dataset_image_is_runtime_failure(workspace, capsys, damage):
     assert "runtime failure" in err and "pair001_d025_low.img" in err
 
 
+def test_malformed_manifest_is_runtime_failure(workspace, capsys):
+    tmp, cfg = workspace
+    out = tmp / "work"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = out / "dataset" / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "runtime failure" in err and "manifest.csv:3: expected 5 fields, got 4" in err
+
+
 @pytest.mark.parametrize("damage", ["bad_header", "bad_checksum"])
 def test_corrupt_affine_predictor_is_runtime_failure(workspace, capsys, damage):
     tmp, cfg = workspace
@@ -230,6 +244,31 @@ def test_run_with_eta_runs_every_sampler(workspace):
     save_config(noisy, noisy_path)
     assert main(["run", "--config", str(noisy_path), "--out", str(out)]) == 0
     assert len(MetricsReport.read_csv(out / "metrics.csv").rows) == 3 * 2 * 2
+
+
+# every predictor kind, run end to end; "affine" gets its path in the test
+_PREDICTORS = {
+    "conditioned_oracle_auto": {"kind": "conditioned_oracle"},
+    "conditioned_oracle_fixed": {"kind": "conditioned_oracle", "condition_noise": 0.02},
+    "gaussian_oracle": {"kind": "gaussian_oracle"},
+    "zero": {"kind": "zero"},
+    "affine": {"kind": "affine"},
+}
+
+
+@pytest.mark.parametrize("name", list(_PREDICTORS))
+def test_run_with_every_predictor_kind(workspace, name):
+    tmp, cfg = workspace
+    out = tmp / "work"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    predictor = dict(_PREDICTORS[name])
+    if name == "affine":
+        predictor["path"] = str(tmp / "affine.txt")
+        AffinePredictor.initial(1000, (32, 32), conditional=True).save(predictor["path"])
+    run_path = tmp / "predictor.json"
+    save_config(dict(SMALL_CONFIG, predictor=predictor), run_path)
+    assert main(["run", "--config", str(run_path), "--out", str(out)]) == 0
+    assert len(MetricsReport.read_csv(out / "metrics.csv").rows) == 2 * 2
 
 
 def test_cell_type_error_is_runtime_failure(workspace, monkeypatch, capsys):
@@ -288,6 +327,7 @@ _BAD_GENERATE = {
     "count_fraction": {"dataset": dict(SMALL_CONFIG["dataset"], count=2.9)},
     "n_ellipses_bool": {"dataset": dict(SMALL_CONFIG["dataset"], n_ellipses=True)},
     "seed_fraction": {"seed": 77.5},
+    "fraction_bool": {"dataset": dict(SMALL_CONFIG["dataset"], dose_fractions=[True])},
 }
 # case -> (config override, text naming the bad value in the error message)
 _BAD_RUN = {
@@ -297,6 +337,14 @@ _BAD_RUN = {
     "origins": ({"run": dict(SMALL_CONFIG["run"], origins=[5, "ten"])}, "'ten'"),
     "origin_range": ({"run": dict(SMALL_CONFIG["run"], origins=[5, 2000])}, "origin/budget 2000 outside [1, T=1000]"),
     "eta": ({"run": dict(SMALL_CONFIG["run"], eta=-0.5)}, "eta must be >= 0, got -0.5"),
+    "eta_bool": ({"run": dict(SMALL_CONFIG["run"], eta=True)}, "bad run eta: True is not a number"),
+    "beta_end_bool": ({"schedule": {"beta_end": True}}, "bad schedule beta_end: True is not a number"),
+    "prior_mean_bool": ({"predictor": {"kind": "conditioned_oracle", "prior_mean": True}},
+                        "bad predictor prior_mean: True is not a number"),
+    "prior_var_bool": ({"predictor": {"kind": "gaussian_oracle", "prior_var": True}},
+                       "bad predictor prior_var: True is not a number"),
+    "condition_noise_bool": ({"predictor": {"kind": "conditioned_oracle", "condition_noise": True}},
+                             "bad predictor condition_noise: True is not a number"),
     "prior_mean": ({"predictor": {"kind": "conditioned_oracle", "prior_mean": "grey"}}, "'grey'"),
     "prior_var": ({"predictor": {"kind": "gaussian_oracle", "prior_var": -1.0}}, "got -1.0"),
     "prior_var_nan": ({"predictor": {"kind": "gaussian_oracle", "prior_var": math.nan}}, "got nan"),
@@ -352,6 +400,13 @@ def test_integral_numbers_and_strings_parse_as_integers(workspace):
     strip = lambda r: (r.regime, r.sampler, r.steps, r.seed, r.psnr_db, r.rmse, r.ssim)
     assert [strip(r) for r in rows[0]] == [strip(r) for r in rows[1]]
     assert sorted({r.steps for r in rows[1]}) == [5, 10]
+
+
+def test_real_parses_numbers_and_numeric_strings():
+    assert [cli._real("x", v) for v in (0.5, "0.5", 2, "1e-3")] == [0.5, 0.5, 2.0, 1e-3]
+    for bad in (True, False):
+        with pytest.raises(cli.ConfigError, match="is not a number"):
+            cli._real("x", bad)
 
 
 def test_value_error_outside_config_parsing_is_runtime_failure(workspace, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -198,6 +199,30 @@ def test_manifest_round_trip(tmp_path):
         assert p.full_dose.shape == (32, 32)
         assert p.low_dose.shape == (32, 32)
         assert 0.0 < p.dose_fraction <= 1.0
+
+
+# damage -> where and what the error names
+_MANIFEST_DAMAGE = {
+    "renamed_column": ":1: bad manifest header",
+    "short_row": ":3: expected 5 fields, got 4",
+    "bad_seed": ":2: invalid literal for int()",
+}
+
+
+@pytest.mark.parametrize("damage", list(_MANIFEST_DAMAGE))
+def test_malformed_manifest_names_file_and_line(tmp_path, damage):
+    generate_dataset(tmp_path, count=2, size=32, dose_fractions=[0.25], master_seed=11)
+    manifest = tmp_path / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    if damage == "renamed_column":
+        lines[0] = lines[0].replace("low_path", "low")
+    elif damage == "short_row":
+        lines[2] = lines[2].rsplit(",", 1)[0]
+    else:
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",seven"
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"manifest.csv{_MANIFEST_DAMAGE[damage]}")):
+        read_manifest(manifest)
         assert p.full_dose.min() >= 0.0 and p.full_dose.max() <= 1.0
 
 

@@ -1,5 +1,6 @@
 import inspect
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from astn.forward import q_sample
 from astn.inversion import ddim_invert
 from astn.regimes import make_regime_spec, reconstruct
 from astn.samplers import (
-    MultistepState,
     SamplerSpec,
     evaluations_per_run,
     predict_x0,
@@ -254,8 +254,7 @@ def test_second_order_error_ratio(sched, toy, kind):
 
 def test_dpmpp2m_first_step_is_first_order(sched, toy):
     _, pred, x = toy
-    state = MultistepState()
-    out = sampler_step("dpmpp2m", x, 1000, 600, pred, None, sched, state=state)
+    out = sampler_step("dpmpp2m", x, 1000, 600, pred, None, sched)
     # first-order data-prediction step, written out directly
     eps_hat = pred.predict(x, 1000)
     m0 = predict_x0(x, 1000, eps_hat, sched)
@@ -263,7 +262,6 @@ def test_dpmpp2m_first_step_is_first_order(sched, toy):
     h = sched.log_snr(600) - sched.log_snr(1000)
     want = math.sqrt((1 - ab_u) / (1 - ab_t)) * x - math.sqrt(ab_u) * math.expm1(-h) * m0
     assert np.abs(out - want).max() < 1e-12
-    assert state.prev_x0 is not None
 
 
 def test_dpmpp2m_constant_x0_extrapolation(sched, rng):
@@ -278,7 +276,7 @@ def test_unipc_corrector_noop_for_constant_eps(sched, rng):
     # evaluation sees the same data prediction and contributes nothing
     eps = rng.standard_normal((5, 5))
     x = rng.standard_normal((5, 5))
-    a = sampler_step("unipc2", x, 900, 400, ConstantEps(eps), None, sched, state=MultistepState())
+    a = sampler_step("unipc2", x, 900, 400, ConstantEps(eps), None, sched)
     b = sampler_step("dpm1", x, 900, 400, ConstantEps(eps), None, sched)
     assert np.abs(a - b).max() < 1e-10
 
@@ -290,7 +288,7 @@ def test_unipc_single_hop_scalar_reference(sched):
     pred = GaussianOracle(model, sched)
     x = rng.standard_normal((1, 1))
     t, u = 800, 350
-    got = float(sampler_step("unipc2", x.copy(), t, u, pred, None, sched, state=MultistepState())[0, 0])
+    got = float(sampler_step("unipc2", x.copy(), t, u, pred, None, sched)[0, 0])
 
     ab_t, ab_u = sched.alpha_bar(t), sched.alpha_bar(u)
     lam = lambda tt: 0.5 * math.log(sched.alpha_bar(tt) / (1 - sched.alpha_bar(tt)))
@@ -368,8 +366,10 @@ _STEP_CASES = {"ddpm": ("ddpm", 0.0), "ddim": ("ddim", 0.0), "ddim_eta1": ("ddim
 _KIND_ETAS = list(_STEP_CASES.values())
 
 
-@pytest.mark.parametrize("N", [1, 2, 10, 50])
-@pytest.mark.parametrize("name", list(_STEP_CASES))
+# a step starts from no history, so the multistep kinds fold only over
+# grids whose one internal hop is their first
+@pytest.mark.parametrize("name, N", [(name, N) for name in _STEP_CASES for N in (1, 2, 10, 50)
+                                     if N <= 2 or name not in ("dpmpp2m", "unipc2")])
 def test_run_sampler_equals_fold_of_step_functions(sched, name, N):
     rng = np.random.default_rng(77)
     model = GaussianDataModel(mean=np.full((8, 8), 0.4), var=0.06)
@@ -380,11 +380,11 @@ def test_run_sampler_equals_fold_of_step_functions(sched, name, N):
     spec = SamplerSpec(kind=kind, grid=make_timestep_grid(sched.T, N, sched.T), eta=eta)
     out, traj = run_sampler(spec, x_init, pred, cond, sched, rng=np.random.default_rng(3), record=True)
 
-    state, fold_rng = MultistepState(), np.random.default_rng(3)
+    fold_rng = np.random.default_rng(3)
     x, snapshots = x_init, []
     steps = spec.grid.steps
     for t, u in list(zip(steps[:-1], steps[1:])) + [(steps[-1], 0)]:
-        x = sampler_step(kind, x, t, u, pred, cond, sched, state=state, eta=eta, rng=fold_rng)
+        x = sampler_step(kind, x, t, u, pred, cond, sched, eta=eta, rng=fold_rng)
         snapshots.append((u, x))
     # both paths run the same coefficient and apply functions, so every kind,
     # dpm2 with its fractional midpoint included, must match bit for bit
@@ -399,8 +399,6 @@ def test_run_sampler_equals_fold_of_step_functions(sched, name, N):
     ("dpm1", -0.5, "eta must be >= 0"),
     ("dpm1", 0.5, "eta applies only to ddim"),
     ("ddpm", 1.0, "eta applies only to ddim"),
-    ("dpmpp2m", 0.0, "MultistepState"),
-    ("unipc2", 0.0, "MultistepState"),
 ])
 def test_sampler_step_rejects_bad_calls(sched, toy, kind, eta, match):
     _, pred, x = toy
@@ -411,7 +409,7 @@ def test_sampler_step_rejects_bad_calls(sched, toy, kind, eta, match):
 def test_sampler_step_options_are_keyword_only(sched, toy):
     _, pred, x = toy
     params = inspect.signature(sampler_step).parameters
-    assert [p for p in params if params[p].kind is inspect.Parameter.KEYWORD_ONLY] == ["state", "eta", "rng"]
+    assert [p for p in params if params[p].kind is inspect.Parameter.KEYWORD_ONLY] == ["eta", "rng"]
     with pytest.raises(TypeError):
         sampler_step("ddpm", x, 500, 400, pred, None, sched, np.random.default_rng(0))
 
@@ -504,7 +502,7 @@ def test_step_functions_abort_on_non_finite_values(sched, toy, name):
     with np.errstate(invalid="ignore"):
         with pytest.raises(RuntimeError, match=r"non-finite values stepping 500 -> 400"):
             sampler_step(kind, x, 500, 400, ExplodingPredictor(), None, sched,
-                         state=MultistepState(), eta=eta, rng=np.random.default_rng(0))
+                         eta=eta, rng=np.random.default_rng(0))
 
 
 def test_inversion_reuses_two_latent_buffers(sched):
@@ -613,7 +611,7 @@ def _two_stage_hop(kind, x, t, u, eps, sched, eta, rng, state):
 
 
 def _two_stage_run(kind, grid, x, eps, sched, eta, rng):
-    state = MultistepState()
+    state = SimpleNamespace(prev_log_snr=None, prev_x0=None)
     steps = grid.steps
     for t, u in list(zip(steps[:-1], steps[1:])) + [(steps[-1], 0)]:
         x = _two_stage_hop(kind, x, t, u, eps, sched, eta, rng, state)
