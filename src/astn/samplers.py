@@ -326,9 +326,9 @@ def _walk(what, plan, x, eps, rng, record=False):
     ``plan`` comes from :func:`_plan` and ``eps`` is a bound predictor. The
     hops write into a workspace owned by this call: the latent ping-pongs
     between two of its buffers, so ``x`` is never written, and an ``x_t``
-    handed to the predictor is valid only during that evaluation. Aborts naming ``what`` and the hop if a hop produces
-    non-finite values. Returns (final latent, TrajectoryRecord); the record
-    is empty unless ``record`` is set.
+    handed to the predictor is valid only during that evaluation. Aborts
+    naming ``what`` and the hop on non-finite values. Returns (final latent,
+    TrajectoryRecord); the record is empty unless ``record`` is set.
     """
     ws = defaultdict(lambda: np.empty(x.shape))
     traj = TrajectoryRecord()

@@ -199,6 +199,7 @@ def test_manifest_round_trip(tmp_path):
         assert p.full_dose.shape == (32, 32)
         assert p.low_dose.shape == (32, 32)
         assert 0.0 < p.dose_fraction <= 1.0
+        assert p.full_dose.min() >= 0.0 and p.full_dose.max() <= 1.0
 
 
 # damage -> where and what the error names
@@ -223,7 +224,6 @@ def test_malformed_manifest_names_file_and_line(tmp_path, damage):
     manifest.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=re.escape(f"manifest.csv{_MANIFEST_DAMAGE[damage]}")):
         read_manifest(manifest)
-        assert p.full_dose.min() >= 0.0 and p.full_dose.max() <= 1.0
 
 
 def test_dose_pair_validation(rng):
