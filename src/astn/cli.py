@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from astn import data as dat
-from astn.denoiser import AffinePredictor, GaussianDataModel, GaussianOracle, ZeroPredictor, conditioned_oracle
+from astn.denoiser import AffinePredictor, GaussianDataModel, GaussianOracle, ZeroPredictor
 from astn.metrics import MetricsReport
 from astn.regimes import regime_sweep, sweep_cells
 from astn.schedule import make_linear_schedule
@@ -103,12 +103,28 @@ def save_config(cfg, path):
         f.write("\n")
 
 
+def _typed(what, value, default):
+    """``value`` parsed as the JSON type of ``default``: a list entry by entry,
+    an int by :func:`_integer`, a float by :func:`_real`; anything else as given."""
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{what} must be a JSON list, got {value!r}")
+        return [_typed(what, v, default[0]) for v in value]
+    if isinstance(default, int):
+        return _integer(what, value)
+    if isinstance(default, float):
+        return _real(what, value)
+    return value
+
+
 def _section(cfg, name):
-    """The ``name`` section of ``cfg`` over its defaults; it must be a JSON object."""
+    """The ``name`` section of ``cfg`` over its defaults, each given value
+    typed like its default; the section must be a JSON object."""
     section = cfg.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"{name} section must be a JSON object, got {section!r}")
-    return {**DEFAULT_CONFIG[name], **section}
+    defaults = DEFAULT_CONFIG[name]
+    return {**defaults, **{key: _typed(f"{name} {key}", v, defaults.get(key)) for key, v in section.items()}}
 
 
 def _seed(args, cfg):
@@ -122,70 +138,44 @@ def _seed(args, cfg):
 
 def _build_schedule(cfg):
     sc = _section(cfg, "schedule")
-    return _parsed(
-        "schedule",
-        lambda: make_linear_schedule(
-            _integer("schedule T", sc["T"]),
-            _real("schedule beta_start", sc["beta_start"]),
-            _real("schedule beta_end", sc["beta_end"]),
-        ),
-    )
+    return _parsed("schedule", lambda: make_linear_schedule(sc["T"], sc["beta_start"], sc["beta_end"]))
 
 
 def _dataset_args(cfg):
     """``generate_dataset``'s keyword arguments from the dataset section, checked."""
     ds = _section(cfg, "dataset")
-
-    def parse():
-        args = {
-            "count": _integer("dataset count", ds["count"]),
-            "size": _integer("dataset size", ds["size"]),
-            "dose_fractions": [_real("dataset dose fraction", f) for f in ds["dose_fractions"]],
-            "n_ellipses": _integer("dataset n_ellipses", ds["n_ellipses"]),
-            "photons_full_dose": _integer("dataset photons_full_dose", ds["photons_full_dose"]),
-        }
-        if args["count"] < 0 or args["photons_full_dose"] <= 0:
-            raise ValueError("need count >= 0 and photons_full_dose > 0")
-        dat.dose_tags(args["dose_fractions"])
-        dat.PhantomSpec(size=args["size"], n_ellipses=args["n_ellipses"])  # checks both
-        return args
-
-    return _parsed("dataset section", parse)
+    args = {key: ds[key] for key in DEFAULT_CONFIG["dataset"]}
+    if args["count"] < 0 or args["photons_full_dose"] <= 0:
+        raise ConfigError("bad dataset section: need count >= 0 and photons_full_dose > 0")
+    _parsed("dataset section", lambda: dat.dose_tags(args["dose_fractions"]))
+    _parsed("dataset section", lambda: dat.PhantomSpec(size=args["size"], n_ellipses=args["n_ellipses"]))
+    return args
 
 
 def _build_predictor_factory(cfg, sched, shape, photons):
     pc = _section(cfg, "predictor")
     kind = pc["kind"]
     if kind in ("conditioned_oracle", "gaussian_oracle"):
-        model = _parsed("predictor prior_mean/prior_var", lambda: GaussianDataModel(
-            mean=np.full(shape, _real("predictor prior_mean", pc["prior_mean"])),
-            var=_real("predictor prior_var", pc["prior_var"]),
-        ))
-    if kind == "conditioned_oracle":
+        model = _parsed("predictor prior_mean/prior_var",
+                        lambda: GaussianDataModel(mean=np.full(shape, pc["prior_mean"]), var=pc["prior_var"]))
         cn = pc["condition_noise"]
-        if cn == "auto":
-            # Poisson surrogate noise scale at mid intensity: var ~ 0.5/(frac*photons)
-            def factory(pair):
-                level = math.sqrt(0.5 / (pair.dose_fraction * photons))
-                return conditioned_oracle(model, level, sched)
+        auto = kind == "conditioned_oracle" and cn == "auto"
+        level = None if kind == "gaussian_oracle" or auto else _real("predictor condition_noise", cn)
 
-            return factory
-        level = _real("predictor condition_noise", cn)
-        oracle = _parsed("predictor condition_noise", lambda: conditioned_oracle(model, level, sched))
-        return lambda pair: oracle
-    if kind == "gaussian_oracle":
-        oracle = GaussianOracle(model, sched)
-        return lambda pair: oracle
+        def oracle(pair):
+            # "auto" is the Poisson surrogate noise scale at mid intensity: var ~ 0.5/(frac*photons)
+            return GaussianOracle(model, sched, math.sqrt(0.5 / (pair.dose_fraction * photons)) if auto else level)
+
+        if auto:
+            return oracle
+        shared = _parsed("predictor condition_noise", lambda: oracle(None))
+        return lambda pair: shared
     if kind == "affine":
         path = pc.get("path")
         # open() would take an integer for a file descriptor
         if not isinstance(path, str):
             raise ConfigError(f"predictor kind 'affine' needs a path string, got {path!r}")
-        try:
-            pred = AffinePredictor.load(path)
-        except ValueError as exc:
-            # a corrupt predictor file is a runtime failure, not a config error
-            raise RuntimeError(f"cannot load the affine predictor {path}: {exc}") from exc
+        pred = AffinePredictor.load(path)
         return lambda pair: pred
     if kind == "zero":
         zero = ZeroPredictor()
@@ -214,25 +204,13 @@ def cmd_run(args):
     photons = _dataset_args(cfg)["photons_full_dose"]
     seed = _seed(args, cfg)
     sched = _build_schedule(cfg)
-    for name in ("regimes", "samplers", "origins"):
-        if not isinstance(rc[name], list):
-            raise ConfigError(f"run {name} must be a JSON list, got {rc[name]!r}")
     cells = _parsed("run section", lambda: sweep_cells(
-        rc["regimes"],
-        [SAMPLER_ALIASES.get(s, s) for s in rc["samplers"]],
-        [_integer("run origin", n) for n in rc["origins"]],
-        sched,
-        eta=_real("run eta", rc["eta"]),
-    ))
+        rc["regimes"], [SAMPLER_ALIASES.get(s, s) for s in rc["samplers"]], rc["origins"], sched, eta=rc["eta"]))
 
     manifest = Path(args.out) / "dataset" / "manifest.csv"
     if not manifest.exists():
         raise ConfigError(f"no dataset manifest at {manifest}; run `astn generate` first")
-    try:
-        dataset = dat.read_manifest(manifest)
-    except ValueError as exc:
-        # a corrupt dataset file is a runtime failure, not a config error
-        raise RuntimeError(f"cannot load the dataset listed in {manifest}: {exc}") from exc
+    dataset = dat.read_manifest(manifest)
     if not dataset:
         raise ConfigError(f"{manifest} lists no pairs")
     shape = dataset[0].full_dose.shape
@@ -246,6 +224,8 @@ def cmd_run(args):
     report.write_curves(out / "curves")
     print(f"wrote {len(report.rows)} rows to {metrics_path}")
     if report.failures:
+        for cell, err in report.failures:
+            print(f"sweep cell {cell} failed: {err}", file=sys.stderr)
         print(f"{len(report.failures)} sweep cells failed", file=sys.stderr)
         return 3
     return 0

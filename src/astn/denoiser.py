@@ -80,6 +80,10 @@ class GaussianDataModel:
     def __post_init__(self):
         if not self.var >= 0.0:
             raise ValueError(f"data variance must be >= 0, got {self.var}")
+        if not math.isfinite(self.var):
+            raise ValueError(f"data variance must be finite, got {self.var}")
+        if not np.isfinite(self.mean).all():
+            raise ValueError("data mean must be finite")
 
     def sample(self, rng, n=1):
         if self.var == 0.0:
@@ -237,24 +241,28 @@ class AffinePredictor(EpsilonPredictor):
 
     @classmethod
     def load(cls, path):
+        """Read a :meth:`save` file; any malformed content is a ValueError naming ``path``."""
         with open(path) as f:
-            header = f.readline().split()
-            if len(header) != 6 or header[0] != "astn-affine" or header[1] != "1":
-                raise ValueError(f"{path}: not an affine predictor file")
-            T, h, w, conditional = int(header[2]), int(header[3]), int(header[4]), bool(int(header[5]))
-            a = np.ones(T + 1)
-            g = np.zeros(T + 1)
-            b = np.zeros((T + 1, h, w))
-            for t in range(1, T + 1):
-                parts = f.readline().split()
-                if len(parts) != 4 + h * w or int(parts[0]) != t:
-                    raise ValueError(f"{path}: malformed coefficient line for t={t}")
-                a[t] = float(parts[1])
-                g[t] = float(parts[2])
-                b[t] = np.array([float(v) for v in parts[3:-1]]).reshape(h, w)
-                crc = zlib.crc32(b[t].tobytes()) & 0xFFFFFFFF
-                if f"{crc:08x}" != parts[-1]:
-                    raise ValueError(f"{path}: offset checksum mismatch at t={t}")
+            try:
+                header = f.readline().split()
+                if len(header) != 6 or header[0] != "astn-affine" or header[1] != "1":
+                    raise ValueError("not an affine predictor file")
+                T, h, w, conditional = int(header[2]), int(header[3]), int(header[4]), bool(int(header[5]))
+                a = np.ones(T + 1)
+                g = np.zeros(T + 1)
+                b = np.zeros((T + 1, h, w))
+                for t in range(1, T + 1):
+                    parts = f.readline().split()
+                    if len(parts) != 4 + h * w or int(parts[0]) != t:
+                        raise ValueError(f"malformed coefficient line for t={t}")
+                    a[t] = float(parts[1])
+                    g[t] = float(parts[2])
+                    b[t] = np.array([float(v) for v in parts[3:-1]]).reshape(h, w)
+                    crc = zlib.crc32(b[t].tobytes()) & 0xFFFFFFFF
+                    if f"{crc:08x}" != parts[-1]:
+                        raise ValueError(f"offset checksum mismatch at t={t}")
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
         return cls(a=a, g=g, b=b, conditional=conditional)
 
 

@@ -10,7 +10,6 @@ inverted regime first maps the low-dose image to a latent with deterministic
 DDIM inversion along the same grid it then samples back on.
 """
 
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -142,8 +141,9 @@ def regime_sweep(cells, dataset, pred, sched, master_seed, threads=1):
     time averaged over images. A (regime, sampler, steps) cell that repeats
     is a ValueError.
     A cell that raises ValueError (a solver domain error) or RuntimeError
-    (non-finite output) is recorded as failed and the sweep continues; any
-    other exception is a bug and propagates. ``threads`` cells run at once
+    (non-finite output) is recorded in ``report.failures`` as ``(cell,
+    "<type>: <message>")`` and the sweep continues; any other exception is a
+    bug and propagates. ``threads`` cells run at once
     (at least 1); the report records it, since above 1 the cells' wall times
     are measured under contention.
     """
@@ -186,5 +186,4 @@ def regime_sweep(cells, dataset, pred, sched, master_seed, threads=1):
             report.rows.append(row)
         else:
             report.failures.append((cell, err))
-            print(f"sweep cell {cell} failed: {err}", file=sys.stderr)
     return report

@@ -213,7 +213,7 @@ def test_malformed_manifest_is_runtime_failure(workspace, capsys):
     assert "runtime failure" in err and "manifest.csv:3: expected 5 fields, got 4" in err
 
 
-@pytest.mark.parametrize("damage", ["bad_header", "bad_checksum"])
+@pytest.mark.parametrize("damage", ["bad_header", "bad_checksum", "bad_number"])
 def test_corrupt_affine_predictor_is_runtime_failure(workspace, capsys, damage):
     tmp, cfg = workspace
     out = tmp / "work"
@@ -223,8 +223,12 @@ def test_corrupt_affine_predictor_is_runtime_failure(workspace, capsys, damage):
     lines = model.read_text().splitlines(keepends=True)
     if damage == "bad_header":
         lines[0] = "astn-affine 9 2 32 32 1\n"
-    else:
+    elif damage == "bad_checksum":
         lines[1] = lines[1][:-9] + "00000000\n"
+    else:
+        # float() names the text it cannot parse but not the file
+        parts = lines[1].split()
+        lines[1] = " ".join([parts[0], "x"] + parts[2:]) + "\n"
     model.write_text("".join(lines))
     broken = dict(SMALL_CONFIG, predictor={"kind": "affine", "path": str(model)})
     broken_path = tmp / "broken.json"
@@ -233,6 +237,26 @@ def test_corrupt_affine_predictor_is_runtime_failure(workspace, capsys, damage):
     assert main(["run", "--config", str(broken_path), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "runtime failure" in err and "bad_affine.txt" in err
+
+
+def test_partly_failing_run_writes_its_rows_and_names_each_failed_cell(workspace, capsys):
+    tmp, cfg = workspace
+    out = tmp / "work"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    # trained on t <= 10 only: the AST cells run, the full-noise cells start at t = 1000
+    model = tmp / "short_affine.txt"
+    AffinePredictor.initial(10, (32, 32)).save(model)
+    short = tmp / "short.json"
+    save_config(dict(SMALL_CONFIG, predictor={"kind": "affine", "path": str(model)}), short)
+    capsys.readouterr()
+    assert main(["run", "--config", str(short), "--out", str(out)]) == 3
+    rows = MetricsReport.read_csv(out / "metrics.csv").rows
+    assert [(r.regime, r.sampler, r.steps) for r in rows] == [("ast", "ddim", 5), ("ast", "ddim", 10)]
+    assert capsys.readouterr().err.splitlines() == [
+        "sweep cell ('full', 'ddim', 5) failed: ValueError: timestep 1000 outside trained range [1, 10]",
+        "sweep cell ('full', 'ddim', 10) failed: ValueError: timestep 1000 outside trained range [1, 10]",
+        "2 sweep cells failed",
+    ]
 
 
 def test_run_with_eta_runs_every_sampler(workspace):
@@ -351,14 +375,21 @@ _BAD_RUN = {
     "condition_noise_text": ({"predictor": {"kind": "conditioned_oracle", "condition_noise": "loud"}}, "'loud'"),
     "condition_noise_negative": ({"predictor": {"kind": "conditioned_oracle", "condition_noise": -0.1}}, "got -0.1"),
     "condition_noise_nan": ({"predictor": {"kind": "conditioned_oracle", "condition_noise": math.nan}}, "got nan"),
+    "prior_mean_nan": ({"predictor": {"kind": "gaussian_oracle", "prior_mean": math.nan}}, "data mean must be finite"),
+    "prior_mean_inf": ({"predictor": {"kind": "gaussian_oracle", "prior_mean": math.inf}}, "data mean must be finite"),
+    "prior_var_inf": ({"predictor": {"kind": "gaussian_oracle", "prior_var": math.inf}},
+                      "data variance must be finite, got inf"),
+    # every given value is typed like its default, whether or not the kind reads it
+    "unread_prior_mean": ({"predictor": {"kind": "zero", "prior_mean": "grey"}},
+                          "bad predictor prior_mean: could not convert string to float: 'grey'"),
     "affine_path": ({"predictor": {"kind": "affine"}}, "got None"),
     "affine_path_int": ({"predictor": {"kind": "affine", "path": 5}}, "got 5"),
     "duplicate_sampler_alias": ({"run": dict(SMALL_CONFIG["run"], samplers=["dpmpp", "dpmpp2m"])},
                                 "sampler 'dpmpp2m' is listed twice"),
     "duplicate_regime": ({"run": dict(SMALL_CONFIG["run"], regimes=["full", "full"])}, "regime 'full' is listed twice"),
     "duplicate_origin": ({"run": dict(SMALL_CONFIG["run"], origins=[10, 10])}, "origin/budget 10 is listed twice"),
-    "origin_fraction": ({"run": dict(SMALL_CONFIG["run"], origins=[5, 10.7])}, "bad run origin: 10.7 is not an integer"),
-    "origin_bool": ({"run": dict(SMALL_CONFIG["run"], origins=[5, True])}, "bad run origin: True is not an integer"),
+    "origin_fraction": ({"run": dict(SMALL_CONFIG["run"], origins=[5, 10.7])}, "bad run origins: 10.7 is not an integer"),
+    "origin_bool": ({"run": dict(SMALL_CONFIG["run"], origins=[5, True])}, "bad run origins: True is not an integer"),
     "schedule_T_fraction": ({"schedule": {"T": 1000.5}}, "bad schedule T: 1000.5 is not an integer"),
     "eta_beyond_ddim_sigma": ({"run": dict(SMALL_CONFIG["run"], samplers=["ddim", "ddpm"], eta=1.5)},
                               "eta=1.5 makes sigma^2 exceed 1 - alpha_bar at t_prev=750"),

@@ -308,6 +308,13 @@ def test_train_validation_errors(sched_small, rng):
 def test_gaussian_model_validation():
     with pytest.raises(ValueError):
         GaussianDataModel(mean=np.zeros((2, 2)), var=-1.0)
+    with pytest.raises(ValueError, match="data variance must be finite, got inf"):
+        GaussianDataModel(mean=np.zeros((2, 2)), var=math.inf)
+    for bad in (math.nan, math.inf, -math.inf):
+        mean = np.zeros((2, 2))
+        mean[1, 0] = bad  # one non-finite entry is enough
+        with pytest.raises(ValueError, match="data mean must be finite"):
+            GaussianDataModel(mean=mean, var=0.1)
 
 
 @pytest.mark.parametrize("build, match", [

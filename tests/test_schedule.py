@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from astn.schedule import make_linear_schedule, make_timestep_grid
+from astn.schedule import NoiseSchedule, TimestepGrid, make_linear_schedule, make_timestep_grid
 
 # cumulative product of (1 - beta_t) for the default schedule, computed with
 # mpmath at 60 decimal digits (frozen golden constant)
@@ -76,6 +77,40 @@ def test_schedule_domain_errors():
         make_linear_schedule(10, beta_start=0.5, beta_end=1.0)
     with pytest.raises(ValueError):
         make_linear_schedule(10, beta_start=0.3, beta_end=0.2)
+
+
+def _with(table, index, value):
+    table = table.copy()
+    table[index] = value
+    return table
+
+
+_SMALL = make_linear_schedule(4, beta_start=0.1, beta_end=0.2)
+
+
+# case -> (NoiseSchedule field overrides of _SMALL's tables, error text)
+_BAD_SCHEDULE = {
+    "no_steps": ({"T": 0}, "schedule needs at least one step"),
+    "betas_length": ({"betas": _SMALL.betas[:-1]}, "betas must have length T"),
+    "beta_zero": ({"betas": _with(_SMALL.betas, 2, 0.0)}, "every beta must lie in (0, 1)"),
+    "beta_one": ({"betas": _with(_SMALL.betas, 2, 1.0)}, "every beta must lie in (0, 1)"),
+    "alpha_bars_length": ({"alpha_bars": _SMALL.alpha_bars[:-1]}, "alpha_bars must have length T+1"),
+    "alpha_bar_start": ({"alpha_bars": _with(_SMALL.alpha_bars, 0, 0.99)},
+                        "alpha_bars must start at 1 and stay positive"),
+    "alpha_bar_end": ({"alpha_bars": _with(_SMALL.alpha_bars, -1, 0.0)},
+                      "alpha_bars must start at 1 and stay positive"),
+    "alpha_bars_flat": ({"alpha_bars": _with(_SMALL.alpha_bars, 2, _SMALL.alpha_bars[1])},
+                        "alpha_bars must be strictly decreasing"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_SCHEDULE))
+def test_schedule_constructor_errors(case):
+    override, message = _BAD_SCHEDULE[case]
+    tables = {"T": _SMALL.T, "betas": _SMALL.betas, "alphas": _SMALL.alphas, "alpha_bars": _SMALL.alpha_bars}
+    NoiseSchedule(**tables)  # the unchanged tables are valid
+    with pytest.raises(ValueError, match=re.escape(message)):
+        NoiseSchedule(**{**tables, **override})
 
 
 def test_log_snr_interpolation(sched):
@@ -203,3 +238,14 @@ def test_grid_domain_errors():
         make_timestep_grid(10, 11, 1000)
     with pytest.raises(ValueError):
         make_timestep_grid(1001, 5, 1000)
+
+
+@pytest.mark.parametrize("steps, message", [
+    ((), "empty timestep grid"),
+    ((5, 5, 1), "grid steps must be strictly decreasing"),
+    ((3, 1, 2), "grid steps must be strictly decreasing"),
+    ((5, 2, 0), "grid steps must stay >= 1"),
+], ids=["empty", "repeat", "rise", "below_one"])
+def test_grid_constructor_errors(steps, message):
+    with pytest.raises(ValueError, match=message):
+        TimestepGrid(steps)
