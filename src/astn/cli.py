@@ -46,6 +46,7 @@ DEFAULT_CONFIG = {
         "prior_mean": 0.5,
         "prior_var": 0.0625,
         "condition_noise": "auto",
+        "path": None,
     },
     "run": {
         "samplers": ["ddpm", "ddim", "dpm1", "dpm2", "dpmpp", "unipc"],
@@ -94,6 +95,9 @@ def load_config(path):
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
+    for name in cfg:
+        if name not in DEFAULT_CONFIG:
+            raise ConfigError(f"config {path}: unknown section {name!r}")
     return cfg
 
 
@@ -119,12 +123,16 @@ def _typed(what, value, default):
 
 def _section(cfg, name):
     """The ``name`` section of ``cfg`` over its defaults, each given value
-    typed like its default; the section must be a JSON object."""
+    typed like its default; the section must be a JSON object whose keys
+    the defaults declare."""
     section = cfg.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"{name} section must be a JSON object, got {section!r}")
     defaults = DEFAULT_CONFIG[name]
-    return {**defaults, **{key: _typed(f"{name} {key}", v, defaults.get(key)) for key, v in section.items()}}
+    for key in section:
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {name} {key}")
+    return {**defaults, **{key: _typed(f"{name} {key}", v, defaults[key]) for key, v in section.items()}}
 
 
 def _seed(args, cfg):
@@ -155,12 +163,16 @@ def _dataset_args(cfg):
 def _build_predictor_factory(cfg, sched, shape, photons):
     pc = _section(cfg, "predictor")
     kind = pc["kind"]
+    cn = pc["condition_noise"]
+    if cn != "auto":
+        cn = _real("predictor condition_noise", cn)
+        if not cn >= 0.0:
+            raise ConfigError(f"bad predictor condition_noise: must be \"auto\" or >= 0, got {cn}")
     if kind in ("conditioned_oracle", "gaussian_oracle"):
         model = _parsed("predictor prior_mean/prior_var",
                         lambda: GaussianDataModel(mean=np.full(shape, pc["prior_mean"]), var=pc["prior_var"]))
-        cn = pc["condition_noise"]
         auto = kind == "conditioned_oracle" and cn == "auto"
-        level = None if kind == "gaussian_oracle" or auto else _real("predictor condition_noise", cn)
+        level = None if kind == "gaussian_oracle" or auto else cn
 
         def oracle(pair):
             # "auto" is the Poisson surrogate noise scale at mid intensity: var ~ 0.5/(frac*photons)
@@ -168,10 +180,10 @@ def _build_predictor_factory(cfg, sched, shape, photons):
 
         if auto:
             return oracle
-        shared = _parsed("predictor condition_noise", lambda: oracle(None))
+        shared = oracle(None)
         return lambda pair: shared
     if kind == "affine":
-        path = pc.get("path")
+        path = pc["path"]
         # open() would take an integer for a file descriptor
         if not isinstance(path, str):
             raise ConfigError(f"predictor kind 'affine' needs a path string, got {path!r}")

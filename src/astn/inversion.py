@@ -11,15 +11,17 @@ ordinary DDIM hops run by the samplers' executor, so it is the exact inverse
 of deterministic DDIM sampling under an exact predictor, and inverting then
 sampling costs twice the evaluations of sampling alone. The walk starts from
 the deterministic embedding x = a_t0 * input at the lowest grid step t0.
+The ``inverted`` regime of :func:`astn.regimes.reconstruct` inverts along a
+grid and samples back down it.
 """
 
 import math
 
 import numpy as np
 
-from astn.samplers import _plan, _walk, run_sampler
+from astn.samplers import _plan, _walk
 
-__all__ = ["ddim_invert", "invert_then_reconstruct"]
+__all__ = ["ddim_invert"]
 
 
 def ddim_invert(x_start, pred, cond, sched, grid):
@@ -36,9 +38,3 @@ def ddim_invert(x_start, pred, cond, sched, grid):
     x = math.sqrt(sched.alpha_bar(up[0])) * x_start
     return _walk("inversion", plan, x, pred.bind(cond), None)[0]
 
-
-def invert_then_reconstruct(x_start, pred, cond, sched, sample_spec, rng=None):
-    """Invert along ``sample_spec``'s grid, then sample back down it."""
-    latent = ddim_invert(x_start, pred, cond, sched, sample_spec.grid)
-    out, _ = run_sampler(sample_spec, latent, pred, cond, sched, rng=rng)
-    return out

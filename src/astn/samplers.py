@@ -333,7 +333,8 @@ def _walk(what, plan, x, eps, rng, record=False):
     ws = defaultdict(lambda: np.empty(x.shape))
     traj = TrajectoryRecord()
     for i, (t, u, apply, c) in enumerate(plan):
-        t0 = time.perf_counter()
+        if record:
+            t0 = time.perf_counter()
         x = apply(x, t, c, eps, rng, ws, ws[("latent", i % 2)])
         if not np.isfinite(x).all():
             raise RuntimeError(f"{what} produced non-finite values stepping {t} -> {u}")

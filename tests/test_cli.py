@@ -137,13 +137,17 @@ def test_rerun_owns_the_curve_set(workspace):
     assert curves(again) == ["ddim_ast.csv", "ddim_full.csv"]
 
 
-def test_generate_count_zero(tmp_path):
+def test_generate_count_zero(tmp_path, capsys):
     cfg = dict(SMALL_CONFIG, dataset=dict(SMALL_CONFIG["dataset"], count=0))
     cfg_path = tmp_path / "cfg.json"
     save_config(cfg, cfg_path)
     assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "w")]) == 0
     manifest = (tmp_path / "w" / "dataset" / "manifest.csv").read_text().splitlines()
     assert manifest == ["pair_id,full_path,low_path,dose_fraction,seed"]
+    # a manifest without pairs has nothing to run
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "w")]) == 2
+    assert "manifest.csv lists no pairs" in capsys.readouterr().err
 
 
 def test_unknown_sampler_fails_fast(workspace):
@@ -173,6 +177,23 @@ def test_run_without_dataset_is_config_error(workspace):
 
 def test_missing_config_is_config_error(tmp_path):
     assert main(["generate", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
+
+
+# config file text -> text of the error
+_UNREADABLE_CONFIGS = {
+    "not_json": ('{"seed": 7,', "is not valid JSON"),
+    "not_object": ("[1, 2]", "must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNREADABLE_CONFIGS))
+def test_unreadable_config_is_config_error(tmp_path, capsys, case):
+    text, message = _UNREADABLE_CONFIGS[case]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "w")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
 
 
 def test_runtime_failure_exit_code(workspace):
@@ -275,6 +296,7 @@ _PREDICTORS = {
     "conditioned_oracle_auto": {"kind": "conditioned_oracle"},
     "conditioned_oracle_fixed": {"kind": "conditioned_oracle", "condition_noise": 0.02},
     "gaussian_oracle": {"kind": "gaussian_oracle"},
+    "conditioned_oracle_inf": {"kind": "conditioned_oracle", "condition_noise": math.inf},
     "zero": {"kind": "zero"},
     "affine": {"kind": "affine"},
 }
@@ -382,6 +404,12 @@ _BAD_RUN = {
     # every given value is typed like its default, whether or not the kind reads it
     "unread_prior_mean": ({"predictor": {"kind": "zero", "prior_mean": "grey"}},
                           "bad predictor prior_mean: could not convert string to float: 'grey'"),
+    # condition_noise is parsed whatever the kind, like the typed keys
+    "condition_noise_list": ({"predictor": {"kind": "gaussian_oracle", "condition_noise": [1, 2]}},
+                             "bad predictor condition_noise"),
+    "unread_condition_noise": ({"predictor": {"kind": "zero", "condition_noise": "loud"}},
+                               "bad predictor condition_noise: could not convert string to float: 'loud'"),
+    "unknown_predictor_kind": ({"predictor": {"kind": "unet"}}, "unknown predictor kind 'unet'"),
     "affine_path": ({"predictor": {"kind": "affine"}}, "got None"),
     "affine_path_int": ({"predictor": {"kind": "affine", "path": 5}}, "got 5"),
     "duplicate_sampler_alias": ({"run": dict(SMALL_CONFIG["run"], samplers=["dpmpp", "dpmpp2m"])},
@@ -393,6 +421,13 @@ _BAD_RUN = {
     "schedule_T_fraction": ({"schedule": {"T": 1000.5}}, "bad schedule T: 1000.5 is not an integer"),
     "eta_beyond_ddim_sigma": ({"run": dict(SMALL_CONFIG["run"], samplers=["ddim", "ddpm"], eta=1.5)},
                               "eta=1.5 makes sigma^2 exceed 1 - alpha_bar at t_prev=750"),
+    "count_negative": ({"dataset": dict(SMALL_CONFIG["dataset"], count=-1)},
+                       "bad dataset section: need count >= 0 and photons_full_dose > 0"),
+    "photons_zero": ({"dataset": dict(SMALL_CONFIG["dataset"], photons_full_dose=0)},
+                     "bad dataset section: need count >= 0 and photons_full_dose > 0"),
+    # a key or section the defaults do not declare is a typo, not a no-op
+    "misspelled_run_key": ({"run": dict(SMALL_CONFIG["run"], origns=[5])}, "unknown config key run origns"),
+    "unknown_section": ({"shedule": {"T": 1000}}, "unknown section 'shedule'"),
 }
 
 

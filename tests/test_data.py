@@ -96,6 +96,9 @@ def test_low_dose_validation(rng):
         simulate_low_dose(np.full((4, 4), 0.5), 0.0, rng)
     with pytest.raises(ValueError):
         simulate_low_dose(np.full((4, 4), 0.5), 1.5, rng)
+    for photons in (0, -4096):
+        with pytest.raises(ValueError, match="photon budget must be positive"):
+            simulate_low_dose(np.full((4, 4), 0.5), 0.25, rng, photons_full_dose=photons)
 
 
 def test_image_round_trip_bit_exact(tmp_path):
@@ -138,6 +141,24 @@ def test_image_error_cases(tmp_path):
     empty.write_bytes(b"")
     with pytest.raises(ValueError, match="magic"):
         read_image(empty)
+
+
+# case -> (buffer, text of the error)
+_BAD_BUFFERS = {
+    "three_d": (np.zeros((2, 2, 2)), "image must be 2D, got shape (2, 2, 2)"),
+    "empty": (np.zeros((0, 4)), "image dimensions must be positive, got (0, 4)"),
+    "non_finite": (np.array([[0.0, np.nan], [0.5, 1.0]]), "non-finite values in image"),
+    "too_wide": (np.zeros((1, 1 << 16)), "image dimensions 65536x1 exceed the format limit 65535"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_BUFFERS))
+def test_write_image_rejects_bad_buffers(tmp_path, case):
+    buffer, message = _BAD_BUFFERS[case]
+    path = tmp_path / "img.bin"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_image(path, buffer)
+    assert not path.exists()
 
 
 def test_pgm_preview(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from astn.denoiser import GaussianDataModel, GaussianOracle, train_affine_predictor
-from astn.inversion import ddim_invert, invert_then_reconstruct
+from astn.inversion import ddim_invert
+from astn.regimes import RegimeSpec, reconstruct
 from astn.samplers import SamplerSpec, run_sampler, sampler_step
 from astn.schedule import make_timestep_grid
 from timing import interleaved_ratios
@@ -18,6 +19,13 @@ def affine_pred(sched):
         model, "none", sched, lr=0.25, iterations=12000, batch=8,
         rng=np.random.default_rng(77),
     )
+
+
+def _round_trip(x_start, pred, sched, grid):
+    """``x_start`` inverted along ``grid`` and sampled back down it by DDIM,
+    as the inverted regime runs it: the image also conditions every step."""
+    regime = RegimeSpec("inverted", SamplerSpec(kind="ddim", grid=grid))
+    return reconstruct(regime, x_start, pred, sched, None)[0]
 
 
 def test_inversion_hop_and_ddim_step_are_mutual_inverses(sched, rng):
@@ -36,18 +44,14 @@ def test_inversion_hop_and_ddim_step_are_mutual_inverses(sched, rng):
 def test_round_trip_exact_oracle_dense(sched, rng):
     x_start = rng.random((8, 8))
     pred = GaussianOracle(GaussianDataModel(x_start, 0.0), sched)
-    grid = make_timestep_grid(1000, 1000, sched.T)
-    latent = ddim_invert(x_start, pred, None, sched, grid)
-    spec = SamplerSpec(kind="ddim", grid=grid)
-    out, _ = run_sampler(spec, latent, pred, None, sched)
+    out = _round_trip(x_start, pred, sched, make_timestep_grid(1000, 1000, sched.T))
     assert math.sqrt(float(((out - x_start) ** 2).mean())) < 1e-6
 
 
 def test_round_trip_exact_oracle_sparse(sched, rng):
     x_start = rng.random((8, 8))
     pred = GaussianOracle(GaussianDataModel(x_start, 0.0), sched)
-    grid = make_timestep_grid(1000, 50, sched.T)
-    out = invert_then_reconstruct(x_start, pred, None, sched, SamplerSpec(kind="ddim", grid=grid))
+    out = _round_trip(x_start, pred, sched, make_timestep_grid(1000, 50, sched.T))
     assert math.sqrt(float(((out - x_start) ** 2).mean())) < 1e-6
 
 
@@ -55,8 +59,7 @@ def test_round_trip_error_decreases_with_steps(sched, affine_pred, rng):
     x_start = np.random.default_rng(9).random((8, 8))
     errs = []
     for N in (50, 150, 1000):
-        grid = make_timestep_grid(1000, N, sched.T)
-        out = invert_then_reconstruct(x_start, affine_pred, None, sched, SamplerSpec(kind="ddim", grid=grid))
+        out = _round_trip(x_start, affine_pred, sched, make_timestep_grid(1000, N, sched.T))
         errs.append(math.sqrt(float(((out - x_start) ** 2).mean())))
     assert errs[0] > errs[1] > errs[2]
 
@@ -67,7 +70,7 @@ def test_single_step_grid_composition(sched, rng):
     grid = make_timestep_grid(1, 1, sched.T)
     latent = ddim_invert(x_start, pred, None, sched, grid)
     assert np.abs(latent - math.sqrt(sched.alpha_bar(1)) * x_start).max() < 1e-12
-    out = invert_then_reconstruct(x_start, pred, None, sched, SamplerSpec(kind="ddim", grid=grid))
+    out = _round_trip(x_start, pred, sched, grid)
     assert np.abs(out - x_start).max() < 1e-10
 
 
@@ -87,12 +90,13 @@ def test_invert_plus_reconstruct_doubles_wall_time(sched):
     x_start = np.random.default_rng(19).random((128, 128))
     grid = make_timestep_grid(1000, 200, sched.T)
     spec = SamplerSpec(kind="ddim", grid=grid)
-    latent = ddim_invert(x_start, pred, None, sched, grid)
+    latent = ddim_invert(x_start, pred, x_start, sched, grid)
 
+    # both sides condition on the image, so they do the same work per evaluation
     (double,) = interleaved_ratios(
         [
-            lambda: invert_then_reconstruct(x_start, pred, None, sched, spec),
-            lambda: run_sampler(spec, latent, pred, None, sched),
+            lambda: reconstruct(RegimeSpec("inverted", spec), x_start, pred, sched, None),
+            lambda: run_sampler(spec, latent, pred, x_start, sched),
         ]
     )
     assert 0.75 * 2.0 <= double <= 1.25 * 2.0

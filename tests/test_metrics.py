@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -219,6 +220,13 @@ def test_report_csv_malformed_row_reports_line(tmp_path):
     with open(path, "a") as f:
         f.write("full,ddim,abc,1,2,0.5,1,0\n")
     with pytest.raises(ValueError, match=":3:"):
+        MetricsReport.read_csv(path)
+
+
+def test_report_csv_wrong_field_count_names_file_and_line(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text(",".join(CSV_HEADER) + "\nfull,ddim,10,1,2,0.5,1,0\nfull,ddim,25,1,2\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected {len(CSV_HEADER)} fields, got 5")):
         MetricsReport.read_csv(path)
 
 
