@@ -15,9 +15,16 @@ estimate, so no kernel needs scratch of its own.
 ``ssim_map`` exploits that the SSIM window is separable (the Gaussian window
 of Wang et al., IEEE TIP 2004, is ``outer(g, g)``): each local moment is two
 1-D valid-mode passes of ``w`` taps instead of one 2-D pass of ``w * w``.
+Both passes window along a strided axis, where ``matmul`` hands each window
+row to BLAS gemv; along the contiguous axis the windows overlap and numpy
+falls back to its own per-element dot. So the column pass writes its result,
+which is then copied to a contiguous transposed layout whose columns the
+second pass filters. That sums in a different order than the 2-D formula, so
+the map agrees with it to 1e-12, not bit for bit.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "active_backend",
@@ -84,22 +91,64 @@ def scaled_residual(c, a, cb, b, out=None):
 
 
 def ssim_map(x, y, window, c1, c2):
-    """Valid-mode SSIM map of ``x`` against ``y`` under a separable window."""
-    # a unit-sum rank-1 window equals the outer product of its marginals
+    """Valid-mode SSIM map of ``x`` against ``y`` under a separable window.
+
+    Raises ``ValueError`` unless ``window`` sums to 1 within 1e-12 and equals
+    the outer product of its marginals within 1e-12 of each entry. The map
+    is returned as a transposed view of the filter's contiguous output.
+    """
+    # for a rank-1 window summing to s, outer(g, h) is s * window, so with
+    # the sum pinned to 1 the outer-product test is exactly separability
     g = window.sum(axis=1)
     h = window.sum(axis=0)
-    if not np.allclose(np.outer(g, h), window, rtol=1e-12, atol=0.0):
+    unit_sum = abs(g.sum() - 1.0) <= 1e-12
+    if not (unit_sum and (np.abs(np.outer(g, h) - window) <= 1e-12 * np.abs(window)).all()):
         raise ValueError("ssim_map needs a separable window summing to 1")
-    moments = np.stack((x, y, x * x, y * y, x * y))
-    # weighted local moments: filter down the columns, then along the rows
-    cols = np.lib.stride_tricks.sliding_window_view(moments, g.size, axis=1) @ g
-    mu1, mu2, m11, m22, m12 = np.lib.stride_tricks.sliding_window_view(cols, h.size, axis=2) @ h
-    s11 = m11 - mu1 * mu1
-    s22 = m22 - mu2 * mu2
-    s12 = m12 - mu1 * mu2
-    num = (2.0 * mu1 * mu2 + c1) * (2.0 * s12 + c2)
-    den = (mu1 * mu1 + mu2 * mu2 + c1) * (s11 + s22 + c2)
-    return num / den
+    # two flat buffers hold every intermediate stack, each used twice: at
+    # 256^2 fresh memory costs more in page faults than the arithmetic. The
+    # moment products still round in np.result_type(x, y); only their store
+    # and the filter use the filter's dtype.
+    m, n = x.shape
+    rows = m - g.size + 1
+    dtype = np.result_type(x, y, g)
+    a = np.empty(5 * m * n, dtype)
+    b = np.empty(5 * rows * n, dtype)
+    moments = a.reshape(5, m, n)
+    moments[0] = x
+    moments[1] = y
+    np.multiply(x, x, out=moments[2])
+    np.multiply(y, y, out=moments[3])
+    np.multiply(x, y, out=moments[4])
+    # weighted local moments: filter down the columns, transpose, filter down
+    # the columns again; both passes window along a strided axis, so matmul
+    # runs each as BLAS gemv
+    cols = np.matmul(sliding_window_view(moments, g.size, axis=1), g, out=b.reshape(5, rows, n))
+    cols_t = a[:cols.size].reshape(5, n, rows)
+    cols_t[...] = cols.transpose(0, 2, 1)
+    filtered = b[:5 * (n - h.size + 1) * rows].reshape(5, -1, rows)
+    mu1, mu2, s11, s22, s12 = np.matmul(sliding_window_view(cols_t, h.size, axis=1), h, out=filtered)
+    # the SSIM formula, in place over the filtered moments for the same
+    # reason. The second moments become covariances, then
+    # num = (2 mu1 mu2 + c1)(2 s12 + c2), den = (mu1^2 + mu2^2 + c1)(s11 + s22 + c2)
+    mu12 = mu1 * mu2
+    mu1 *= mu1
+    mu2 *= mu2
+    s11 -= mu1
+    s22 -= mu2
+    s12 -= mu12
+    num, den = mu12, mu1
+    num *= 2.0
+    num += c1
+    s12 *= 2.0
+    s12 += c2
+    num *= s12
+    den += mu2
+    den += c1
+    s11 += s22
+    s11 += c2
+    den *= s11
+    num /= den
+    return num.T
 
 
 def add_ellipses(img, params):

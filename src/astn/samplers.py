@@ -336,7 +336,7 @@ def _walk(what, plan, x, eps, rng, record=False):
         if record:
             t0 = time.perf_counter()
         x = apply(x, t, c, eps, rng, ws, ws[("latent", i % 2)])
-        if not np.isfinite(x).all():
+        if not np.logical_and.reduce(np.isfinite(x), axis=None):
             raise RuntimeError(f"{what} produced non-finite values stepping {t} -> {u}")
         if record:
             traj.step_times.append(time.perf_counter() - t0)

@@ -6,10 +6,10 @@ from astn.metrics import _gaussian_window
 
 
 def _ssim_map_2d(x, y, window, c1, c2):
-    # reference: weighted local moments as one w*w-tap 2-D pass per moment
-    w = window.shape[0]
-    xs = np.lib.stride_tricks.sliding_window_view(x, (w, w))
-    ys = np.lib.stride_tricks.sliding_window_view(y, (w, w))
+    # reference: weighted local moments as one 2-D pass per moment, with
+    # window axis 0 running down the image's rows
+    xs = np.lib.stride_tricks.sliding_window_view(x, window.shape)
+    ys = np.lib.stride_tricks.sliding_window_view(y, window.shape)
     mu1 = np.tensordot(xs, window, axes=([2, 3], [0, 1]))
     mu2 = np.tensordot(ys, window, axes=([2, 3], [0, 1]))
     s11 = np.tensordot(xs * xs, window, axes=([2, 3], [0, 1])) - mu1 * mu1
@@ -26,9 +26,11 @@ def test_active_backend_name():
 
 @pytest.mark.parametrize(
     "shape, constant_x",
-    [((11, 11), False), ((30, 26), False), ((64, 64), True)],
+    [((11, 11), False), ((30, 26), False), ((64, 64), True), ((64, 64), False), ((256, 200), False)],
 )
 def test_separable_ssim_matches_2d_window(rng, shape, constant_x):
+    # the two 1-D passes sum in another order than the 2-D pass: 1e-12 is the
+    # stated tolerance (about 5e-15 is seen at these sizes)
     x = np.full(shape, 0.4) if constant_x else rng.random(shape)
     y = rng.random(shape)
     win = _gaussian_window(11, 1.5)
@@ -38,10 +40,57 @@ def test_separable_ssim_matches_2d_window(rng, shape, constant_x):
     assert np.abs(got - want).max() <= 1e-12
 
 
+def _asymmetric_window(rows=11, cols=7):
+    g = np.exp(-0.5 * ((np.arange(rows) - 4.0) / 2.0) ** 2)
+    h = np.exp(-0.5 * ((np.arange(cols) - 2.5) / 1.2) ** 2) + np.linspace(0.0, 0.3, cols)
+    return np.outer(g / g.sum(), h / h.sum())
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "transposed"])
+def test_ssim_map_axis_order_on_rectangular_inputs(rng, layout):
+    # a window with different, asymmetric marginals on a non-square image
+    # pins which window axis filters which image axis
+    win = _asymmetric_window()
+    x, y = rng.random((2, 40, 23))
+    if layout == "strided":
+        x, y = rng.random((2, 80, 46))[:, ::2, ::2]
+    elif layout == "transposed":
+        x, y = rng.random((2, 23, 40)).transpose(0, 2, 1)
+    got = k.ssim_map(x, y, win, 1e-4, 9e-4)
+    want = _ssim_map_2d(x, y, win, 1e-4, 9e-4)
+    assert got.shape == want.shape == (30, 17)
+    assert np.abs(got - want).max() <= 1e-12
+    # the window is asymmetric enough that reversed taps would show
+    assert np.abs(_ssim_map_2d(x, y, win[::-1, ::-1], 1e-4, 9e-4) - want).max() > 1e-3
+
+
+def test_ssim_map_moments_round_in_input_precision(rng):
+    # float32 images: the moment products round in float32, as the 2-D
+    # reference's do, and only the filter works in float64
+    x, y = rng.random((2, 30, 26)).astype(np.float32)
+    win = _gaussian_window(11, 1.5)
+    got = k.ssim_map(x, y, win, 1e-4, 9e-4)
+    assert got.dtype == np.float64
+    assert np.abs(got - _ssim_map_2d(x, y, win, 1e-4, 9e-4)).max() <= 1e-12
+
+
 def test_ssim_map_rejects_non_separable_window(rng):
     x = rng.random((20, 20))
     with pytest.raises(ValueError, match="separable"):
         k.ssim_map(x, x, np.eye(11), 1e-4, 9e-4)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [np.zeros((11, 11)), 2.0 * _gaussian_window(11, 1.5), np.full((11, 11), np.nan)],
+    ids=["all_zero", "sums_to_two", "nan"],
+)
+def test_ssim_map_rejects_window_not_summing_to_one(rng, window):
+    # outer(0, 0) is the zero window, so only the sum check stops it; it
+    # would score any two images 1.0
+    x, y = rng.random((2, 20, 20))
+    with pytest.raises(ValueError, match="separable window summing to 1"):
+        k.ssim_map(x, y, window, 1e-4, 9e-4)
 
 
 def _lincomb_operands(rng, shape=(17, 13)):

@@ -97,8 +97,11 @@ def test_rmse_scalar_reference(rng):
 
 
 def test_ssim_identical_is_one(rng):
-    img = rng.random((24, 24))
-    assert ssim(img, img) == 1.0
+    # exact, not within a tolerance: with equal inputs every window's
+    # numerator and denominator are the same floating-point products
+    for shape in [(24, 24), (37, 19)]:
+        img = rng.random(shape)
+        assert ssim(img, img) == 1.0
 
 
 def test_ssim_inverted_high_contrast_low():
