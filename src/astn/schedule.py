@@ -33,6 +33,7 @@ class NoiseSchedule:
     alphas: np.ndarray = field(repr=False)
     alpha_bars: np.ndarray = field(repr=False)
     log_snrs: np.ndarray = field(init=False, repr=False, compare=False)
+    _alpha_bar_values: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.T < 1:
@@ -49,12 +50,23 @@ class NoiseSchedule:
             raise ValueError("alpha_bars must be strictly decreasing")
         lams = [math.inf] + [0.5 * math.log(ab / (1.0 - ab)) for ab in self.alpha_bars[1:].tolist()]
         object.__setattr__(self, "log_snrs", np.array(lams))
+        # plain floats: a tuple lookup is cheaper than a numpy scalar's float()
+        object.__setattr__(self, "_alpha_bar_values", tuple(self.alpha_bars.tolist()))
 
     def alpha_bar(self, t):
-        """Cumulative signal retention at integer step t in [0, T]."""
+        """Cumulative signal retention at integer step t in [0, T].
+
+        ``t`` may be any integral number (an int, a numpy integer or an
+        integral float); a fractional step raises ``ValueError``, see
+        :meth:`alpha_bar_at` for those.
+        """
+        # the range check comes first, so inf and NaN fail here and not in int()
         if not 0 <= t <= self.T:
             raise ValueError(f"timestep {t} outside [0, {self.T}]")
-        return float(self.alpha_bars[int(t)])
+        i = int(t)
+        if i != t:
+            raise ValueError(f"alpha_bar needs an integral timestep, got {t}")
+        return self._alpha_bar_values[i]
 
     def log_snr(self, t):
         """Half log-SNR lambda_t = 0.5 * log(alpha_bar / (1 - alpha_bar)).

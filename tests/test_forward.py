@@ -85,6 +85,17 @@ def test_marginal_moments_match_alpha_bar(sched, rng):
     assert np.allclose(mean, math.sqrt(ab) * x0) and var == pytest.approx(1 - ab)
 
 
+@pytest.mark.parametrize("t", [2.7, 150.5])
+def test_fractional_step_is_rejected(sched, rng, t):
+    # q_sample used to noise at int(t) without a word
+    x0, eps = rng.random((2, 4, 4))
+    with pytest.raises(ValueError, match="integral timestep"):
+        q_sample(x0, t, eps, sched)
+    with pytest.raises(ValueError, match="integral timestep"):
+        marginal_moments(x0, t, sched)
+    assert np.array_equal(q_sample(x0, float(int(t)), eps, sched), q_sample(x0, int(t), eps, sched))
+
+
 def test_training_loss_perfect_predictor(sched):
     # the exact-noise oracle on a batch of identical images recovers every
     # injected noise image, so the objective collapses to rounding error

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from astn import _kernels as k
 from astn.metrics import _gaussian_window
@@ -8,8 +11,8 @@ from astn.metrics import _gaussian_window
 def _ssim_map_2d(x, y, window, c1, c2):
     # reference: weighted local moments as one 2-D pass per moment, with
     # window axis 0 running down the image's rows
-    xs = np.lib.stride_tricks.sliding_window_view(x, window.shape)
-    ys = np.lib.stride_tricks.sliding_window_view(y, window.shape)
+    xs = sliding_window_view(x, window.shape)
+    ys = sliding_window_view(y, window.shape)
     mu1 = np.tensordot(xs, window, axes=([2, 3], [0, 1]))
     mu2 = np.tensordot(ys, window, axes=([2, 3], [0, 1]))
     s11 = np.tensordot(xs * xs, window, axes=([2, 3], [0, 1])) - mu1 * mu1
@@ -91,6 +94,130 @@ def test_ssim_map_rejects_window_not_summing_to_one(rng, window):
     x, y = rng.random((2, 20, 20))
     with pytest.raises(ValueError, match="separable window summing to 1"):
         k.ssim_map(x, y, window, 1e-4, 9e-4)
+
+
+@pytest.mark.parametrize("shape, window", [
+    ((64, 64), "gaussian"), ((256, 256), "gaussian"),
+    ((40, 23), "asymmetric"), ((80, 46), "asymmetric_strided"), ((23, 40), "asymmetric_transposed"),
+])
+def test_ssim_map_window_views_match_sliding_window_view(rng, monkeypatch, shape, window):
+    # the directly built views are the ones sliding_window_view builds, so
+    # matmul sees the same operands and the map is bit-identical
+    x, y = rng.random((2,) + shape)
+    if window.endswith("strided"):
+        x, y = x[::2, ::2], y[::2, ::2]
+    elif window.endswith("transposed"):
+        x, y = x.T, y.T
+    win = _gaussian_window(11, 1.5) if window == "gaussian" else _asymmetric_window()
+    got = k.ssim_map(x, y, win, 1e-4, 9e-4)
+    monkeypatch.setattr(k, "_windows", lambda st, size: sliding_window_view(st, size, axis=1))
+    assert np.array_equal(got, k.ssim_map(x, y, win, 1e-4, 9e-4))
+
+
+@pytest.mark.parametrize("shape", [(10, 20), (20, 10), (5, 5)])
+def test_ssim_map_rejects_images_smaller_than_window(rng, shape):
+    x, y = rng.random((2,) + shape)
+    with pytest.raises(ValueError, match="at least as large as the window"):
+        k.ssim_map(x, y, _gaussian_window(11, 1.5), 1e-4, 9e-4)
+
+
+def _add_ellipses_reference(img, params):
+    # the whole-image rasteriser: every ellipse is evaluated at every pixel
+    h, w = img.shape
+    ys = (np.arange(h, dtype=np.float64)[:, None] + 0.5) / h * 2.0 - 1.0
+    xs = (np.arange(w, dtype=np.float64)[None, :] + 0.5) / w * 2.0 - 1.0
+    out = img.copy()
+    for i in range(params.shape[0]):
+        cx, cy, inv_ax, inv_ay, ct, st, val = params[i]
+        dx = xs - cx
+        dy = ys - cy
+        u = (dx * ct + dy * st) * inv_ax
+        v = (dy * ct - dx * st) * inv_ay
+        out = out + np.where(u * u + v * v <= 1.0, val, 0.0)
+    return out
+
+
+def _random_ellipses(rng, n):
+    # centres in and around the image, semi-axes from below a pixel to
+    # several image widths, aspect ratios up to 50, axis-aligned angles
+    # among the rest
+    ax = np.exp(rng.uniform(math.log(1e-3), math.log(3.0), n))
+    ay = ax * np.exp(rng.uniform(-math.log(50.0), math.log(50.0), n))
+    theta = rng.choice([0.0, 0.5 * math.pi, -0.5 * math.pi, math.pi], n)
+    theta = np.where(rng.random(n) < 0.5, theta, rng.uniform(0.0, 2.0 * math.pi, n))
+    return np.column_stack([rng.uniform(-1.8, 1.8, (n, 2)), 1.0 / ax, 1.0 / ay,
+                            np.cos(theta), np.sin(theta), rng.uniform(-0.3, 0.5, n)])
+
+
+def test_add_ellipses_matches_whole_image_reference(rng):
+    shapes = [(32, 32), (33, 33), (64, 64), (32, 47), (47, 32), (1, 9), (9, 1), (256, 257)]
+    cases = 0
+    for case in range(400):
+        shape = shapes[case % len(shapes)]
+        if shape == (256, 257) and case % 16:
+            continue
+        params = _random_ellipses(rng, int(rng.integers(0, 9)))
+        img = rng.random(shape)
+        img[0, 0] = -0.0  # a whole-image pass turns it into +0.0
+        want = _add_ellipses_reference(img, params)
+        got = k.add_ellipses(img, params)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        cases += 1
+    assert cases > 300
+
+
+def test_add_ellipses_covers_edge_cases():
+    # one pixel, wholly outside, straddling the border, axis-aligned with
+    # aspect ratio 50, a rotation vector that is not a unit vector, a zero
+    # rotation vector (u = v = 0 paints everywhere), and none
+    params = np.array([
+        [0.0, 0.025, 1e4, 1e4, 1.0, 0.0, 0.25],
+        [1.5, 0.0, 4.0, 4.0, 1.0, 0.0, 0.5],
+        [-1.0, 0.95, 2.0, 20.0, 0.0, 1.0, 0.125],
+        [0.3, -0.225, 2.0, 100.0, 1.0, 0.0, -0.25],
+        [0.1, 0.1, 3.0, 1.5, 0.6, 2.4, 0.0625],
+        [0.2, -0.1, 3.0, 3.0, 0.0, 0.0, 0.03125],
+    ])
+    img = np.full((40, 33), 0.1)
+    painted = [1, 0, None, None, None, img.size]
+    for i, pixels in enumerate(painted):
+        want = _add_ellipses_reference(img, params[i:i + 1])
+        assert np.array_equal(k.add_ellipses(img, params[i:i + 1]), want)
+        count = np.count_nonzero(want != img)
+        assert count == pixels if pixels is not None else 1 < count < img.size
+    assert np.array_equal(k.add_ellipses(img, params), _add_ellipses_reference(img, params))
+    for dtype in (np.float32, np.float64):
+        got = k.add_ellipses(img.astype(dtype), np.empty((0, 7)))
+        assert got.dtype == dtype and np.array_equal(got, img.astype(dtype))
+
+
+@pytest.mark.parametrize("img_dtype", [np.float32, np.float64, np.int64])
+@pytest.mark.parametrize("params_dtype", [np.float32, np.float64])
+def test_add_ellipses_result_dtype(rng, img_dtype, params_dtype):
+    img = np.ones((20, 30), img_dtype)
+    params = _random_ellipses(rng, 3).astype(params_dtype)
+    want = _add_ellipses_reference(img, params)
+    got = k.add_ellipses(img, params)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("change, match", [
+    (lambda p: p[:, :6], r"an \(n, 7\) array"),
+    (lambda p: p[0], r"an \(n, 7\) array"),
+    (lambda p: np.concatenate([p, p], axis=1), r"an \(n, 7\) array"),
+    (lambda p: np.where(np.arange(7) == 0, np.nan, p), "finite"),
+    (lambda p: np.where(np.arange(7) == 4, np.inf, p), "finite"),
+    (lambda p: np.where(np.arange(7) == 2, 0.0, p), "positive"),
+    (lambda p: np.where(np.arange(7) == 3, -2.0, p), "positive"),
+], ids=["six_columns", "one_row_1d", "fourteen_columns", "nan", "inf", "zero_inv_ax", "negative_inv_ay"])
+def test_add_ellipses_rejects_bad_parameters(rng, change, match):
+    # an inverse semi-axis of 0 used to paint an endless band, and a NaN row nothing
+    params = change(_random_ellipses(rng, 3))
+    with pytest.raises(ValueError, match=match):
+        k.add_ellipses(np.zeros((16, 16)), params)
 
 
 def _lincomb_operands(rng, shape=(17, 13)):

@@ -57,6 +57,27 @@ def test_alpha_bar_range_errors(sched):
         sched.alpha_bar(1001)
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1000.5])
+def test_alpha_bar_non_finite_or_out_of_range_is_a_range_error(sched, t):
+    # the range check runs before int(t), so inf is a ValueError, not an OverflowError
+    with pytest.raises(ValueError, match="outside"):
+        sched.alpha_bar(t)
+
+
+@pytest.mark.parametrize("t", [2.5, 2.7, 0.5, 999.999, np.float64(300.25)])
+def test_alpha_bar_rejects_fractional_steps(sched, t):
+    # used to truncate: alpha_bar(2.5) was alpha_bar(2)
+    with pytest.raises(ValueError, match="integral timestep"):
+        sched.alpha_bar(t)
+
+
+@pytest.mark.parametrize("t", [300.0, np.int64(300), np.int32(300), np.float64(300.0), np.uint16(300)])
+def test_alpha_bar_takes_integral_numbers(sched, t):
+    got = sched.alpha_bar(t)
+    assert type(got) is float
+    assert got == sched.alpha_bar(300) == float(sched.alpha_bars[300])
+
+
 def test_monotonicity(sched, sched_small):
     for s in (sched, sched_small):
         assert (np.diff(s.alpha_bars) < 0).all()
