@@ -20,7 +20,7 @@ from astn.denoiser import (
     conditioned_oracle,
     train_affine_predictor,
 )
-from astn.samplers import SamplerSpec, TrajectoryRecord, predict_x0, run_sampler
+from astn.samplers import SamplerSpec, TrajectoryRecord, run_sampler
 from astn.inversion import ddim_invert
 from astn.regimes import RegimeSpec, ast_n_latent, reconstruct, regime_sweep, sweep_cells
 from astn.metrics import MetricsReport, MetricsRow, psnr, rmse, ssim, timed

@@ -161,6 +161,8 @@ def _dataset_args(cfg):
 
 
 def _build_predictor_factory(cfg, sched, shape, photons):
+    """The predictor shared by every pair, or for "auto" condition noise a
+    function from a pair to its oracle (see :func:`regime_sweep`)."""
     pc = _section(cfg, "predictor")
     kind = pc["kind"]
     cn = pc["condition_noise"]
@@ -178,20 +180,15 @@ def _build_predictor_factory(cfg, sched, shape, photons):
             # "auto" is the Poisson surrogate noise scale at mid intensity: var ~ 0.5/(frac*photons)
             return GaussianOracle(model, sched, math.sqrt(0.5 / (pair.dose_fraction * photons)) if auto else level)
 
-        if auto:
-            return oracle
-        shared = oracle(None)
-        return lambda pair: shared
+        return oracle if auto else oracle(None)
     if kind == "affine":
         path = pc["path"]
         # open() would take an integer for a file descriptor
         if not isinstance(path, str):
             raise ConfigError(f"predictor kind 'affine' needs a path string, got {path!r}")
-        pred = AffinePredictor.load(path)
-        return lambda pair: pred
+        return AffinePredictor.load(path)
     if kind == "zero":
-        zero = ZeroPredictor()
-        return lambda pair: zero
+        return ZeroPredictor()
     raise ConfigError(f"unknown predictor kind {kind!r}")
 
 
@@ -226,9 +223,9 @@ def cmd_run(args):
     if not dataset:
         raise ConfigError(f"{manifest} lists no pairs")
     shape = dataset[0].full_dose.shape
-    factory = _build_predictor_factory(cfg, sched, shape, photons)
+    pred = _build_predictor_factory(cfg, sched, shape, photons)
 
-    report = regime_sweep(cells, dataset, factory, sched, master_seed=seed, threads=args.threads)
+    report = regime_sweep(cells, dataset, pred, sched, master_seed=seed, threads=args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.csv"
@@ -247,9 +244,10 @@ def cmd_run(args):
 _REPORT_COLUMNS = (("psnr_db", ".3f", 17), ("rmse", ".4e", 21), ("ssim", ".3f", 15), ("time_s", ".3f", 15))
 
 
-def render_report(report, T=1000):
-    """Grouped text table in the quality-table layout: full schedule block,
-    reduced-step block, AST block; inverted/standard paired left/right."""
+def render_report(report):
+    """Grouped text table in the quality-table layout: full schedule block
+    (``report.T`` steps or more), reduced-step block, AST block;
+    inverted/standard paired left/right."""
     inverted = {(r.sampler, r.steps): r for r in report.rows if r.regime == "inverted"}
     full = {(r.sampler, r.steps) for r in report.rows if r.regime == "full"}
 
@@ -268,8 +266,8 @@ def render_report(report, T=1000):
         return f"{row.sampler.upper()}@{row.steps}"
 
     blocks = [
-        ("Full schedule", [r for r in report.rows if r.regime == "full" and r.steps >= T]),
-        ("Reduced steps", [r for r in report.rows if r.regime == "full" and r.steps < T]),
+        ("Full schedule", [r for r in report.rows if r.regime == "full" and r.steps >= report.T]),
+        ("Reduced steps", [r for r in report.rows if r.regime == "full" and r.steps < report.T]),
         ("AST-n", [r for r in report.rows if r.regime == "ast"]),
         # inverted rows without a standard partner still need to be shown
         ("Inverted only",

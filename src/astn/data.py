@@ -88,9 +88,7 @@ def generate_phantom(spec):
         value = rng.uniform(*ELLIPSE_INTENSITY)
         params[i] = (cx, cy, 1.0 / ax, 1.0 / ay, math.cos(theta), math.sin(theta), value)
     img = np.full((spec.size, spec.size), BACKGROUND, dtype=np.float64)
-    if spec.n_ellipses:
-        img = k.add_ellipses(img, params)
-    return np.clip(img, 0.0, 1.0)
+    return np.clip(k.add_ellipses(img, params), 0.0, 1.0)
 
 
 def simulate_low_dose(x0, dose_fraction, rng, photons_full_dose=4096):

@@ -15,6 +15,7 @@ valid-mode windows (no padding).
 
 import csv
 import math
+import re
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -72,9 +73,6 @@ _SSIM_C2 = (0.03 * DATA_RANGE) ** 2
 def ssim(ref, test):
     """Mean structural similarity over Gaussian-weighted sliding windows."""
     require_same_shape(ref, test)
-    size = _SSIM_WINDOW.shape[0]
-    if ref.shape[0] < size or ref.shape[1] < size:
-        raise ValueError(f"image {ref.shape} smaller than the {size}x{size} ssim window")
     smap = k.ssim_map(
         np.ascontiguousarray(ref, dtype=np.float64),
         np.ascontiguousarray(test, dtype=np.float64),
@@ -124,15 +122,17 @@ def _csv_values(row, columns):
 
 @dataclass
 class MetricsReport:
-    """Rows keyed by (regime, sampler, steps), per-cell failures, and the
-    number of sweep cells that ran concurrently."""
+    """Rows keyed by (regime, sampler, steps), per-cell failures, the
+    number of sweep cells that ran concurrently and the schedule's T, which
+    sets the steps of a full-schedule row."""
 
     rows: list = field(default_factory=list)
     failures: list = field(default_factory=list)
     threads: int = 1
+    T: int = 1000
 
     def write_csv(self, path):
-        note = f"# time_s is mean wall time per image; sweep threads: {self.threads}"
+        note = f"# time_s is mean wall time per image; schedule T: {self.T}; sweep threads: {self.threads}"
         if self.threads > 1:
             note += f", so time_s was measured under contention between {self.threads} concurrent cells"
         with open(path, "w", newline="") as f:
@@ -162,10 +162,14 @@ class MetricsReport:
 
     @classmethod
     def read_csv(cls, path):
+        """The rows of a :meth:`write_csv` file, and T from its comment line
+        (the default 1000 where that line states none)."""
         with open(path, newline="") as f:
-            # a comment line reads as an empty record, so line_num stays the file's line number
-            reader = csv.reader("\n" if ln.startswith("#") else ln for ln in f)
-            records = [(reader.line_num, rec) for rec in reader if rec]
+            lines = f.readlines()
+        stated_T = re.search(r"schedule T: (\d+)", "".join(ln for ln in lines if ln.startswith("#")))
+        # a comment line reads as an empty record, so line_num stays the file's line number
+        reader = csv.reader("\n" if ln.startswith("#") else ln for ln in lines)
+        records = [(reader.line_num, rec) for rec in reader if rec]
         header = records[0][1] if records else None
         if header is None or tuple(header) != CSV_HEADER:
             raise ValueError(f"{path}: bad metrics header {header}")
@@ -178,4 +182,4 @@ class MetricsReport:
                 rows.append(MetricsRow(*(t(v) for t, v in zip(types, rec))))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        return cls(rows=rows)
+        return cls(rows=rows, T=int(stated_T[1]) if stated_T else cls.T)

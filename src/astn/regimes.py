@@ -134,31 +134,33 @@ def sweep_cells(regimes, kinds, origins, sched, eta=0.0):
 def regime_sweep(cells, dataset, pred, sched, master_seed, threads=1):
     """Run each RegimeSpec of ``cells`` (see :func:`sweep_cells`) over the dataset.
 
-    ``pred`` is an EpsilonPredictor used for every pair, or a callable
-    ``pair -> EpsilonPredictor`` for per-pair predictors. Each cell x image
-    gets an independent PRNG stream derived from ``master_seed`` and the
-    cell's index in ``cells``; one MetricsRow per cell holds metrics and wall
-    time averaged over images. A (regime, sampler, steps) cell that repeats
-    is a ValueError.
+    ``pred`` is the predictor of every pair if it has ``bind``, the one
+    method the samplers call; anything else is a factory ``pair ->
+    EpsilonPredictor``, called once per pair before any cell runs, so an
+    exception it raises propagates. Each cell x image gets an independent
+    PRNG stream derived from ``master_seed`` and the cell's index in
+    ``cells``; one MetricsRow per cell holds metrics and wall time averaged
+    over images. A (regime, sampler, steps) cell that repeats is a ValueError.
     A cell that raises ValueError (a solver domain error) or RuntimeError
     (non-finite output) is recorded in ``report.failures`` as ``(cell,
     "<type>: <message>")`` and the sweep continues; any other exception is a
-    bug and propagates. ``threads`` cells run at once
-    (at least 1); the report records it, since above 1 the cells' wall times
-    are measured under contention.
+    bug and propagates. ``threads`` cells run at once (at least 1); the
+    report records it, since above 1 the cells' wall times are measured
+    under contention, and the schedule's T.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     keys = _distinct("cell", [(spec.regime, spec.sampler.kind, spec.n_or_N) for spec in cells])
-    factory = pred if callable(pred) else (lambda _pair: pred)
-    report = MetricsReport(threads=threads)
+    if not dataset:
+        raise ValueError("empty dataset")
+    preds = [pred] * len(dataset) if hasattr(pred, "bind") else [pred(pair) for pair in dataset]
+    report = MetricsReport(threads=threads, T=sched.T)
 
     def run_cell(ci, spec):
         sums = dict.fromkeys(("psnr_db", "rmse", "ssim", "time_s"), 0.0)
-        for ii, pair in enumerate(dataset):
+        for ii, (pair, pair_pred) in enumerate(zip(dataset, preds)):
             rng = np.random.default_rng(_cell_seed(master_seed, ci, ii))
-            cell_pred = factory(pair)
-            out, elapsed = timed(lambda: reconstruct(spec, pair.low_dose, cell_pred, sched, rng)[0])
+            out, elapsed = timed(lambda: reconstruct(spec, pair.low_dose, pair_pred, sched, rng)[0])
             sums["psnr_db"] += psnr(pair.full_dose, out)
             sums["rmse"] += rmse(pair.full_dose, out)
             sums["ssim"] += ssim(pair.full_dose, out)
@@ -173,8 +175,6 @@ def regime_sweep(cells, dataset, pred, sched, master_seed, threads=1):
         except (ValueError, RuntimeError) as exc:  # cell failures must not kill the sweep
             return keys[ci], None, f"{type(exc).__name__}: {exc}"
 
-    if not dataset:
-        raise ValueError("empty dataset")
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(guarded, range(len(cells))))

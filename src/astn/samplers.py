@@ -73,7 +73,6 @@ __all__ = [
     "SAMPLER_KINDS",
     "SamplerSpec",
     "TrajectoryRecord",
-    "predict_x0",
     "sampler_step",
     "run_sampler",
     "evaluations_per_run",
@@ -102,16 +101,10 @@ class TrajectoryRecord:
 
 
 def _x0_coefs(t, sched):
-    """(c_x, c_eps) of predict_x0 at t: x0_hat = c_x x_t + c_eps eps_hat."""
+    """(c_x, c_eps) at t of x0_hat = (x_t - s_t eps_hat)/a_t = c_x x_t + c_eps eps_hat."""
     ab = sched.alpha_bar_at(t)
     a_t = math.sqrt(ab)
     return 1.0 / a_t, -math.sqrt(1.0 - ab) / a_t
-
-
-def predict_x0(x_t, t, eps_hat, sched):
-    """Data prediction implied by a noise estimate: (x_t - s_t eps_hat)/a_t."""
-    c_x, c_eps = _x0_coefs(t, sched)
-    return k.lincomb2(c_x, x_t, c_eps, eps_hat)
 
 
 # A kind's coefficient function ``(t, u, schedule, eta, lam_prev) -> (apply,

@@ -354,6 +354,19 @@ def test_render_report_golden():
     assert render_report(MetricsReport(rows=rows)) == GOLDEN_REPORT
 
 
+def test_report_reads_the_schedule_T_from_the_run(tmp_path, capsys):
+    # with T = 200 a 200-step full-noise row is the full schedule, also read back from CSV
+    rows = [MetricsRow("full", "ddim", 200, 30.0, 0.03, 0.9, 0.1, 7),
+            MetricsRow("full", "ddim", 50, 29.0, 0.04, 0.8, 0.1, 7)]
+    path = tmp_path / "metrics.csv"
+    MetricsReport(rows=rows, T=200).write_csv(path)
+    assert main(["report", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    full, reduced = lines.index("Full schedule"), lines.index("Reduced steps")
+    assert lines[full + 2].startswith("DDIM@200 ") and lines[reduced + 2].startswith("DDIM@50 ")
+    assert full < reduced == full + 4
+
+
 def test_default_config_is_complete():
     for key in ("seed", "schedule", "dataset", "predictor", "run"):
         assert key in DEFAULT_CONFIG

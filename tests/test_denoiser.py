@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,9 +209,24 @@ def test_affine_load_detects_corruption(tmp_path, rng):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="checksum"):
         AffinePredictor.load(path)
+    lines[2] = " ".join(parts[:-2])  # drop an offset value and the checksum
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: malformed coefficient line for t=2")):
+        AffinePredictor.load(path)
     path.write_text("garbage\n")
     with pytest.raises(ValueError, match="affine"):
         AffinePredictor.load(path)
+
+
+@pytest.mark.parametrize("a, g, b", [
+    (np.ones(4), np.ones(3), np.zeros((4, 2, 2))),
+    (np.ones(4), np.ones(4), np.zeros((3, 2, 2))),
+    (np.ones(4), np.ones(4), np.zeros((4, 2))),
+    (np.ones((4, 1)), np.ones((4, 1)), np.zeros((4, 2, 2))),
+], ids=["g_length", "b_length", "b_2d", "a_2d"])
+def test_affine_rejects_mismatched_tables(a, g, b):
+    with pytest.raises(ValueError, match="coefficient tables must be"):
+        AffinePredictor(a=a, g=g, b=b)
 
 
 def test_train_lr_zero_keeps_initialisation(sched_small):
@@ -303,6 +319,8 @@ def test_train_validation_errors(sched_small, rng):
         train_affine_predictor(model, "none", sched_small, iterations=0, rng=rng)
     with pytest.raises(ValueError):
         train_affine_predictor(model, "none", sched_small, timesteps=(0,), rng=rng)
+    with pytest.raises(ValueError, match="sample-set data must be a stack of images"):
+        train_affine_predictor(rng.random((4, 4)), "none", sched_small, rng=rng)
 
 
 def test_gaussian_model_validation():
@@ -315,6 +333,16 @@ def test_gaussian_model_validation():
         mean[1, 0] = bad  # one non-finite entry is enough
         with pytest.raises(ValueError, match="data mean must be finite"):
             GaussianDataModel(mean=mean, var=0.1)
+
+
+def test_gaussian_model_sample_at_zero_variance_is_the_mean(rng):
+    mean = rng.random((3, 2))
+    state = rng.bit_generator.state
+    draws = GaussianDataModel(mean=mean, var=0.0).sample(rng, 4)
+    assert draws.shape == (4, 3, 2) and (draws == mean).all()
+    # independent writable copies, and no random numbers drawn
+    assert draws.flags.writeable and not np.shares_memory(draws, mean)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("build, match", [

@@ -213,6 +213,20 @@ def test_report_csv_states_sweep_threads(tmp_path, threads):
     assert len(MetricsReport.read_csv(path).rows) == 1
 
 
+@pytest.mark.parametrize("T", [200, 1000, 4000])
+def test_report_csv_round_trips_schedule_T(tmp_path, T):
+    path = tmp_path / "metrics.csv"
+    MetricsReport(T=T).write_csv(path)
+    assert f"schedule T: {T}" in path.read_text().splitlines()[0]
+    assert MetricsReport.read_csv(path).T == T
+
+
+def test_report_csv_without_schedule_T_reads_as_1000(tmp_path):
+    path = tmp_path / "metrics.csv"
+    path.write_text("# time_s is mean wall time per image; sweep threads: 1\n" + ",".join(CSV_HEADER) + "\n")
+    assert MetricsReport.read_csv(path).T == 1000
+
+
 def test_report_csv_malformed_row_reports_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(",".join(CSV_HEADER) + "\nfull,ddim,abc,1,2,0.5,1,0\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from astn.data import DosePair, PhantomSpec, generate_phantom, simulate_low_dose
-from astn.denoiser import EpsilonPredictor, GaussianDataModel, conditioned_oracle
+from astn.denoiser import EpsilonPredictor, GaussianDataModel, GaussianOracle, conditioned_oracle
 from astn.forward import q_sample
 from astn.regimes import RegimeSpec, ast_n_latent, make_regime_spec, reconstruct, regime_sweep, sweep_cells
 from astn.samplers import SamplerSpec, evaluations_per_run
@@ -207,6 +207,50 @@ def test_sweep_is_reproducible_and_thread_invariant(sched):
     for other in (b, c):
         for ra, rb in zip(a.rows, other.rows):
             assert (ra.psnr_db, ra.rmse, ra.ssim) == (rb.psnr_db, rb.rmse, rb.ssim)
+
+
+def _metrics(report):
+    return [(r.regime, r.sampler, r.steps, r.psnr_db, r.rmse, r.ssim) for r in report.rows]
+
+
+def test_sweep_takes_a_callable_predictor_as_itself(sched):
+    # anything with bind is the predictor of every pair, even if it is callable
+    class CallableOracle(GaussianOracle):
+        def __call__(self, x_t, t):
+            return self.predict(x_t, t)
+
+    plain = _cond_oracle(sched)
+    called = CallableOracle(plain.model, plain.sched, plain.noise_level)
+    pairs = _pairs(2, 32, 0.25)
+    cells = sweep_cells(("full", "ast"), ["ddim"], [10], sched)
+    got = regime_sweep(cells, pairs, called, sched, master_seed=6)
+    assert not got.failures
+    assert _metrics(got) == _metrics(regime_sweep(cells, pairs, plain, sched, master_seed=6))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_calls_a_factory_once_per_pair(sched, threads):
+    pairs = _pairs(3, 32, 0.25)
+    pred = _cond_oracle(sched)
+    seen = []
+
+    def factory(pair):
+        seen.append(pair.pair_id)
+        return pred
+
+    cells = sweep_cells(("full", "ast"), ["ddim", "dpm1"], [10], sched)
+    got = regime_sweep(cells, pairs, factory, sched, master_seed=8, threads=threads)
+    assert seen == ["p0", "p1", "p2"] and len(got.rows) == 4
+    assert _metrics(got) == _metrics(regime_sweep(cells, pairs, pred, sched, master_seed=8))
+
+
+def test_sweep_factory_error_stops_before_any_cell(sched):
+    def factory(pair):
+        raise ValueError(f"no predictor for {pair.pair_id}")
+
+    with pytest.raises(ValueError, match="no predictor for p0"):
+        regime_sweep(sweep_cells(["ast"], ["ddim"], [5], sched), _pairs(1, 32, 0.25), factory, sched,
+                     master_seed=1)
 
 
 def test_sweep_eta_applies_to_ddim_cells_only(sched):

@@ -18,7 +18,6 @@ from astn.regimes import make_regime_spec, reconstruct
 from astn.samplers import (
     SamplerSpec,
     evaluations_per_run,
-    predict_x0,
     run_sampler,
     sampler_step,
 )
@@ -69,38 +68,16 @@ def toy(sched):
     return model, GaussianOracle(model, sched), rng.standard_normal((8, 8))
 
 
+def _x0_hat(x_t, t, eps_hat, sched):
+    """The data prediction (x_t - s_t eps_hat)/a_t, in the terminal hop's arithmetic."""
+    a_t = math.sqrt(sched.alpha_bar_at(t))
+    return k.lincomb2(1.0 / a_t, x_t, -math.sqrt(1.0 - sched.alpha_bar_at(t)) / a_t, eps_hat)
+
+
 def _run(kind, N, x_init, pred, sched, seed=1, eta=0.0, origin=1000):
     spec = SamplerSpec(kind=kind, grid=make_timestep_grid(origin, N, sched.T), eta=eta)
     out, _ = run_sampler(spec, x_init, pred, None, sched, rng=np.random.default_rng(seed))
     return out
-
-
-# ---------------------------------------------------------------- predict_x0
-
-
-def test_predict_x0_round_trip(sched, rng):
-    x0 = rng.random((6, 6))
-    eps = rng.standard_normal((6, 6))
-    x_t = q_sample(x0, 700, eps, sched)
-    assert np.abs(predict_x0(x_t, 700, eps, sched) - x0).max() < 1e-12
-
-
-def test_predict_x0_zero_eps(sched, rng):
-    x_t = rng.standard_normal((4, 4))
-    out = predict_x0(x_t, 300, np.zeros_like(x_t), sched)
-    assert np.allclose(out, x_t / math.sqrt(sched.alpha_bar(300)), atol=1e-14)
-
-
-def test_predict_x0_scalar_reference(sched, rng):
-    x_t = rng.standard_normal((3, 3))
-    eps = rng.standard_normal((3, 3))
-    t = 412
-    out = predict_x0(x_t, t, eps, sched)
-    ab = sched.alpha_bar(t)
-    for i in range(3):
-        for j in range(3):
-            want = (x_t[i, j] - math.sqrt(1 - ab) * eps[i, j]) / math.sqrt(ab)
-            assert out[i, j] == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------- ddpm
@@ -257,7 +234,7 @@ def test_dpmpp2m_first_step_is_first_order(sched, toy):
     out = sampler_step("dpmpp2m", x, 1000, 600, pred, None, sched)
     # first-order data-prediction step, written out directly
     eps_hat = pred.predict(x, 1000)
-    m0 = predict_x0(x, 1000, eps_hat, sched)
+    m0 = _x0_hat(x, 1000, eps_hat, sched)
     ab_t, ab_u = sched.alpha_bar(1000), sched.alpha_bar(600)
     h = sched.log_snr(600) - sched.log_snr(1000)
     want = math.sqrt((1 - ab_u) / (1 - ab_t)) * x - math.sqrt(ab_u) * math.expm1(-h) * m0
@@ -538,7 +515,7 @@ def test_inversion_hop_is_the_ddim_update(sched):
         fused = k.lincomb2(a_hi * c_x, x, a_hi * c_eps + math.sqrt(1.0 - ab_hi), eps_hat)
         assert np.array_equal(got, fused)
         # the textbook two-stage update, up to rounding
-        x0_hat = predict_x0(x, lo, eps_hat, sched)
+        x0_hat = _x0_hat(x, lo, eps_hat, sched)
         two_stage = k.lincomb2(a_hi, x0_hat, math.sqrt(1.0 - ab_hi), eps_hat)
         assert np.abs(got - two_stage).max() <= 1e-12 * np.abs(two_stage).max()
 
@@ -551,7 +528,7 @@ def test_inversion_hop_is_the_ddim_update(sched):
 
 def _two_stage_hop(kind, x, t, u, eps, sched, eta, rng, state):
     eps_hat = eps(x, t)
-    x0_hat = predict_x0(x, t, eps_hat, sched)
+    x0_hat = _x0_hat(x, t, eps_hat, sched)
     if u == 0:
         return x0_hat
     ab_t, ab_u = sched.alpha_bar(t), sched.alpha_bar(u)
@@ -599,7 +576,7 @@ def _two_stage_hop(kind, x, t, u, eps, sched, eta, rng, state):
             x_pred = k.lincomb3(c_x, x, c_m, x0_hat, c_half, d1_0)
         else:
             x_pred = k.lincomb2(c_x, x, c_m, x0_hat)
-        d1_t = predict_x0(x_pred, u, eps(x_pred, u), sched) - x0_hat
+        d1_t = _x0_hat(x_pred, u, eps(x_pred, u), sched) - x0_hat
         if hist:
             rho0 = (b1 - b2) / (1.0 - r0)
             rho1 = (b2 - r0 * b1) / (1.0 - r0)
@@ -776,6 +753,8 @@ def test_sampler_spec_validation(sched):
         SamplerSpec(kind="dpm1", grid=grid, eta=0.5)
     with pytest.raises(ValueError):
         SamplerSpec(kind="ddim", grid=grid, eta=-1.0)
+    with pytest.raises(ValueError, match="sampler grid is empty"):
+        SamplerSpec(kind="ddim", grid=())
 
 
 def test_sampler_spec_rejects_eta_for_ddpm(sched):
