@@ -4,6 +4,10 @@ Every sampler step, oracle evaluation and metric window reduces to a handful
 of elementwise kernels defined here. Scalar transcendentals (exp, log) are
 always computed outside the kernels.
 
+``lincomb2``, ``lincomb3`` and ``scaled_residual`` run one pass sequence:
+without ``out`` they allocate it and run the same passes, so the two forms
+are bit-identical.
+
 Aliasing rules. With ``out`` given, a kernel writes only ``out`` and, for
 ``lincomb2``/``lincomb3``, ``tmp``. Each docstring says which operands
 ``out`` and ``tmp`` may alias; within those rules every operand is read
@@ -53,16 +57,15 @@ def active_backend():
 def lincomb2(ca, a, cb, b, out=None, tmp=None):
     """``ca*a + cb*b``, into ``out`` when it is given.
 
-    ``tmp`` is optional scratch for ``cb*b``, shaped like ``out``. Both forms
-    evaluate ``ca*a``, ``cb*b`` and their sum with the same elementwise
-    operations, so they are bit-identical; ``1.0*a`` is exact, so with
-    ``ca == 1.0`` and ``out`` being ``a`` that pass is skipped. ``cb*b`` is
-    formed first, so ``out`` may alias ``a`` or ``b``. ``tmp`` may be ``b``
-    (which is then overwritten) when ``out`` is not ``b``, and must alias
-    nothing else.
+    ``tmp`` is optional scratch for ``cb*b``, shaped like ``out``. Without
+    ``out`` the result has the expression's dtype. ``1.0*a`` is exact, so
+    with ``ca == 1.0`` and ``out`` being ``a`` that pass is skipped.
+    ``cb*b`` is formed first, so ``out`` may alias ``a`` or ``b``. ``tmp``
+    may be ``b`` (which is then overwritten) when ``out`` is not ``b``, and
+    must alias nothing else.
     """
     if out is None:
-        return ca * a + cb * b
+        out = np.empty(np.broadcast(a, b).shape, np.result_type(ca, a, cb, b))
     t = np.multiply(cb, b, out=tmp)
     if not (out is a and ca == 1.0):
         np.multiply(ca, a, out=out)
@@ -72,12 +75,12 @@ def lincomb2(ca, a, cb, b, out=None, tmp=None):
 def lincomb3(ca, a, cb, b, cc, c, out=None, tmp=None):
     """``(ca*a + cb*b) + cc*c``, into ``out`` when it is given.
 
-    Bit-identical to the allocating form, like :func:`lincomb2`. ``out`` may
-    alias ``a`` but not ``b`` or ``c``. ``tmp`` may be ``b`` (which is then
-    overwritten) when ``c`` is not ``b``, and must alias nothing else.
+    ``out`` may alias ``a`` but not ``b`` or ``c``. ``tmp`` may be ``b``
+    (which is then overwritten) when ``c`` is not ``b``, and must alias
+    nothing else.
     """
     if out is None:
-        return (ca * a + cb * b) + cc * c
+        out = np.empty(np.broadcast(a, b, c).shape, np.result_type(ca, a, cb, b, cc, c))
     np.multiply(ca, a, out=out)
     t = np.multiply(cb, b, out=tmp)
     np.add(out, t, out=out)
@@ -88,12 +91,11 @@ def lincomb3(ca, a, cb, b, cc, c, out=None, tmp=None):
 def scaled_residual(c, a, cb, b, out=None):
     """``c*(a - cb*b)``, into ``out`` when it is given.
 
-    Three in-place passes over ``out`` with no scratch; without ``out`` the
-    same passes run in one fresh array, so the two forms are bit-identical.
-    ``out`` may alias ``b`` but not ``a``.
+    Three in-place passes over ``out`` with no scratch. ``out`` may alias
+    ``b`` but not ``a``.
     """
     if out is None:
-        out = np.empty(np.broadcast(a, b).shape, np.result_type(a, b, 1.0))
+        out = np.empty(np.broadcast(a, b).shape, np.result_type(c, a, cb, b))
     np.multiply(cb, b, out=out)
     np.subtract(a, out, out=out)
     return np.multiply(c, out, out=out)

@@ -29,7 +29,6 @@ __all__ = [
     "GaussianOracle",
     "ZeroPredictor",
     "AffinePredictor",
-    "analytic_gaussian_epsilon",
     "conditioned_oracle",
     "train_affine_predictor",
 ]
@@ -91,20 +90,8 @@ class GaussianDataModel:
         return self.mean + math.sqrt(self.var) * rng.standard_normal((n,) + self.mean.shape)
 
 
-def analytic_gaussian_epsilon(model, x_t, t, sched, out=None):
-    """Bayes-optimal noise estimate for Gaussian data (closed form above).
-
-    Evaluated as ``coef * (x_t - sqrt(ab_t) m)`` by
-    :func:`~astn._kernels.scaled_residual`, in ``out`` alone when it is
-    given; ``out`` must not be ``x_t``.
-    """
-    ab = sched.alpha_bar_at(t)
-    coef = math.sqrt(1.0 - ab) / (ab * model.var + (1.0 - ab))
-    return k.scaled_residual(coef, x_t, math.sqrt(ab), model.mean, out=out)
-
-
 class GaussianOracle(EpsilonPredictor):
-    """Predictor wrapper around :func:`analytic_gaussian_epsilon`.
+    """Bayes-optimal noise estimate for Gaussian data, the closed form above.
 
     With ``noise_level`` None the condition is ignored. Otherwise the oracle
     requires the noisy observation c and substitutes the Gaussian posterior
@@ -141,15 +128,21 @@ class GaussianOracle(EpsilonPredictor):
         return post_mean, post_var
 
     def bind(self, cond):
-        """The posterior is computed here, once per condition image."""
+        """The posterior is computed here, once per condition image; the
+        estimate ``coef * (x_t - sqrt(ab_t) m)`` is one ``scaled_residual``.
+        A condition or latent not shaped like the prior mean is a ValueError."""
         self._require_condition(cond)
-        model = self.model if self.noise_level is None else GaussianDataModel(*self._posterior(cond))
-        sched = self.sched
+        model = self.model
+        if self.noise_level is not None:
+            require_same_shape(cond, model.mean, "condition and prior mean")
+            model = GaussianDataModel(*self._posterior(cond))
+        mean, var, sched = model.mean, model.var, self.sched
 
         def eps(x_t, t, out=None):
-            if cond is not None:
-                require_same_shape(x_t, cond, "latent and condition")
-            return analytic_gaussian_epsilon(model, x_t, t, sched, out=out)
+            require_same_shape(x_t, mean, "latent and oracle mean")
+            ab = sched.alpha_bar_at(t)
+            coef = math.sqrt(1.0 - ab) / (ab * var + (1.0 - ab))
+            return k.scaled_residual(coef, x_t, math.sqrt(ab), mean, out=out)
 
         return eps
 
@@ -207,15 +200,18 @@ class AffinePredictor(EpsilonPredictor):
         )
 
     def bind(self, cond):
-        """Writes into ``out`` when it is given, with one scratch array per bind."""
+        """Writes into ``out`` when it is given, with one scratch array per bind.
+        A condition or latent not shaped like ``b.shape[1:]`` is a ValueError."""
         self._require_condition(cond)
         a, g, b, T = self.a, self.g, self.b, self.T
         conditional = self.conditional
+        # shaped like one offset image, so images are checked against it
         scratch = np.empty(b.shape[1:])
+        if conditional:
+            require_same_shape(cond, scratch, "condition and offset table")
 
         def eps(x_t, t, out=None):
-            if cond is not None:
-                require_same_shape(x_t, cond, "latent and condition")
+            require_same_shape(x_t, scratch, "latent and offset table")
             ti = int(math.floor(t + 0.5))
             if not 1 <= ti <= T:
                 raise ValueError(f"timestep {t} outside trained range [1, {T}]")

@@ -7,7 +7,7 @@ are the single place where shape and finiteness contracts are enforced.
 
 import numpy as np
 
-__all__ = ["as_image", "require_same_shape", "require_finite"]
+__all__ = ["as_image", "require_same_shape"]
 
 
 def as_image(data):
@@ -17,15 +17,11 @@ def as_image(data):
         raise ValueError(f"image must be 2D, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"image dimensions must be positive, got {arr.shape}")
-    require_finite(arr)
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite values in image")
     return arr
 
 
 def require_same_shape(a, b, what="images"):
     if a.shape != b.shape:
         raise ValueError(f"{what} have mismatched shapes {a.shape} vs {b.shape}")
-
-
-def require_finite(arr):
-    if not np.isfinite(arr).all():
-        raise ValueError("non-finite values in image")

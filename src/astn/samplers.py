@@ -101,8 +101,8 @@ class TrajectoryRecord:
 
 
 def _x0_coefs(t, sched):
-    """(c_x, c_eps) at t of x0_hat = (x_t - s_t eps_hat)/a_t = c_x x_t + c_eps eps_hat."""
-    ab = sched.alpha_bar_at(t)
+    """(c_x, c_eps) at grid step t of x0_hat = (x_t - s_t eps_hat)/a_t = c_x x_t + c_eps eps_hat."""
+    ab = sched.alpha_bar(t)
     a_t = math.sqrt(ab)
     return 1.0 / a_t, -math.sqrt(1.0 - ab) / a_t
 

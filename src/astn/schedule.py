@@ -22,8 +22,9 @@ __all__ = ["NoiseSchedule", "TimestepGrid", "make_linear_schedule", "make_timest
 class NoiseSchedule:
     """Immutable beta/alpha/alpha_bar tables for ``T`` diffusion steps.
 
-    ``alpha_bars`` has length T+1 with ``alpha_bars[0] = 1``; entry t is the
-    product of the first t noise decay factors, strictly decreasing in t.
+    ``alphas`` must equal ``1 - betas``. ``alpha_bars`` has length T+1 with
+    ``alpha_bars[0] = 1``; entry t is the product of the first t alphas,
+    within a relative 1e-9, and strictly decreasing in t.
     ``log_snrs`` is derived from it: entry t is lambda_t for t in [1, T],
     strictly decreasing, and entry 0 is +inf (clean data).
     """
@@ -48,6 +49,12 @@ class NoiseSchedule:
             raise ValueError("alpha_bars must start at 1 and stay positive")
         if not (np.diff(self.alpha_bars) < 0.0).all():
             raise ValueError("alpha_bars must be strictly decreasing")
+        if not np.array_equal(self.alphas, 1.0 - self.betas):
+            raise ValueError("alphas must equal 1 - betas")
+        # a product of T factors taken in another order differs by rounding
+        # of about T ulps; 1e-9 covers that for any T below a million
+        if not np.allclose(self.alpha_bars[1:], np.cumprod(self.alphas), rtol=1e-9, atol=0.0):
+            raise ValueError("alpha_bars must be the running product of alphas")
         lams = [math.inf] + [0.5 * math.log(ab / (1.0 - ab)) for ab in self.alpha_bars[1:].tolist()]
         object.__setattr__(self, "log_snrs", np.array(lams))
         # plain floats: a tuple lookup is cheaper than a numpy scalar's float()

@@ -234,6 +234,24 @@ def test_malformed_manifest_is_runtime_failure(workspace, capsys):
     assert "runtime failure" in err and "manifest.csv:3: expected 5 fields, got 4" in err
 
 
+def test_mixed_size_dataset_fails_before_any_cell(workspace, capsys):
+    tmp, cfg = workspace
+    out, larger = tmp / "work", tmp / "larger"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    larger_cfg = tmp / "larger.json"
+    save_config({**SMALL_CONFIG, "dataset": {**SMALL_CONFIG["dataset"], "size": 48}}, larger_cfg)
+    assert main(["generate", "--config", str(larger_cfg), "--out", str(larger)]) == 0
+    # the second pair of the 32^2 manifest becomes 48^2
+    for name in ("pair001_full.img", "pair001_d025_low.img"):
+        (out / "dataset" / name).write_bytes((larger / "dataset" / name).read_bytes())
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "runtime failure" in err and "pair001_d025" in err
+    assert "(48, 48)" in err and "(32, 32)" in err
+    assert not (out / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize("damage", ["bad_header", "bad_checksum", "bad_number"])
 def test_corrupt_affine_predictor_is_runtime_failure(workspace, capsys, damage):
     tmp, cfg = workspace

@@ -9,12 +9,11 @@ from astn.denoiser import (
     GaussianDataModel,
     GaussianOracle,
     ZeroPredictor,
-    analytic_gaussian_epsilon,
     conditioned_oracle,
     train_affine_predictor,
 )
 from astn.forward import q_sample, training_loss
-from astn.samplers import SamplerSpec
+from astn.samplers import SamplerSpec, run_sampler
 from astn.schedule import make_timestep_grid
 
 
@@ -22,7 +21,7 @@ def test_oracle_standard_normal_data(sched, rng):
     # m=0, s^2=1 collapses the denominator: E[eps|x_t] = sqrt(1-ab) x_t
     model = GaussianDataModel(mean=np.zeros((6, 6)), var=1.0)
     x_t = rng.standard_normal((6, 6))
-    out = analytic_gaussian_epsilon(model, x_t, 400, sched)
+    out = GaussianOracle(model, sched).predict(x_t, 400)
     assert np.allclose(out, math.sqrt(1 - sched.alpha_bar(400)) * x_t, atol=1e-14)
 
 
@@ -165,9 +164,32 @@ def test_bind_without_condition_raises(sched, rng, name):
 
 
 def test_bound_oracle_checks_condition_shape(sched, rng):
-    eps = _bind_cases(sched, rng)["conditioned_finite"].bind(rng.random((6, 5)))
+    cases = _bind_cases(sched, rng)
+    # latents are checked against the oracle's own mean, with or without a condition
+    for eps in (cases["conditioned_finite"].bind(rng.random((6, 5))), cases["gaussian_oracle"].bind(None)):
+        with pytest.raises(ValueError, match="mismatched shapes"):
+            eps(np.zeros((5, 6)), 10)
+    # a condition the predictor uses is checked when it is bound
+    for name in ("conditioned_noise0", "conditioned_finite", "conditioned_inf", "affine_conditional"):
+        with pytest.raises(ValueError, match="mismatched shapes"):
+            cases[name].bind(rng.random((5, 6)))
+
+
+def test_oracle_rejects_latent_of_another_shape(sched, rng):
+    # (1, 8) broadcasts against the (8, 8) mean, which used to return an (8, 8) estimate
+    pred = GaussianOracle(GaussianDataModel(mean=rng.random((8, 8)), var=0.1), sched)
     with pytest.raises(ValueError, match="mismatched shapes"):
-        eps(np.zeros((5, 6)), 10)
+        pred.predict(rng.standard_normal((1, 8)), 500)
+
+
+@pytest.mark.parametrize("conditional", [False, True])
+def test_affine_rejects_latent_of_another_shape(sched, rng, conditional):
+    # (1, 8) offsets broadcast into an (8, 8) latent, which used to sample to the end
+    pred = AffinePredictor.initial(sched.T, (1, 8), conditional=conditional)
+    spec = SamplerSpec(kind="ddim", grid=make_timestep_grid(sched.T, 10, sched.T))
+    cond = rng.random((8, 8)) if conditional else None
+    with pytest.raises(ValueError, match="mismatched shapes"):
+        run_sampler(spec, rng.standard_normal((8, 8)), pred, cond, sched)
 
 
 def test_affine_predict_math(sched, rng):

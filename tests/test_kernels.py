@@ -220,28 +220,41 @@ def test_add_ellipses_rejects_bad_parameters(rng, change, match):
         k.add_ellipses(np.zeros((16, 16)), params)
 
 
-def _lincomb_operands(rng, shape=(17, 13)):
-    return (0.7, rng.standard_normal(shape), -0.3, rng.standard_normal(shape),
-            1.9, rng.standard_normal(shape))
+def _lincomb_operands(rng, shape=(17, 13), dtype=np.float64, coef=float):
+    arr = lambda: rng.standard_normal(shape).astype(dtype)
+    return coef(0.7), arr(), coef(-0.3), arr(), coef(1.9), arr()
 
 
-@pytest.mark.parametrize("alias", [None, "a", "b"])
-def test_lincomb2_out_matches_allocating_form(rng, alias):
-    ca, a, cb, b, _, _ = _lincomb_operands(rng)
+def _allocating_cases(*aliases):
+    """(out alias, array dtype, coefficient type) cases. Without out the result
+    has the expression's dtype: float64 for float32 arrays with numpy float64
+    coefficients and for int64 arrays."""
+    return [pytest.param(alias, np.float64, float, id=str(alias)) for alias in aliases] + [
+        pytest.param(None, np.float32, np.float64, id="float32-np.float64"),
+        pytest.param(None, np.int64, float, id="int64"),
+    ]
+
+
+@pytest.mark.parametrize("alias, dtype, coef", _allocating_cases(None, "a", "b"))
+def test_lincomb2_out_matches_allocating_form(rng, alias, dtype, coef):
+    ca, a, cb, b, _, _ = _lincomb_operands(rng, dtype=dtype, coef=coef)
     want = k.lincomb2(ca, a, cb, b)
-    out = {None: np.empty_like(a), "a": a, "b": b}[alias]
-    tmp = np.empty_like(a)
-    got = k.lincomb2(ca, a, cb, b, out=out, tmp=tmp)
+    expr = ca * a + cb * b
+    assert want.dtype == expr.dtype and np.array_equal(want, expr)
+    out = {None: np.empty_like(want), "a": a, "b": b}[alias]
+    got = k.lincomb2(ca, a, cb, b, out=out, tmp=np.empty_like(want))
     assert got is out
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("alias", [None, "a"])
-def test_lincomb3_out_matches_allocating_form(rng, alias):
-    ca, a, cb, b, cc, c = _lincomb_operands(rng)
+@pytest.mark.parametrize("alias, dtype, coef", _allocating_cases(None, "a"))
+def test_lincomb3_out_matches_allocating_form(rng, alias, dtype, coef):
+    ca, a, cb, b, cc, c = _lincomb_operands(rng, dtype=dtype, coef=coef)
     want = k.lincomb3(ca, a, cb, b, cc, c)
-    out = a if alias == "a" else np.empty_like(a)
-    got = k.lincomb3(ca, a, cb, b, cc, c, out=out, tmp=np.empty_like(a))
+    expr = (ca * a + cb * b) + cc * c
+    assert want.dtype == expr.dtype and np.array_equal(want, expr)
+    out = a if alias == "a" else np.empty_like(want)
+    got = k.lincomb3(ca, a, cb, b, cc, c, out=out, tmp=np.empty_like(want))
     assert got is out
     assert np.array_equal(got, want)
 
@@ -288,12 +301,13 @@ def test_lincomb2_unit_coefficient_in_place(rng):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("out_alias", [None, "b"])
-def test_scaled_residual_out_matches_allocating_form(rng, out_alias):
-    c, a, cb, b, _, _ = _lincomb_operands(rng)
+@pytest.mark.parametrize("out_alias, dtype, coef", _allocating_cases(None, "b"))
+def test_scaled_residual_out_matches_allocating_form(rng, out_alias, dtype, coef):
+    c, a, cb, b, _, _ = _lincomb_operands(rng, dtype=dtype, coef=coef)
     want = k.scaled_residual(c, a, cb, b)
-    assert np.array_equal(want, c * (a - cb * b))
-    out = b if out_alias == "b" else np.empty_like(a)
+    expr = c * (a - cb * b)
+    assert want.dtype == expr.dtype and np.array_equal(want, expr)
+    out = b if out_alias == "b" else np.empty_like(want)
     got = k.scaled_residual(c, a, cb, b, out=out)
     assert got is out
     assert np.array_equal(got, want)

@@ -370,17 +370,24 @@ def test_run_sampler_equals_fold_of_step_functions(sched, name, N):
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(traj.snapshots, snapshots))
 
 
-@pytest.mark.parametrize("kind, eta, match", [
-    ("euler", 0.0, "unknown sampler kind"),
-    ("ddim", -1.0, "eta must be >= 0"),
-    ("dpm1", -0.5, "eta must be >= 0"),
-    ("dpm1", 0.5, "eta applies only to ddim"),
-    ("ddpm", 1.0, "eta applies only to ddim"),
-])
-def test_sampler_step_rejects_bad_calls(sched, toy, kind, eta, match):
+# (kind, eta, match, hop t -> t_prev); ids name the first three
+_BAD_STEP_CALLS = [
+    ("euler", 0.0, "unknown sampler kind", (500, 400)),
+    ("ddim", -1.0, "eta must be >= 0", (500, 400)),
+    ("dpm1", -0.5, "eta must be >= 0", (500, 400)),
+    ("dpm1", 0.5, "eta applies only to ddim", (500, 400)),
+    ("ddpm", 1.0, "eta applies only to ddim", (500, 400)),
+    # a fractional start is rejected on the terminal hop as on any other
+    ("ddim", 0.0, "alpha_bar needs an integral timestep", (500.5, 0)),
+]
+
+
+@pytest.mark.parametrize("kind, eta, match, hop", _BAD_STEP_CALLS,
+                         ids=[f"{k}-{e}-{m}" for k, e, m, _ in _BAD_STEP_CALLS])
+def test_sampler_step_rejects_bad_calls(sched, toy, kind, eta, match, hop):
     _, pred, x = toy
     with pytest.raises(ValueError, match=match):
-        sampler_step(kind, x, 500, 400, pred, None, sched, eta=eta, rng=np.random.default_rng(0))
+        sampler_step(kind, x, *hop, pred, None, sched, eta=eta, rng=np.random.default_rng(0))
 
 
 def test_sampler_step_options_are_keyword_only(sched, toy):

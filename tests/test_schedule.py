@@ -122,6 +122,9 @@ _BAD_SCHEDULE = {
                       "alpha_bars must start at 1 and stay positive"),
     "alpha_bars_flat": ({"alpha_bars": _with(_SMALL.alpha_bars, 2, _SMALL.alpha_bars[1])},
                         "alpha_bars must be strictly decreasing"),
+    "betas_halved": ({"betas": 0.5 * _SMALL.betas}, "alphas must equal 1 - betas"),
+    "alpha_bars_off_product": ({"alpha_bars": _with(_SMALL.alpha_bars, 2, _SMALL.alpha_bars[2] * (1.0 - 1e-6))},
+                               "alpha_bars must be the running product of alphas"),
 }
 
 
@@ -132,6 +135,13 @@ def test_schedule_constructor_errors(case):
     NoiseSchedule(**tables)  # the unchanged tables are valid
     with pytest.raises(ValueError, match=re.escape(message)):
         NoiseSchedule(**{**tables, **override})
+
+
+def test_schedule_accepts_alpha_bars_from_another_product_order(sched):
+    # exp(sum(log)) differs from cumprod by rounding (about 1e-14 relative at T = 1000)
+    alpha_bars = np.concatenate([[1.0], np.exp(np.cumsum(np.log(sched.alphas)))])
+    assert not np.array_equal(alpha_bars, sched.alpha_bars)
+    NoiseSchedule(T=sched.T, betas=sched.betas, alphas=sched.alphas, alpha_bars=alpha_bars)
 
 
 def test_log_snr_interpolation(sched):
