@@ -60,6 +60,13 @@ class EpsilonPredictor(ABC):
         always use the returned array, which may or may not be ``out``; this
         default ignores ``out`` and returns whatever ``predict`` returns. An
         override must accept ``out`` and must not write into ``x_t``.
+
+        An override's bound function may also carry an optional attribute
+        ``terms(x_t, t) -> (a, img, b)``, the same estimate as
+        ``a * x_t + b * img`` with scalars ``a``, ``b`` and an image ``img``
+        that callers never write. The samplers then fold ``a`` and ``b``
+        into the linear combination that reads the estimate, and a call of
+        ``terms`` counts as one evaluation.
         """
         self._require_condition(cond)
         return lambda x_t, t, out=None: self.predict(x_t, t, cond)
@@ -130,7 +137,13 @@ class GaussianOracle(EpsilonPredictor):
     def bind(self, cond):
         """The posterior is computed here, once per condition image; the
         estimate ``coef * (x_t - sqrt(ab_t) m)`` is one ``scaled_residual``.
-        A condition or latent not shaped like the prior mean is a ValueError."""
+        A condition or latent not shaped like the prior mean is a ValueError.
+
+        The bound function also has ``terms(x_t, t) -> (coef, m,
+        -coef * sqrt(ab_t))``, the estimate as ``a * x_t + b * img`` with
+        ``m`` the bound prior or posterior mean (at noise level 0, the
+        condition itself); it does no array work, so a sampler can fold the
+        estimate into the linear combination that reads it."""
         self._require_condition(cond)
         model = self.model
         if self.noise_level is not None:
@@ -138,12 +151,20 @@ class GaussianOracle(EpsilonPredictor):
             model = GaussianDataModel(*self._posterior(cond))
         mean, var, sched = model.mean, model.var, self.sched
 
-        def eps(x_t, t, out=None):
+        def scalars(x_t, t):
             require_same_shape(x_t, mean, "latent and oracle mean")
             ab = sched.alpha_bar_at(t)
-            coef = math.sqrt(1.0 - ab) / (ab * var + (1.0 - ab))
-            return k.scaled_residual(coef, x_t, math.sqrt(ab), mean, out=out)
+            return math.sqrt(1.0 - ab) / (ab * var + (1.0 - ab)), math.sqrt(ab)
 
+        def eps(x_t, t, out=None):
+            coef, root_ab = scalars(x_t, t)
+            return k.scaled_residual(coef, x_t, root_ab, mean, out=out)
+
+        def terms(x_t, t):
+            coef, root_ab = scalars(x_t, t)
+            return coef, mean, -coef * root_ab
+
+        eps.terms = terms
         return eps
 
     def predict(self, x_t, t, cond=None):

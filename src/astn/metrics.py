@@ -108,6 +108,9 @@ class MetricsRow:
             raise ValueError(f"ssim {self.ssim} outside [-1, 1]")
         if self.rmse < 0.0 or self.time_s < 0.0:
             raise ValueError("rmse and time_s must be >= 0")
+        for name in ("psnr_db", "rmse", "time_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 CSV_HEADER = tuple(f.name for f in fields(MetricsRow))

@@ -38,20 +38,33 @@ the first-order hop every grid of theirs starts with) and DDIM inversion
 (upward DDIM hops, see ``astn.inversion``). Callers bind the predictor to
 the condition once (``EpsilonPredictor.bind``).
 
+An evaluation whose latent is already a term of the combination that reads
+it is folded into that combination: the ddpm, ddim and dpm1 hops, the
+terminal hop, DDIM inversion's hops, the x0_hat of dpmpp2m and unipc2, and
+unipc2's landing evaluation (x_pred is a term of its combination). When the
+bound predictor has ``terms`` (the Gaussian oracles do), eps_hat = a x_t +
+b img costs no array pass: c_x x_t + c_eps eps_hat is written as (c_x +
+c_eps a) x_t + (c_eps b) img. Any other predictor is evaluated into ``eps``
+as (0, eps_hat, 1), and its combination is exactly c_x x_t + c_eps eps_hat.
+dpm2's midpoint evaluation is not a term of its combination and always
+calls the bound function.
+
 The executor owns one call's workspace of named latent-shaped buffers,
 allocated on first use and dropped on return, the finiteness check after
 every hop and the optional ``TrajectoryRecord``. The buffers are the two
 latents the result ping-pongs between, the predictor's estimate ``eps``,
 the noise draw ``noise`` (ddpm and eta > 0 ddim) and, for the multistep
 kinds, the data prediction ``x0`` and the history ``x0_prev`` it swaps
-with. There is no scratch buffer: once an estimate has been read, ``eps``
-is the kernels' ``tmp`` (see the aliasing rules in ``astn._kernels``), and
-the Gaussian oracles need none. A ddim, dpm1 or dpm2 hop with an oracle
-thus touches four latent-sized arrays (x_t, the prior or posterior mean,
-``eps`` and the output), ddpm and eta > 0 ddim add ``noise``, and dpmpp2m
-and unipc2 add the history pair. Once every buffer is in use (after the
-first hop, the second for the multistep kinds) a plan allocates no images,
-except what a predictor that ignores ``out`` returns. Noise is drawn in
+with. There is no scratch buffer: once an estimate has been read, or when
+it was folded, ``eps`` is the kernels' ``tmp`` (see the aliasing rules in
+``astn._kernels``), and the Gaussian oracles need none. A ddim or dpm1 hop
+with an oracle thus touches four latent-sized arrays, x_t, the prior or
+posterior mean (read), ``eps`` (scratch) and the output (written), in one
+``lincomb2``; dpm2 adds its midpoint's estimate in ``eps``, ddpm and eta >
+0 ddim add ``noise``, and dpmpp2m and unipc2 add the history pair. Once
+every buffer is in use (after the first hop, the second for the multistep
+kinds) a plan allocates no images, except what a predictor that ignores
+``out`` returns. Noise is drawn in
 place after the hop's evaluations, and the bound predictor may write its
 estimate into a buffer it is offered. The kernels write into these buffers
 with the same operations as their allocating forms. Nothing is kept between
@@ -116,10 +129,27 @@ def _x0_coefs(t, sched):
 # to 0 is the same for every kind: _x0_coefs + _apply_linear.
 
 
+def _estimate(eps, x_t, t, ws):
+    """One evaluation as ``(a, img, b)`` with eps_hat = a x_t + b img.
+
+    A bound function with ``terms`` describes its estimate without array
+    work; any other is evaluated into ``ws["eps"]`` as ``(0.0, eps_hat,
+    1.0)``, and ``c_x + c_eps * 0.0 == c_x`` and ``c_eps * 1.0 == c_eps``
+    hold exactly, so folding that triple changes no bit. ``img`` may be the
+    caller's condition, so it is never a kernel ``tmp``; ``ws["eps"]`` is
+    free whenever ``terms`` was used.
+    """
+    terms = getattr(eps, "terms", None)
+    if terms is not None:
+        return terms(x_t, t)
+    return 0.0, eps(x_t, t, out=ws["eps"]), 1.0
+
+
 def _apply_linear(x_t, t, c, eps, rng, ws, out):
     """c_x x_t + c_eps eps_hat: x0_hat, and the DPM-1 and eta = 0 DDIM updates."""
     c_x, c_eps = c
-    return k.lincomb2(c_x, x_t, c_eps, eps(x_t, t, out=ws["eps"]), out=out, tmp=ws["eps"])
+    a, img, b = _estimate(eps, x_t, t, ws)
+    return k.lincomb2(c_x + c_eps * a, x_t, c_eps * b, img, out=out, tmp=ws["eps"])
 
 
 def _apply_noisy(x_t, t, c, eps, rng, ws, out):
@@ -127,9 +157,9 @@ def _apply_noisy(x_t, t, c, eps, rng, ws, out):
     c_x, c_eps, noise_sd = c
     if rng is None:
         raise ValueError("stochastic sampling (ddpm, or ddim at eta > 0) needs an rng")
-    eps_hat = eps(x_t, t, out=ws["eps"])
+    a, img, b = _estimate(eps, x_t, t, ws)
     z = rng.standard_normal(out=ws["noise"])
-    return k.lincomb3(c_x, x_t, c_eps, eps_hat, noise_sd, z, out=out, tmp=ws["eps"])
+    return k.lincomb3(c_x + c_eps * a, x_t, c_eps * b, img, noise_sd, z, out=out, tmp=ws["eps"])
 
 
 def _ddpm_coefs(t, u, sched, eta, lam_prev):
@@ -261,8 +291,8 @@ def _unipc_apply(x_t, t, c, eps, rng, ws, out):
     x_pred = _dpmpp2m_apply(x_t, t, pred_c, eps, rng, ws, out)
     # the estimate buffer is the kernels' scratch whenever no estimate is live
     m0, prev, tmp = ws["x0_prev"], ws["x0"], ws["eps"]
-    e_land = eps(x_pred, u, out=tmp)
-    out = k.lincomb3(k_x, x_pred, k_eps, e_land, k_m, m0, out=x_pred, tmp=tmp)
+    a, img, b = _estimate(eps, x_pred, u, ws)
+    out = k.lincomb3(k_x + k_eps * a, x_pred, k_eps * b, img, k_m, m0, out=x_pred, tmp=tmp)
     if c_prev is None:
         return out
     # two passes: c_prev x0_prev into the dead estimate buffer, then added in

@@ -13,7 +13,8 @@ from astn.denoiser import (
     train_affine_predictor,
 )
 from astn.forward import q_sample, training_loss
-from astn.samplers import SamplerSpec, run_sampler
+from astn.regimes import make_regime_spec, reconstruct
+from astn.samplers import SAMPLER_KINDS, SamplerSpec, run_sampler
 from astn.schedule import make_timestep_grid
 
 
@@ -180,6 +181,33 @@ def test_oracle_rejects_latent_of_another_shape(sched, rng):
     pred = GaussianOracle(GaussianDataModel(mean=rng.random((8, 8)), var=0.1), sched)
     with pytest.raises(ValueError, match="mismatched shapes"):
         pred.predict(rng.standard_normal((1, 8)), 500)
+
+
+@pytest.mark.parametrize("name", ["gaussian_oracle", "conditioned_noise0", "conditioned_finite"])
+def test_bound_oracle_terms_describe_its_estimate(sched, rng, name):
+    pred = _bind_cases(sched, rng)[name]
+    cond = rng.random((6, 5))
+    eps = pred.bind(cond)
+    for t in (1, 2, 37, 500, 999, 1000):
+        x_t = rng.standard_normal((6, 5))
+        a, img, b = eps.terms(x_t, t)
+        want = eps(x_t, t)
+        assert np.abs(a * x_t + b * img - want).max() <= 1e-12 * np.abs(want).max()
+    # at noise level 0 the posterior mean is the condition itself
+    assert (img is cond) == (name == "conditioned_noise0")
+    with pytest.raises(ValueError, match="mismatched shapes"):
+        eps.terms(np.zeros((5, 6)), 10)
+
+
+@pytest.mark.parametrize("regime", ["full", "ast", "inverted"])
+def test_reconstruct_at_noise_level_zero_leaves_condition_alone(sched, rng, regime):
+    # the folded estimate reads the condition as the oracle's mean
+    pred = conditioned_oracle(GaussianDataModel(mean=np.full((8, 8), 0.5), var=0.2), 0.0, sched)
+    low = rng.random((8, 8))
+    before = low.copy()
+    for kind in SAMPLER_KINDS:
+        reconstruct(make_regime_spec(regime, 10, kind, sched), low, pred, sched, np.random.default_rng(3))
+        assert np.array_equal(low, before), kind
 
 
 @pytest.mark.parametrize("conditional", [False, True])

@@ -32,12 +32,23 @@ def test_benchmark_binds_to_the_library(monkeypatch):
     library = [getattr(module, attr) for module, attr in rebound]
 
     tracer = tracing.Tracer()
-    sched = tracing.CountingSchedule.of(make_linear_schedule(1000), tracer)
+    plain = make_linear_schedule(1000)
+    sched = tracing.CountingSchedule.of(plain, tracer)
     rng = np.random.default_rng(5)
-    pred = GaussianOracle(GaussianDataModel(mean=rng.random((16, 16)), var=0.05), sched, 0.05)
-    spec = regimes.make_regime_spec("ast", 2, "ddim", sched)
+    model = GaussianDataModel(mean=rng.random((16, 16)), var=0.05)
+    low = rng.random((16, 16))
+    kinds = ("ddim", "dpmpp2m", "unipc2")
+    specs = {kind: regimes.make_regime_spec("ast", 10, kind, plain) for kind in kinds}
+    # traced runs count evaluations through CountingPredictor's default bind,
+    # which has no terms, so they take the unfolded path
+    pred = GaussianOracle(model, sched, 0.05)
     with tracing.instrument(tracer):
         assert all(getattr(module, attr) is not fn for (module, attr), fn in zip(rebound, library))
-        regimes.reconstruct(spec, rng.random((16, 16)), pred, sched, rng)
-    assert tracer.recon_count == 1 and tracer.nfe_mismatches == []
+        traced = {k: regimes.reconstruct(specs[k], low, pred, sched, np.random.default_rng(7))[0] for k in kinds}
+    assert tracer.recon_count == len(kinds) and tracer.nfe_mismatches == []
     assert all(getattr(module, attr) is fn for (module, attr), fn in zip(rebound, library))
+    # the reference check compares both paths, so they must agree to rounding
+    pred = GaussianOracle(model, plain, 0.05)
+    for kind in kinds:
+        untraced = regimes.reconstruct(specs[kind], low, pred, plain, np.random.default_rng(7))[0]
+        assert np.abs(traced[kind] - untraced).max() <= 1e-12 * np.abs(untraced).max(), kind

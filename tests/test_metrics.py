@@ -181,6 +181,27 @@ def test_metrics_row_validation():
         MetricsRow("ast", "ddim", 10, 30.0, -0.01, 0.9, 0.1, 0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("psnr_db", math.nan), ("psnr_db", math.inf), ("psnr_db", -math.inf),
+    ("rmse", math.nan), ("rmse", math.inf),
+    ("time_s", math.nan), ("time_s", math.inf),
+])
+def test_metrics_row_rejects_non_finite(field, value):
+    values = dict(psnr_db=30.0, rmse=0.01, time_s=0.1)
+    values[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        MetricsRow("full", "ddim", 10, values["psnr_db"], values["rmse"], 0.5, values["time_s"], 1)
+
+
+def test_report_csv_non_finite_metric_names_file_and_line(tmp_path):
+    path = tmp_path / "edited.csv"
+    MetricsReport(rows=[MetricsRow("full", "ddim", 10, 30.0, 0.01, 0.5, 0.1, 1)]).write_csv(path)
+    with open(path, "a") as f:
+        f.write("full,ddim,25,nan,0.01,0.5,0.1,1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4: psnr_db must be finite")):
+        MetricsReport.read_csv(path)
+
+
 def test_report_csv_round_trip(tmp_path):
     report = MetricsReport(
         rows=[
