@@ -4,17 +4,15 @@ Every sampler step, oracle evaluation and metric window reduces to a handful
 of elementwise kernels defined here. Scalar transcendentals (exp, log) are
 always computed outside the kernels.
 
-``lincomb2``, ``lincomb3`` and ``scaled_residual`` run one pass sequence:
-without ``out`` they allocate it and run the same passes, so the two forms
-are bit-identical.
+``lincomb2`` and ``lincomb3`` run one pass sequence: without ``out`` they
+allocate it and run the same passes, so the two forms are bit-identical.
 
-Aliasing rules. With ``out`` given, a kernel writes only ``out`` and, for
-``lincomb2``/``lincomb3``, ``tmp``. Each docstring says which operands
-``out`` and ``tmp`` may alias; within those rules every operand is read
-before it is overwritten, and outside them the result is silently wrong.
-``tmp`` may be ``b`` itself, which leaves ``b`` overwritten: the samplers
-pass the predictor's estimate buffer as ``tmp`` once they have read the
-estimate, so no kernel needs scratch of its own.
+Aliasing rules. With ``out`` given, a kernel writes only ``out`` and
+``tmp``. Each docstring says which operands ``out`` and ``tmp`` may alias;
+within those rules every operand is read before it is overwritten, and
+outside them the result is silently wrong. ``tmp`` may be ``b`` itself,
+which leaves ``b`` overwritten. The samplers pass one scratch buffer of
+their workspace as ``tmp``, so no kernel needs scratch of its own.
 
 ``ssim_map`` exploits that the SSIM window is separable (the Gaussian window
 of Wang et al., IEEE TIP 2004, is ``outer(g, g)``): each local moment is two
@@ -43,7 +41,6 @@ __all__ = [
     "active_backend",
     "lincomb2",
     "lincomb3",
-    "scaled_residual",
     "ssim_map",
     "add_ellipses",
 ]
@@ -86,19 +83,6 @@ def lincomb3(ca, a, cb, b, cc, c, out=None, tmp=None):
     np.add(out, t, out=out)
     t = np.multiply(cc, c, out=tmp)
     return np.add(out, t, out=out)
-
-
-def scaled_residual(c, a, cb, b, out=None):
-    """``c*(a - cb*b)``, into ``out`` when it is given.
-
-    Three in-place passes over ``out`` with no scratch. ``out`` may alias
-    ``b`` but not ``a``.
-    """
-    if out is None:
-        out = np.empty(np.broadcast(a, b).shape, np.result_type(c, a, cb, b))
-    np.multiply(cb, b, out=out)
-    np.subtract(a, out, out=out)
-    return np.multiply(c, out, out=out)
 
 
 def ssim_map(x, y, window, c1, c2):

@@ -186,7 +186,11 @@ def _build_predictor_factory(cfg, sched, shape, photons):
         # open() would take an integer for a file descriptor
         if not isinstance(path, str):
             raise ConfigError(f"predictor kind 'affine' needs a path string, got {path!r}")
-        return AffinePredictor.load(path)
+        pred = AffinePredictor.load(path)
+        if pred.b.shape[1:] != shape or pred.T != sched.T:
+            raise ConfigError(f"predictor file {path} is for {pred.b.shape[1:]} images and T={pred.T}, "
+                              f"but the dataset is {shape} and the schedule has T={sched.T}")
+        return pred
     if kind == "zero":
         return ZeroPredictor()
     raise ConfigError(f"unknown predictor kind {kind!r}")

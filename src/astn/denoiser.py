@@ -11,6 +11,15 @@ which makes every downstream sampler claim checkable without a neural
 network. Conditioning is modelled as a noisy observation c = x_0 + eta with
 eta ~ N(0, noise_level^2 I); an oracle given a noise level simply swaps
 (m, s^2) for the Gaussian posterior of x_0 given c.
+
+Samplers evaluate a predictor through one protocol: ``bind(cond)`` fixes the
+condition and returns ``(x_t, t) -> (a, img, b)``, the estimate
+``eps_hat = a * x_t + b * img`` as two scalars and an image that callers
+never write and that is valid until the next call of the same bound
+function. The oracles and the affine model describe their estimate this way
+with no array pass over x_t, so the samplers fold it into the linear
+combination that reads it; any other predictor returns ``(0.0, eps_hat,
+1.0)``.
 """
 
 import math
@@ -53,27 +62,30 @@ class EpsilonPredictor(ABC):
         ...
 
     def bind(self, cond):
-        """``(x_t, t, out=None) -> eps_hat`` with ``cond`` fixed; equals ``predict(x_t, t, cond)``.
+        """``(x_t, t) -> (a, img, b)`` with ``cond`` fixed: the estimate
+        ``eps_hat = a * x_t + b * img`` of ``predict(x_t, t, cond)``.
 
-        ``out`` is an optional array shaped like ``x_t``, never ``x_t``
-        itself, that the bound function may write its result into. Callers
-        always use the returned array, which may or may not be ``out``; this
-        default ignores ``out`` and returns whatever ``predict`` returns. An
-        override must accept ``out`` and must not write into ``x_t``.
-
-        An override's bound function may also carry an optional attribute
-        ``terms(x_t, t) -> (a, img, b)``, the same estimate as
-        ``a * x_t + b * img`` with scalars ``a``, ``b`` and an image ``img``
-        that callers never write. The samplers then fold ``a`` and ``b``
-        into the linear combination that reads the estimate, and a call of
-        ``terms`` counts as one evaluation.
+        ``a`` and ``b`` are scalars and ``img`` an image shaped like ``x_t``
+        that callers never write. ``img`` is valid until the next call of the
+        bound function, which may reuse its memory. The samplers fold ``a``
+        and ``b`` into the linear combination that reads the estimate, and
+        one call counts as one evaluation. This default returns ``(0.0,
+        predict(x_t, t, cond), 1.0)``; since ``c + c_eps * 0.0 == c`` and
+        ``c_eps * 1.0 == c_eps`` hold exactly, folding it changes no finite
+        value. An override must not write into ``x_t``.
         """
         self._require_condition(cond)
-        return lambda x_t, t, out=None: self.predict(x_t, t, cond)
+        return lambda x_t, t: (0.0, self.predict(x_t, t, cond), 1.0)
 
     def _require_condition(self, cond):
         if self.requires_condition and cond is None:
             raise ValueError(f"{type(self).__name__} requires a condition image")
+
+
+def _evaluate(eps, x_t, t):
+    """The estimate of bound function ``eps`` at ``(x_t, t)`` as a fresh array: one ``lincomb2``."""
+    a, img, b = eps(x_t, t)
+    return k.lincomb2(a, x_t, b, img)
 
 
 @dataclass(frozen=True)
@@ -135,15 +147,12 @@ class GaussianOracle(EpsilonPredictor):
         return post_mean, post_var
 
     def bind(self, cond):
-        """The posterior is computed here, once per condition image; the
-        estimate ``coef * (x_t - sqrt(ab_t) m)`` is one ``scaled_residual``.
-        A condition or latent not shaped like the prior mean is a ValueError.
-
-        The bound function also has ``terms(x_t, t) -> (coef, m,
-        -coef * sqrt(ab_t))``, the estimate as ``a * x_t + b * img`` with
-        ``m`` the bound prior or posterior mean (at noise level 0, the
-        condition itself); it does no array work, so a sampler can fold the
-        estimate into the linear combination that reads it."""
+        """The posterior is computed here, once per condition image. The
+        bound function returns ``(coef, m, -coef * sqrt(ab_t))``, the estimate
+        ``coef * (x_t - sqrt(ab_t) m)`` with ``m`` the bound prior or
+        posterior mean (at noise level 0, the condition itself), and does no
+        array work. A condition or latent not shaped like the prior mean is a
+        ValueError."""
         self._require_condition(cond)
         model = self.model
         if self.noise_level is not None:
@@ -151,24 +160,16 @@ class GaussianOracle(EpsilonPredictor):
             model = GaussianDataModel(*self._posterior(cond))
         mean, var, sched = model.mean, model.var, self.sched
 
-        def scalars(x_t, t):
+        def eps(x_t, t):
             require_same_shape(x_t, mean, "latent and oracle mean")
             ab = sched.alpha_bar_at(t)
-            return math.sqrt(1.0 - ab) / (ab * var + (1.0 - ab)), math.sqrt(ab)
+            coef = math.sqrt(1.0 - ab) / (ab * var + (1.0 - ab))
+            return coef, mean, -coef * math.sqrt(ab)
 
-        def eps(x_t, t, out=None):
-            coef, root_ab = scalars(x_t, t)
-            return k.scaled_residual(coef, x_t, root_ab, mean, out=out)
-
-        def terms(x_t, t):
-            coef, root_ab = scalars(x_t, t)
-            return coef, mean, -coef * root_ab
-
-        eps.terms = terms
         return eps
 
     def predict(self, x_t, t, cond=None):
-        return self.bind(cond)(x_t, t)
+        return _evaluate(self.bind(cond), x_t, t)
 
 
 def conditioned_oracle(model, noise_level, sched):
@@ -221,8 +222,10 @@ class AffinePredictor(EpsilonPredictor):
         )
 
     def bind(self, cond):
-        """Writes into ``out`` when it is given, with one scratch array per bind.
-        A condition or latent not shaped like ``b.shape[1:]`` is a ValueError."""
+        """The bound function returns ``(a_t, b_t, 1.0)``, with ``b_t`` a row
+        of the offset table, or, when conditional, ``(a_t, g_t * c + b_t,
+        1.0)`` with that image written into one scratch array per bind. A
+        condition or latent not shaped like ``b.shape[1:]`` is a ValueError."""
         self._require_condition(cond)
         a, g, b, T = self.a, self.g, self.b, self.T
         conditional = self.conditional
@@ -231,19 +234,20 @@ class AffinePredictor(EpsilonPredictor):
         if conditional:
             require_same_shape(cond, scratch, "condition and offset table")
 
-        def eps(x_t, t, out=None):
+        def eps(x_t, t):
             require_same_shape(x_t, scratch, "latent and offset table")
             ti = int(math.floor(t + 0.5))
             if not 1 <= ti <= T:
                 raise ValueError(f"timestep {t} outside trained range [1, {T}]")
-            if conditional:
-                return k.lincomb3(a[ti], x_t, g[ti], cond, 1.0, b[ti], out=out, tmp=scratch)
-            return k.lincomb2(a[ti], x_t, 1.0, b[ti], out=out, tmp=scratch)
+            if not conditional:
+                return a[ti], b[ti], 1.0
+            np.multiply(g[ti], cond, out=scratch)
+            return a[ti], np.add(scratch, b[ti], out=scratch), 1.0
 
         return eps
 
     def predict(self, x_t, t, cond=None):
-        return self.bind(cond)(x_t, t)
+        return _evaluate(self.bind(cond), x_t, t)
 
     # -- flat text serialization: one line per t: "t a_t g_t b-values... crc" --
 

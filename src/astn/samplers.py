@@ -38,38 +38,35 @@ the first-order hop every grid of theirs starts with) and DDIM inversion
 (upward DDIM hops, see ``astn.inversion``). Callers bind the predictor to
 the condition once (``EpsilonPredictor.bind``).
 
-An evaluation whose latent is already a term of the combination that reads
-it is folded into that combination: the ddpm, ddim and dpm1 hops, the
-terminal hop, DDIM inversion's hops, the x0_hat of dpmpp2m and unipc2, and
-unipc2's landing evaluation (x_pred is a term of its combination). When the
-bound predictor has ``terms`` (the Gaussian oracles do), eps_hat = a x_t +
-b img costs no array pass: c_x x_t + c_eps eps_hat is written as (c_x +
-c_eps a) x_t + (c_eps b) img. Any other predictor is evaluated into ``eps``
-as (0, eps_hat, 1), and its combination is exactly c_x x_t + c_eps eps_hat.
-dpm2's midpoint evaluation is not a term of its combination and always
-calls the bound function.
+Every evaluation is folded into the combination that reads it. A bound
+predictor returns its estimate at latent x as ``(a, img, b)`` with eps_hat
+= a x + b img (``EpsilonPredictor.bind``), and x is always a term of that
+combination: x_t in the ddpm, ddim and dpm1 hops, the terminal hop, DDIM
+inversion's hops and the x0_hat of dpmpp2m and unipc2; x_pred in unipc2's
+landing evaluation; x_mid, which the final combination overwrites, in
+dpm2's midpoint evaluation. So c_x x + c_eps eps_hat is written as (c_x +
+c_eps a) x + (c_eps b) img. For the Gaussian oracles that costs no array
+pass; a predictor that returns (0, eps_hat, 1) gets exactly c_x x + c_eps
+eps_hat.
 
 The executor owns one call's workspace of named latent-shaped buffers,
 allocated on first use and dropped on return, the finiteness check after
 every hop and the optional ``TrajectoryRecord``. The buffers are the two
-latents the result ping-pongs between, the predictor's estimate ``eps``,
-the noise draw ``noise`` (ddpm and eta > 0 ddim) and, for the multistep
-kinds, the data prediction ``x0`` and the history ``x0_prev`` it swaps
-with. There is no scratch buffer: once an estimate has been read, or when
-it was folded, ``eps`` is the kernels' ``tmp`` (see the aliasing rules in
-``astn._kernels``), and the Gaussian oracles need none. A ddim or dpm1 hop
-with an oracle thus touches four latent-sized arrays, x_t, the prior or
-posterior mean (read), ``eps`` (scratch) and the output (written), in one
-``lincomb2``; dpm2 adds its midpoint's estimate in ``eps``, ddpm and eta >
-0 ddim add ``noise``, and dpmpp2m and unipc2 add the history pair. Once
-every buffer is in use (after the first hop, the second for the multistep
-kinds) a plan allocates no images, except what a predictor that ignores
-``out`` returns. Noise is drawn in
-place after the hop's evaluations, and the bound predictor may write its
-estimate into a buffer it is offered. The kernels write into these buffers
-with the same operations as their allocating forms. Nothing is kept between
-calls, so concurrent runs share no memory, and the multistep history lives
-in the workspace alone.
+latents the result ping-pongs between, the kernels' scratch ``tmp`` (see
+the aliasing rules in ``astn._kernels``), the noise draw ``noise`` (ddpm
+and eta > 0 ddim) and, for the multistep kinds, the data prediction ``x0``
+and the history ``x0_prev`` it swaps with. An estimate's ``img`` is never
+written: it may be the predictor's own table or the caller's condition. A
+ddim or dpm1 hop with an oracle thus touches four latent-sized arrays,
+x_t, the prior or posterior mean (read), ``tmp`` and the output (written),
+in one ``lincomb2``; ddpm and eta > 0 ddim add ``noise``, and dpmpp2m and
+unipc2 add the history pair. Once every buffer is in use (after the first
+hop, the second for the multistep kinds) a plan allocates no images, except
+what a predictor allocates for its own estimate. Noise is drawn in place
+after the hop's evaluations. The kernels write into these buffers with the
+same operations as their allocating forms. Nothing is kept between calls,
+so concurrent runs share no memory, and the multistep history lives in the
+workspace alone.
 """
 
 import math
@@ -123,33 +120,17 @@ def _x0_coefs(t, sched):
 # A kind's coefficient function ``(t, u, schedule, eta, lam_prev) -> (apply,
 # coefficients)`` compiles one internal hop; ``lam_prev`` is the log-SNR at
 # which the multistep history was predicted, or None. An apply ``(x_t, t,
-# coefs, eps, rng, ws, out) -> x_u`` takes a bound predictor ``eps(x, t,
-# out=)`` and the run's workspace ``ws``; it writes x_u into ``out``, may use
-# ``out`` as scratch before that, and never writes ``x_t``. The terminal hop
-# to 0 is the same for every kind: _x0_coefs + _apply_linear.
-
-
-def _estimate(eps, x_t, t, ws):
-    """One evaluation as ``(a, img, b)`` with eps_hat = a x_t + b img.
-
-    A bound function with ``terms`` describes its estimate without array
-    work; any other is evaluated into ``ws["eps"]`` as ``(0.0, eps_hat,
-    1.0)``, and ``c_x + c_eps * 0.0 == c_x`` and ``c_eps * 1.0 == c_eps``
-    hold exactly, so folding that triple changes no bit. ``img`` may be the
-    caller's condition, so it is never a kernel ``tmp``; ``ws["eps"]`` is
-    free whenever ``terms`` was used.
-    """
-    terms = getattr(eps, "terms", None)
-    if terms is not None:
-        return terms(x_t, t)
-    return 0.0, eps(x_t, t, out=ws["eps"]), 1.0
+# coefs, eps, rng, ws, out) -> x_u`` takes a bound predictor ``eps(x, t) ->
+# (a, img, b)`` and the run's workspace ``ws``; it writes x_u into ``out``,
+# may use ``out`` as scratch before that, and never writes ``x_t``. The
+# terminal hop to 0 is the same for every kind: _x0_coefs + _apply_linear.
 
 
 def _apply_linear(x_t, t, c, eps, rng, ws, out):
     """c_x x_t + c_eps eps_hat: x0_hat, and the DPM-1 and eta = 0 DDIM updates."""
     c_x, c_eps = c
-    a, img, b = _estimate(eps, x_t, t, ws)
-    return k.lincomb2(c_x + c_eps * a, x_t, c_eps * b, img, out=out, tmp=ws["eps"])
+    a, img, b = eps(x_t, t)
+    return k.lincomb2(c_x + c_eps * a, x_t, c_eps * b, img, out=out, tmp=ws["tmp"])
 
 
 def _apply_noisy(x_t, t, c, eps, rng, ws, out):
@@ -157,9 +138,9 @@ def _apply_noisy(x_t, t, c, eps, rng, ws, out):
     c_x, c_eps, noise_sd = c
     if rng is None:
         raise ValueError("stochastic sampling (ddpm, or ddim at eta > 0) needs an rng")
-    a, img, b = _estimate(eps, x_t, t, ws)
+    a, img, b = eps(x_t, t)
     z = rng.standard_normal(out=ws["noise"])
-    return k.lincomb3(c_x + c_eps * a, x_t, c_eps * b, img, noise_sd, z, out=out, tmp=ws["eps"])
+    return k.lincomb3(c_x + c_eps * a, x_t, c_eps * b, img, noise_sd, z, out=out, tmp=ws["tmp"])
 
 
 def _ddpm_coefs(t, u, sched, eta, lam_prev):
@@ -214,10 +195,10 @@ def _dpm2_coefs(t, u, sched, eta, lam_prev):
 
 def _dpm2_apply(x_t, t, c, eps, rng, ws, out):
     t_mid, mid, (c_x, c_eps) = c
-    # the midpoint latent lives in ``out`` until its evaluation is done
+    # the midpoint latent lives in ``out`` until the final combination overwrites it
     x_mid = _apply_linear(x_t, t, mid, eps, rng, ws, out)
-    e_mid = eps(x_mid, t_mid, out=ws["eps"])
-    return k.lincomb2(c_x, x_t, c_eps, e_mid, out=x_mid, tmp=ws["eps"])
+    a, img, b = eps(x_mid, t_mid)
+    return k.lincomb3(c_eps * a, x_mid, c_x, x_t, c_eps * b, img, out=x_mid, tmp=ws["tmp"])
 
 
 def _data_hop(t, u, sched):
@@ -247,8 +228,8 @@ def _dpmpp2m_apply(x_t, t, c, eps, rng, ws, out):
     prev = ws["x0_prev"]
     ws["x0"], ws["x0_prev"] = prev, x0_hat
     if c_prev is None:
-        return k.lincomb2(c_x, x_t, c_m, x0_hat, out=out, tmp=ws["eps"])
-    return k.lincomb3(c_x, x_t, c_m, x0_hat, c_prev, prev, out=out, tmp=ws["eps"])
+        return k.lincomb2(c_x, x_t, c_m, x0_hat, out=out, tmp=ws["tmp"])
+    return k.lincomb3(c_x, x_t, c_m, x0_hat, c_prev, prev, out=out, tmp=ws["tmp"])
 
 
 def _unipc_coefs(t, u, sched, eta, lam_prev):
@@ -289,13 +270,12 @@ def _unipc_apply(x_t, t, c, eps, rng, ws, out):
     pred_c, u, (k_x, k_eps, k_m, c_prev) = c
     # the predicted landing latent lives in ``out`` until its evaluation is done
     x_pred = _dpmpp2m_apply(x_t, t, pred_c, eps, rng, ws, out)
-    # the estimate buffer is the kernels' scratch whenever no estimate is live
-    m0, prev, tmp = ws["x0_prev"], ws["x0"], ws["eps"]
-    a, img, b = _estimate(eps, x_pred, u, ws)
+    m0, prev, tmp = ws["x0_prev"], ws["x0"], ws["tmp"]
+    a, img, b = eps(x_pred, u)
     out = k.lincomb3(k_x + k_eps * a, x_pred, k_eps * b, img, k_m, m0, out=x_pred, tmp=tmp)
     if c_prev is None:
         return out
-    # two passes: c_prev x0_prev into the dead estimate buffer, then added in
+    # two passes: c_prev x0_prev into the scratch buffer, then added in
     # place (lincomb2 skips the exact 1.0 * out)
     return k.lincomb2(1.0, out, c_prev, prev, out=out, tmp=tmp)
 

@@ -282,9 +282,11 @@ def test_partly_failing_run_writes_its_rows_and_names_each_failed_cell(workspace
     tmp, cfg = workspace
     out = tmp / "work"
     assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
-    # trained on t <= 10 only: the AST cells run, the full-noise cells start at t = 1000
+    # coefficients undefined above t = 10: the AST cells run, the full-noise cells start at t = 1000
     model = tmp / "short_affine.txt"
-    AffinePredictor.initial(10, (32, 32)).save(model)
+    pred = AffinePredictor.initial(1000, (32, 32))
+    pred.a[11:] = math.nan
+    pred.save(model)
     short = tmp / "short.json"
     save_config(dict(SMALL_CONFIG, predictor={"kind": "affine", "path": str(model)}), short)
     capsys.readouterr()
@@ -292,10 +294,32 @@ def test_partly_failing_run_writes_its_rows_and_names_each_failed_cell(workspace
     rows = MetricsReport.read_csv(out / "metrics.csv").rows
     assert [(r.regime, r.sampler, r.steps) for r in rows] == [("ast", "ddim", 5), ("ast", "ddim", 10)]
     assert capsys.readouterr().err.splitlines() == [
-        "sweep cell ('full', 'ddim', 5) failed: ValueError: timestep 1000 outside trained range [1, 10]",
-        "sweep cell ('full', 'ddim', 10) failed: ValueError: timestep 1000 outside trained range [1, 10]",
+        "sweep cell ('full', 'ddim', 5) failed: RuntimeError: ddim produced non-finite values stepping 1000 -> 750",
+        "sweep cell ('full', 'ddim', 10) failed: RuntimeError: ddim produced non-finite values stepping 1000 -> 889",
         "2 sweep cells failed",
     ]
+
+
+# (offset image shape, T, text naming it) of an affine predictor file that
+# disagrees with the 32^2 dataset or the T = 1000 schedule
+_MISMATCHED_AFFINE = {"shape": ((16, 16), 1000, "(16, 16) images"), "T": ((32, 32), 100, "T=100")}
+
+
+@pytest.mark.parametrize("case", list(_MISMATCHED_AFFINE))
+def test_mismatched_affine_predictor_is_config_error(workspace, capsys, case):
+    tmp, cfg = workspace
+    out = tmp / "work"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    shape, T, named = _MISMATCHED_AFFINE[case]
+    model = tmp / "mismatched_affine.txt"
+    AffinePredictor.initial(T, shape, conditional=True).save(model)
+    bad_path = tmp / "bad.json"
+    save_config(dict(SMALL_CONFIG, predictor={"kind": "affine", "path": str(model)}), bad_path)
+    capsys.readouterr()
+    assert main(["run", "--config", str(bad_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "mismatched_affine.txt" in err and named in err
+    assert not (out / "metrics.csv").exists()
 
 
 def test_run_with_eta_runs_every_sampler(workspace):

@@ -40,7 +40,7 @@ def test_benchmark_binds_to_the_library(monkeypatch):
     kinds = ("ddim", "dpmpp2m", "unipc2")
     specs = {kind: regimes.make_regime_spec("ast", 10, kind, plain) for kind in kinds}
     # traced runs count evaluations through CountingPredictor's default bind,
-    # which has no terms, so they take the unfolded path
+    # so they evaluate through predict
     pred = GaussianOracle(model, sched, 0.05)
     with tracing.instrument(tracer):
         assert all(getattr(module, attr) is not fn for (module, attr), fn in zip(rebound, library))

@@ -300,22 +300,3 @@ def test_lincomb2_unit_coefficient_in_place(rng):
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
-
-@pytest.mark.parametrize("out_alias, dtype, coef", _allocating_cases(None, "b"))
-def test_scaled_residual_out_matches_allocating_form(rng, out_alias, dtype, coef):
-    c, a, cb, b, _, _ = _lincomb_operands(rng, dtype=dtype, coef=coef)
-    want = k.scaled_residual(c, a, cb, b)
-    expr = c * (a - cb * b)
-    assert want.dtype == expr.dtype and np.array_equal(want, expr)
-    out = b if out_alias == "b" else np.empty_like(want)
-    got = k.scaled_residual(c, a, cb, b, out=out)
-    assert got is out
-    assert np.array_equal(got, want)
-
-
-def test_scaled_residual_matches_two_term_form(rng):
-    a, b = rng.standard_normal((2, 64, 64))
-    for c, cb in [(0.7, 0.3), (1.3, 0.9), (0.01, 0.99)]:
-        got = k.scaled_residual(c, a, cb, b)
-        ref = k.lincomb2(c, a, -c * cb, b)  # the oracles' former two-term form
-        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()

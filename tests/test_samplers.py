@@ -7,6 +7,7 @@ import pytest
 
 from astn import _kernels as k
 from astn.denoiser import (
+    AffinePredictor,
     EpsilonPredictor,
     GaussianDataModel,
     GaussianOracle,
@@ -47,9 +48,9 @@ class ConstantX0(EpsilonPredictor):
 
 
 class CountingPredictor(EpsilonPredictor):
-    """Counts ``inner``'s evaluations through the default ``bind``, whose bound
-    function has no ``terms``: the samplers evaluate every estimate as an
-    array, and each hop's combination is exactly c_x x_t + c_eps eps_hat."""
+    """Counts ``inner``'s evaluations through the default ``bind``, which
+    returns ``(0, eps_hat, 1)``: every estimate is an array from ``predict``,
+    and each hop's combination is exactly c_x x_t + c_eps eps_hat."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -411,15 +412,15 @@ class SpyPredictor(EpsilonPredictor):
         self.copies = []  # their values at evaluation time
 
     def predict(self, x_t, t, cond=None):
-        return self.bind(cond)(x_t, t)
+        return self.inner.predict(x_t, t, cond)
 
     def bind(self, cond):
         inner = self.inner.bind(cond)
 
-        def eps(x_t, t, out=None):
+        def eps(x_t, t):
             self.seen.append(x_t)
             self.copies.append(x_t.copy())
-            return inner(x_t, t, out=out)
+            return inner(x_t, t)
 
         return eps
 
@@ -610,10 +611,22 @@ def _two_stage_run(kind, grid, x, eps, sched, eta, rng):
     return x
 
 
+def _oracle_affine(model, sched, cond_gain=None):
+    """AffinePredictor whose tables are ``model``'s Gaussian oracle, with the
+    condition gain ``cond_gain * a_t`` when it is given."""
+    ab = sched.alpha_bars
+    a = np.sqrt(1.0 - ab) / (ab * model.var + (1.0 - ab))
+    b = (-a * np.sqrt(ab))[:, None, None] * model.mean
+    if cond_gain is None:
+        return AffinePredictor(a=a, g=np.zeros_like(a), b=b)
+    return AffinePredictor(a=a, g=cond_gain * a, b=b, conditional=True)
+
+
 def _fused_cases(sched):
-    """(size, predictor, cond, folded) cases: both Gaussian oracles at 8x8 and
-    64x64, each as itself (its estimates folded) and unfolded through
-    ``CountingPredictor``."""
+    """(size, predictor, cond, folded) cases at 8x8 and 64x64: both Gaussian
+    oracles, each as itself (its estimates folded) and unfolded through
+    ``CountingPredictor``, and an unconditional and a conditional affine
+    model, folded."""
     rng = np.random.default_rng(41)
     for size in (8, 64):
         model = GaussianDataModel(mean=np.full((size, size), 0.4), var=0.06)
@@ -621,6 +634,8 @@ def _fused_cases(sched):
         for pred, c in ((GaussianOracle(model, sched), None), (conditioned_oracle(model, 0.05, sched), cond)):
             yield size, CountingPredictor(pred), c, False
             yield size, pred, c, True
+        yield size, _oracle_affine(model, sched), None, True
+        yield size, _oracle_affine(model, sched, cond_gain=-0.1), cond, True
 
 
 @pytest.mark.parametrize("kind, eta", _KIND_ETAS)
@@ -629,7 +644,7 @@ def test_fused_hops_match_two_stage_updates(sched, kind, eta):
     grids.append(make_timestep_grid(25, 25, sched.T))
     for size, pred, cond, folded in _fused_cases(sched):
         x_init = np.random.default_rng(size).standard_normal((size, size))
-        eps = pred.bind(cond)
+        eps = lambda x, t: pred.predict(x, t, cond)
         for grid in grids:
             spec = SamplerSpec(kind=kind, grid=grid, eta=eta)
             got, _ = run_sampler(spec, x_init, pred, cond, sched, rng=np.random.default_rng(6))
@@ -652,7 +667,7 @@ def test_fused_hops_match_two_stage_updates(sched, kind, eta):
 def test_fused_inversion_matches_two_stage_updates(sched):
     for size, pred, cond, _ in _fused_cases(sched):
         x_start = np.random.default_rng(size).random((size, size))
-        eps = pred.bind(cond)
+        eps = lambda x, t: pred.predict(x, t, cond)
         for N in (1, 10, 100):
             grid = make_timestep_grid(sched.T, N, sched.T)
             got = ddim_invert(x_start, pred, cond, sched, grid)
@@ -663,17 +678,32 @@ def test_fused_inversion_matches_two_stage_updates(sched):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (size, N)
 
 
+@pytest.mark.parametrize("kind, eta", _KIND_ETAS)
+def test_runs_leave_affine_tables_and_condition_alone(sched, kind, eta):
+    # the unconditional model's estimate image is a row of its offset table
+    rng = np.random.default_rng(44)
+    model = GaussianDataModel(mean=rng.random((8, 8)), var=0.06)
+    low = rng.random((8, 8))
+    before = low.copy()
+    for pred in (_oracle_affine(model, sched), _oracle_affine(model, sched, cond_gain=-0.1)):
+        tables = [x.copy() for x in (pred.a, pred.g, pred.b)]
+        for regime in ("full", "ast", "inverted"):
+            spec = make_regime_spec(regime, 10, kind, sched, eta=eta)
+            reconstruct(spec, low, pred, sched, np.random.default_rng(3))
+        assert all(np.array_equal(x, y) for x, y in zip((pred.a, pred.g, pred.b), tables))
+        assert np.array_equal(low, before)
+
+
 # kernel calls per internal hop (first, later) with the Gaussian oracle, the
-# evaluations included: its estimates are folded into the hops' combinations,
-# except dpm2's midpoint estimate, one scaled_residual
-_KERNEL_CALLS_PER_HOP = {"ddpm": (1, 1), "ddim": (1, 1), "dpm1": (1, 1), "dpm2": (3, 3),
+# evaluations included: its estimates are folded into the hops' combinations
+_KERNEL_CALLS_PER_HOP = {"ddpm": (1, 1), "ddim": (1, 1), "dpm1": (1, 1), "dpm2": (2, 2),
                          "dpmpp2m": (2, 2), "unipc2": (3, 4)}
 
 
 @pytest.mark.parametrize("kind, eta", _KIND_ETAS)
 def test_kernel_calls_per_hop(sched, monkeypatch, kind, eta):
     calls = []
-    for name in ("lincomb2", "lincomb3", "scaled_residual"):
+    for name in k.__all__:
         def spy(*args, _kernel=getattr(k, name), **kwargs):
             calls.append(1)
             return _kernel(*args, **kwargs)
@@ -687,11 +717,10 @@ def test_kernel_calls_per_hop(sched, monkeypatch, kind, eta):
         # the terminal hop is one lincomb2, its evaluation folded
         folded = len(calls)
         assert folded == 1 + first + later * (N - 2)
-        # unfolded, each folded evaluation is one scaled_residual again
+        # unfolded, each evaluation is the oracle's own lincomb2
         calls.clear()
         _run(kind, N, x_init, CountingPredictor(oracle), sched, eta=eta)
-        midpoints = N - 1 if kind == "dpm2" else 0
-        assert len(calls) == folded + evaluations_per_run(kind, N) - midpoints
+        assert len(calls) == folded + evaluations_per_run(kind, N)
 
 
 # distinct latent-shaped arrays the kernels touch over a run: x_init, the
@@ -723,40 +752,24 @@ def test_hop_footprint(sched, monkeypatch, kind, eta):
     assert len(seen) == _FOOTPRINT[(kind, eta)]
 
 
-class TwoTermOracle(EpsilonPredictor):
-    """Gaussian oracle written ``coef*x_t - coef*sqrt(ab)*m``, as one lincomb2."""
-
-    def __init__(self, model, sched):
-        self.model = model
-        self.sched = sched
-
-    def predict(self, x_t, t, cond=None):
-        ab = self.sched.alpha_bar_at(t)
-        coef = math.sqrt(1.0 - ab) / (ab * self.model.var + (1.0 - ab))
-        return k.lincomb2(coef, x_t, -coef * math.sqrt(ab), self.model.mean)
-
-
 @pytest.mark.parametrize("kind, eta", _KIND_ETAS)
 def test_runs_match_two_term_oracle(sched, kind, eta):
-    # the oracles' single-residual form changes only their rounding. 2-step
-    # grids are left out: their one internal hop T -> 1 cancels terms of a
-    # few hundred into an O(1) latent, so the last rounding of an estimate
-    # moves the result ~1e-11 in either form (both are that far from an
-    # extended-precision evaluation)
+    # the oracles' estimates folded into the hops' combinations change only
+    # their rounding against the oracles' own two-term estimates, evaluated
+    # through the default bind. 2-step grids are left out: their one
+    # internal hop T -> 1 cancels terms of a few hundred into an O(1)
+    # latent, so the last rounding of an estimate moves the result ~1e-11 in
+    # either form (both are that far from an extended-precision evaluation)
     rng = np.random.default_rng(43)
     for size in (8, 64):
         model = GaussianDataModel(mean=np.full((size, size), 0.4), var=0.06)
         low = rng.random((size, size))
-        cond_pred = conditioned_oracle(model, 0.05, sched)
-        posterior = GaussianDataModel(*cond_pred._posterior(low))
-        pairs = [(GaussianOracle(model, sched), TwoTermOracle(model, sched)),
-                 (cond_pred, TwoTermOracle(posterior, sched))]
-        for regime in ("full", "ast", "inverted"):
-            for n in (1, 10, 50):
-                spec = make_regime_spec(regime, n, kind, sched, eta=eta)
-                for pred, ref_pred in pairs:
+        for pred in (GaussianOracle(model, sched), conditioned_oracle(model, 0.05, sched)):
+            for regime in ("full", "ast", "inverted"):
+                for n in (1, 10, 50):
+                    spec = make_regime_spec(regime, n, kind, sched, eta=eta)
                     got, _ = reconstruct(spec, low, pred, sched, np.random.default_rng(n))
-                    ref, _ = reconstruct(spec, low, ref_pred, sched, np.random.default_rng(n))
+                    ref, _ = reconstruct(spec, low, CountingPredictor(pred), sched, np.random.default_rng(n))
                     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (size, regime, n)
 
 
