@@ -226,13 +226,8 @@ def cmd_run(args):
     dataset = dat.read_manifest(manifest)
     if not dataset:
         raise ConfigError(f"{manifest} lists no pairs")
-    # every predictor is built for the first pair's shape
-    shape = dataset[0].full_dose.shape
-    for pair in dataset:
-        if pair.full_dose.shape != shape:
-            raise ValueError(f"{manifest}: pair {pair.pair_id} is {pair.full_dose.shape}, "
-                             f"but pair {dataset[0].pair_id} is {shape}")
-    pred = _build_predictor_factory(cfg, sched, shape, photons)
+    # read_manifest rejects pairs of another shape than the first's
+    pred = _build_predictor_factory(cfg, sched, dataset[0].full_dose.shape, photons)
 
     report = regime_sweep(cells, dataset, pred, sched, master_seed=seed, threads=args.threads)
     out = Path(args.out)

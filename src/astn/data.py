@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from astn import _kernels as k
-from astn.image import as_image
+from astn.image import as_image, require_same_shape
 
 __all__ = [
     "PhantomSpec",
@@ -71,8 +71,7 @@ class DosePair:
     seed: int
 
     def __post_init__(self):
-        if self.full_dose.shape != self.low_dose.shape:
-            raise ValueError("dose pair images must share a shape")
+        require_same_shape(self.full_dose, self.low_dose, "dose pair images")
         if not 0.0 < self.dose_fraction <= 1.0:
             raise ValueError("dose fraction must be in (0, 1]")
 
@@ -115,7 +114,8 @@ def write_image(path, buffer):
 
 
 def read_image(path):
-    """Read an ASTIMG01 file; distinguishes bad magic, truncation and overflow."""
+    """Read an ASTIMG01 file under :func:`write_image`'s contract: bad magic,
+    truncation, overflow and a non-finite pixel are each a ValueError naming the file."""
     with open(path, "rb") as f:
         payload = f.read()
     if len(payload) < 16 or payload[:8] != MAGIC:
@@ -127,7 +127,10 @@ def read_image(path):
     if len(payload) != expected:
         raise ValueError(f"{path}: truncated payload ({len(payload)} bytes, expected {expected})")
     data = np.frombuffer(payload, dtype="<f4", offset=16).astype(np.float64)
-    return data.reshape(h, w)
+    try:
+        return as_image(data.reshape(h, w))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_pgm(path, buffer):
@@ -202,7 +205,7 @@ _MANIFEST_COLUMNS = ("pair_id", "full_path", "low_path", "dose_fraction", "seed"
 
 def write_manifest(path, records):
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
+        writer = csv.writer(f, lineterminator="\n")
         writer.writerow(_MANIFEST_COLUMNS)
         writer.writerows([r[c] for c in _MANIFEST_COLUMNS] for r in records)
 
@@ -210,10 +213,12 @@ def write_manifest(path, records):
 def read_manifest(path):
     """Load manifest records and their images into DosePairs.
 
-    A bad header or a malformed row raises ValueError naming the file and line.
+    A bad header, a malformed row or image, a repeated pair id and a pair
+    shaped unlike the first each raise ValueError naming the file and line.
     """
     base = Path(path).parent
     pairs = []
+    ids = set()
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -225,9 +230,16 @@ def read_manifest(path):
             if len(rec) != len(_MANIFEST_COLUMNS):
                 raise ValueError(f"{where}: expected {len(_MANIFEST_COLUMNS)} fields, got {len(rec)}")
             pair_id, full_path, low_path, dose_fraction, seed = rec
+            if pair_id in ids:
+                raise ValueError(f"{where}: pair {pair_id} is listed twice")
+            ids.add(pair_id)
             try:
-                pairs.append(DosePair(pair_id, read_image(base / full_path), read_image(base / low_path),
-                                      float(dose_fraction), int(seed)))
+                pair = DosePair(pair_id, read_image(base / full_path), read_image(base / low_path),
+                                float(dose_fraction), int(seed))
+                if pairs:
+                    require_same_shape(pairs[0].full_dose, pair.full_dose,
+                                       f"pairs {pairs[0].pair_id} and {pair_id}")
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from exc
+            pairs.append(pair)
     return pairs

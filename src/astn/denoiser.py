@@ -141,10 +141,8 @@ class GaussianOracle(EpsilonPredictor):
             return cond, 0.0
         if not math.isfinite(nl2) or s2 == 0.0:
             return m, s2
-        prec = 1.0 / s2 + 1.0 / nl2
-        post_var = 1.0 / prec
-        post_mean = k.lincomb2(post_var / s2, m, post_var / nl2, cond)
-        return post_mean, post_var
+        post_var = 1.0 / (1.0 / s2 + 1.0 / nl2)
+        return k.lincomb2(post_var / s2, m, post_var / nl2, cond), post_var
 
     def bind(self, cond):
         """The posterior is computed here, once per condition image. The
@@ -152,13 +150,15 @@ class GaussianOracle(EpsilonPredictor):
         ``coef * (x_t - sqrt(ab_t) m)`` with ``m`` the bound prior or
         posterior mean (at noise level 0, the condition itself), and does no
         array work. A condition or latent not shaped like the prior mean is a
-        ValueError."""
+        ValueError, and so is a condition with a NaN or infinite pixel
+        wherever the oracle requires one, noise level inf included."""
         self._require_condition(cond)
-        model = self.model
+        mean, var, sched = self.model.mean, self.model.var, self.sched
         if self.noise_level is not None:
-            require_same_shape(cond, model.mean, "condition and prior mean")
-            model = GaussianDataModel(*self._posterior(cond))
-        mean, var, sched = model.mean, model.var, self.sched
+            require_same_shape(cond, mean, "condition and prior mean")
+            if not np.isfinite(cond).all():
+                raise ValueError("condition must be finite")
+            mean, var = self._posterior(cond)
 
         def eps(x_t, t):
             require_same_shape(x_t, mean, "latent and oracle mean")

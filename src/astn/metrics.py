@@ -4,7 +4,7 @@ metrics report table serialized to CSV.
 ``MetricsRow``'s fields are the one declaration of the sweep's output
 columns: ``metrics.csv`` writes and reads them in field order, and the
 per-(sampler, regime) curve files write a subset of them in the same number
-formats.
+formats, through the same writer and with the same LF line endings.
 
 Metrics operate on [0,1]-normalized images (data range 1). Identical
 images report the 300 dB PSNR cap instead of infinity so CSVs stay finite
@@ -119,8 +119,13 @@ _CURVE_COLUMNS = ("steps", "psnr_db", "rmse", "ssim", "time_s")
 _CSV_FORMATS = {"psnr_db": ".6f", "rmse": ".8e", "ssim": ".8f", "time_s": ".6f"}
 
 
-def _csv_values(row, columns):
-    return [format(getattr(row, c), _CSV_FORMATS.get(c, "")) for c in columns]
+def _write_table(path, columns, rows, preamble=""):
+    """``columns`` of the MetricsRows ``rows`` as CSV after ``preamble``, with LF line endings."""
+    with open(path, "w", newline="") as f:
+        f.write(preamble)
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([format(getattr(r, c), _CSV_FORMATS.get(c, "")) for c in columns] for r in rows)
 
 
 @dataclass
@@ -138,12 +143,7 @@ class MetricsReport:
         note = f"# time_s is mean wall time per image; schedule T: {self.T}; sweep threads: {self.threads}"
         if self.threads > 1:
             note += f", so time_s was measured under contention between {self.threads} concurrent cells"
-        with open(path, "w", newline="") as f:
-            f.write(note + "\n")
-            writer = csv.writer(f)
-            writer.writerow(CSV_HEADER)
-            for r in self.rows:
-                writer.writerow(_csv_values(r, CSV_HEADER))
+        _write_table(path, CSV_HEADER, self.rows, note + "\n")
 
     def write_curves(self, curve_dir):
         """One quality-vs-steps file ``{sampler}_{regime}.csv`` per (sampler,
@@ -155,13 +155,10 @@ class MetricsReport:
         for old in curve_dir.glob("*.csv"):
             old.unlink()
         groups = {}
-        for r in self.rows:
+        for r in sorted(self.rows, key=lambda r: r.steps):
             groups.setdefault((r.sampler, r.regime), []).append(r)
         for (sampler, regime), rows in groups.items():
-            with open(curve_dir / f"{sampler}_{regime}.csv", "w") as f:
-                f.write(",".join(_CURVE_COLUMNS) + "\n")
-                for r in sorted(rows, key=lambda r: r.steps):
-                    f.write(",".join(_csv_values(r, _CURVE_COLUMNS)) + "\n")
+            _write_table(curve_dir / f"{sampler}_{regime}.csv", _CURVE_COLUMNS, rows)
 
     @classmethod
     def read_csv(cls, path):

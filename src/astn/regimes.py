@@ -53,17 +53,21 @@ class RegimeSpec:
 
 
 def make_regime_spec(regime, n_or_N, kind, sched, eta=0.0):
-    """Build the RegimeSpec with the conventional grid for ``regime``.
+    """Build the RegimeSpec with the conventional grid for ``regime``, one that can run.
 
     ``eta`` is DDIM's stochasticity; every other kind runs at eta 0, so one
-    sweep-wide eta never fails the other samplers' cells.
+    sweep-wide eta never fails the other samplers' cells. DDIM's sigma can
+    reject a valid grid, so an eta > 0 ddim spec is compiled once here.
     """
     if regime == "ast":
         grid = make_timestep_grid(n_or_N, n_or_N, sched.T)
     else:
         grid = make_timestep_grid(sched.T, n_or_N, sched.T)
     sampler = SamplerSpec(kind=kind, grid=grid, eta=eta if kind == "ddim" else 0.0)
-    return RegimeSpec(regime=regime, sampler=sampler)
+    spec = RegimeSpec(regime=regime, sampler=sampler)
+    if sampler.eta > 0.0:
+        _plan(kind, zip(grid.steps, grid.steps[1:]), sched, sampler.eta)
+    return spec
 
 
 def ast_n_latent(input_image, n, sched, rng):
@@ -105,13 +109,11 @@ def _distinct(what, values):
 
 def sweep_cells(regimes, kinds, origins, sched, eta=0.0):
     """The RegimeSpec of every (regime, kind, origin/budget) cell, in that
-    nesting order: the one place a sweep's inputs are checked.
+    nesting order, each built by :func:`make_regime_spec` from checked axes.
 
-    An unknown regime or kind, an origin/budget outside [1, T], an ``eta``
-    that is not >= 0 (NaN included) or that makes DDIM's sigma^2 exceed
-    1 - alpha_bar on a hop of a cell's grid, and a regime, kind or origin
-    listed twice are each a ValueError naming the input. ``eta`` applies to
-    the ddim cells only (see :func:`make_regime_spec`).
+    An ``eta`` that is not >= 0 (NaN included), an origin/budget outside
+    [1, T] and a regime, kind or origin listed twice are each a ValueError
+    naming the input, as is a cell that make_regime_spec cannot build.
     """
     if not eta >= 0.0:
         raise ValueError(f"eta must be >= 0, got {eta}")
@@ -121,14 +123,7 @@ def sweep_cells(regimes, kinds, origins, sched, eta=0.0):
     for n in origins:
         if not 1 <= n <= sched.T:
             raise ValueError(f"origin/budget {n} outside [1, T={sched.T}]")
-    cells = [make_regime_spec(r, n, k, sched, eta=eta) for r in regimes for k in kinds for n in origins]
-    for spec in cells:
-        # DDIM's sigma is the one coefficient that can reject a valid grid,
-        # so only eta > 0 cells are compiled here, and their plans dropped
-        if spec.sampler.eta > 0.0:
-            steps = spec.sampler.grid.steps
-            _plan(spec.sampler.kind, zip(steps, steps[1:]), sched, spec.sampler.eta)
-    return cells
+    return [make_regime_spec(r, n, k, sched, eta=eta) for r in regimes for k in kinds for n in origins]
 
 
 def regime_sweep(cells, dataset, pred, sched, master_seed, threads=1):

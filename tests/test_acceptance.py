@@ -227,15 +227,15 @@ def test_criterion_7_timing_ratios(sched):
     x_img = rng.random((128, 128))
     inverted = RegimeSpec("inverted", spec150)
     # the image conditions every side, as it does in the inverted regime
-    double, ratio = interleaved_ratios(
+    (double, ratio), rounds = interleaved_ratios(
         [
             lambda: reconstruct(inverted, x_img, pred, sched, None),
             lambda: run_sampler(spec150, x_init, pred, x_img, sched),
             lambda: run_sampler(spec1000, x_init, pred, x_img, sched),
         ]
     )
-    assert 0.10 <= ratio <= 0.25
-    assert 2.0 * 0.75 <= double <= 2.0 * 1.25
+    assert 0.10 <= ratio <= 0.25, rounds
+    assert 2.0 * 0.75 <= double <= 2.0 * 1.25, rounds
     _report("C7 timing ratios",
             f"150/1000 steps ratio {ratio:.3f}; invert+reconstruct/reconstruct {double:.2f}",
             time.perf_counter() - t0, 120)

@@ -1,5 +1,6 @@
 import csv
 import math
+import struct
 
 import pytest
 
@@ -71,6 +72,9 @@ def test_generate_run_report_pipeline(workspace, capsys):
         lines = curve.read_text().splitlines()
         assert lines[0] == "steps,psnr_db,rmse,ssim,time_s"
         assert len(lines) == 3
+    # every CSV file astn writes ends its lines with LF alone
+    for path in [out / "dataset" / "manifest.csv", metrics, *(out / "curves").glob("*.csv")]:
+        assert b"\r" not in path.read_bytes(), path.name
 
     capsys.readouterr()
     assert main(["report", str(metrics)]) == 0
@@ -206,18 +210,28 @@ def test_runtime_failure_exit_code(workspace):
     assert main(["run", "--config", str(broken_path), "--out", str(out)]) == 3
 
 
-@pytest.mark.parametrize("damage", ["truncate", "bad_magic"])
+# damage -> the damaged payload of an image file
+_IMAGE_DAMAGE = {
+    "truncate": lambda payload: payload[:-10],
+    "bad_magic": lambda payload: b"NOTANIMG" + payload[8:],
+    "nan_pixel": lambda payload: payload[:-4] + struct.pack("<f", math.nan),
+    "inf_pixel": lambda payload: payload[:-4] + struct.pack("<f", math.inf),
+}
+
+
+@pytest.mark.parametrize("damage", list(_IMAGE_DAMAGE))
 def test_corrupt_dataset_image_is_runtime_failure(workspace, capsys, damage):
     tmp, cfg = workspace
     out = tmp / "work"
     assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
     image = out / "dataset" / "pair001_d025_low.img"
-    payload = image.read_bytes()
-    image.write_bytes(payload[:-10] if damage == "truncate" else b"NOTANIMG" + payload[8:])
+    image.write_bytes(_IMAGE_DAMAGE[damage](image.read_bytes()))
     capsys.readouterr()
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "runtime failure" in err and "pair001_d025_low.img" in err
+    # the manifest read stops the run before any cell
+    assert not (out / "metrics.csv").exists()
 
 
 def test_malformed_manifest_is_runtime_failure(workspace, capsys):

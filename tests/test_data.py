@@ -143,6 +143,15 @@ def test_image_error_cases(tmp_path):
         read_image(empty)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_read_image_rejects_non_finite_pixels(tmp_path, bad):
+    # write_image refuses such a pixel, so the payload is built by hand
+    path = tmp_path / "bad.img"
+    path.write_bytes(b"ASTIMG01" + struct.pack("<II", 2, 2) + struct.pack("<4f", 0.0, bad, 0.5, 1.0))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: non-finite values in image")):
+        read_image(path)
+
+
 # case -> (buffer, text of the error)
 _BAD_BUFFERS = {
     "three_d": (np.zeros((2, 2, 2)), "image must be 2D, got shape (2, 2, 2)"),
@@ -228,6 +237,8 @@ _MANIFEST_DAMAGE = {
     "renamed_column": ":1: bad manifest header",
     "short_row": ":3: expected 5 fields, got 4",
     "bad_seed": ":2: invalid literal for int()",
+    "repeated_pair": ":4: pair pair000_d025 is listed twice",
+    "mixed_shape": ":3: pairs pair000_d025 and pair001_d025 have mismatched shapes (32, 32) vs (48, 48)",
 }
 
 
@@ -240,6 +251,11 @@ def test_malformed_manifest_names_file_and_line(tmp_path, damage):
         lines[0] = lines[0].replace("low_path", "low")
     elif damage == "short_row":
         lines[2] = lines[2].rsplit(",", 1)[0]
+    elif damage == "repeated_pair":
+        lines.append(lines[1])
+    elif damage == "mixed_shape":
+        for name in ("pair001_full.img", "pair001_d025_low.img"):
+            write_image(tmp_path / name, np.zeros((48, 48)))
     else:
         lines[1] = lines[1].rsplit(",", 1)[0] + ",seven"
     manifest.write_text("\n".join(lines) + "\n")

@@ -160,6 +160,15 @@ def test_bind_without_condition_raises(sched, rng, name):
         pred.bind(None)
 
 
+@pytest.mark.parametrize("name", ["conditioned_noise0", "conditioned_finite", "conditioned_inf"])
+def test_bound_oracle_rejects_non_finite_condition(sched, rng, name):
+    # every oracle that requires a condition checks it, even one that discards it
+    cond = rng.random((6, 5))
+    cond[2, 3] = math.nan
+    with pytest.raises(ValueError, match="condition must be finite"):
+        _bind_cases(sched, rng)[name].bind(cond)
+
+
 def test_bound_oracle_checks_condition_shape(sched, rng):
     cases = _bind_cases(sched, rng)
     # latents are checked against the oracle's own mean, with or without a condition

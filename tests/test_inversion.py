@@ -93,10 +93,10 @@ def test_invert_plus_reconstruct_doubles_wall_time(sched):
     latent = ddim_invert(x_start, pred, x_start, sched, grid)
 
     # both sides condition on the image, so they do the same work per evaluation
-    (double,) = interleaved_ratios(
+    (double,), rounds = interleaved_ratios(
         [
             lambda: reconstruct(RegimeSpec("inverted", spec), x_start, pred, sched, None),
             lambda: run_sampler(spec, latent, pred, x_start, sched),
         ]
     )
-    assert 0.75 * 2.0 <= double <= 1.25 * 2.0
+    assert 0.75 * 2.0 <= double <= 1.25 * 2.0, rounds

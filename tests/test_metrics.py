@@ -170,8 +170,8 @@ def test_timed_scales_linearly():
         return [once() for _ in range(10)]
 
     # the helper times through ``timed``, ten and once back to back per round
-    (t10_over_t1,) = interleaved_ratios([ten, once])
-    assert 10 * 0.7 <= t10_over_t1 <= 10 * 1.3
+    (t10_over_t1,), rounds = interleaved_ratios([ten, once])
+    assert 10 * 0.7 <= t10_over_t1 <= 10 * 1.3, rounds
 
 
 def test_metrics_row_validation():

@@ -159,6 +159,13 @@ def test_sweep_cells_order_and_specs(sched):
     assert [c.sampler.eta for c in cells[:4]] == [0.3, 0.3, 0.0, 0.0]
 
 
+def test_make_regime_spec_rejects_eta_beyond_ddim_sigma(sched):
+    with pytest.raises(ValueError, match=r"eta=1.5 makes sigma\^2 exceed 1 - alpha_bar at t_prev=889"):
+        make_regime_spec("full", 10, "ddim", sched, eta=1.5)
+    # every other kind runs at eta 0
+    assert make_regime_spec("full", 10, "ddpm", sched, eta=1.5).sampler.eta == 0.0
+
+
 @pytest.mark.parametrize("regimes, kinds, origins, eta, message", [
     (["warm"], ["ddim"], [10], 0.0, "unknown regime 'warm'"),
     (["full"], ["euler"], [10], 0.0, "unknown sampler kind 'euler'"),
@@ -301,8 +308,8 @@ def test_sweep_timing_scales_with_steps(sched):
         # the 150- and 1000-step cells run back to back within one sweep
         return [r.time_s for r in regime_sweep(cells, pairs, pred, sched, master_seed=4).rows]
 
-    (ratio,) = median_ratios(cell_times)
-    assert 0.10 <= ratio <= 0.25
+    (ratio,), rounds = median_ratios(cell_times)
+    assert 0.10 <= ratio <= 0.25, rounds
 
 
 def test_sweep_rejects_empty_dataset(sched):
