@@ -15,7 +15,6 @@ parsed; any other exception, ``ValueError`` included, is a runtime failure.
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -177,8 +176,8 @@ def _build_predictor_factory(cfg, sched, shape, photons):
         level = None if kind == "gaussian_oracle" or auto else cn
 
         def oracle(pair):
-            # "auto" is the Poisson surrogate noise scale at mid intensity: var ~ 0.5/(frac*photons)
-            return GaussianOracle(model, sched, math.sqrt(0.5 / (pair.dose_fraction * photons)) if auto else level)
+            # "auto" is the low-dose noise level at mid intensity
+            return GaussianOracle(model, sched, dat.low_dose_noise_sd(0.5, pair.dose_fraction, photons) if auto else level)
 
         return oracle if auto else oracle(None)
     if kind == "affine":

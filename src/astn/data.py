@@ -30,6 +30,7 @@ __all__ = [
     "DosePair",
     "generate_phantom",
     "simulate_low_dose",
+    "low_dose_noise_sd",
     "write_image",
     "read_image",
     "write_pgm",
@@ -99,6 +100,12 @@ def simulate_low_dose(x0, dose_fraction, rng, photons_full_dose=4096):
     lam = dose_fraction * photons_full_dose * np.clip(x0, 0.0, None)
     counts = rng.poisson(lam).astype(np.float64)
     return np.clip(counts / (dose_fraction * photons_full_dose), 0.0, 1.0)
+
+
+def low_dose_noise_sd(intensity, dose_fraction, photons_full_dose=4096):
+    """Standard deviation of :func:`simulate_low_dose`'s noise at pixel ``intensity``:
+    sqrt(lam) / (lam / intensity) for its Poisson count of mean lam."""
+    return math.sqrt(intensity / (dose_fraction * photons_full_dose))
 
 
 def write_image(path, buffer):

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from astn.samplers import _plan, _walk
+from astn.samplers import _execute
 
 __all__ = ["ddim_invert"]
 
@@ -28,13 +28,10 @@ def ddim_invert(x_start, pred, cond, sched, grid):
     """Map ``x_start`` to an approximate latent at ``grid.origin``.
 
     ``grid`` is an ordinary (descending) sampling grid; it is traversed in
-    reverse. Deterministic: identical inputs give bit-identical latents.
-    ``x_start`` and ``cond`` are never written, and the result is a fresh
-    array.
+    reverse. A given ``cond`` must have ``x_start``'s shape. Deterministic:
+    identical inputs give bit-identical latents. ``x_start`` and ``cond``
+    are never written, and the result is a fresh array.
     """
-    x_start = np.asarray(x_start, dtype=np.float64)
     up = grid.steps[::-1]
-    plan = _plan("ddim", zip(up[:-1], up[1:]), sched, 0.0)
-    x = math.sqrt(sched.alpha_bar(up[0])) * x_start
-    return _walk("inversion", plan, x, pred.bind(cond), None)[0]
-
+    x = math.sqrt(sched.alpha_bar(up[0])) * np.asarray(x_start, dtype=np.float64)
+    return _execute("inversion", "ddim", zip(up[:-1], up[1:]), x, pred, cond, sched)

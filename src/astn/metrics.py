@@ -163,7 +163,8 @@ class MetricsReport:
     @classmethod
     def read_csv(cls, path):
         """The rows of a :meth:`write_csv` file, and T from its comment line
-        (the default 1000 where that line states none)."""
+        (1000 where it states none). A malformed or repeated (regime,
+        sampler, steps) row is a ValueError naming the file and line."""
         with open(path, newline="") as f:
             lines = f.readlines()
         stated_T = re.search(r"schedule T: (\d+)", "".join(ln for ln in lines if ln.startswith("#")))
@@ -174,12 +175,16 @@ class MetricsReport:
         if header is None or tuple(header) != CSV_HEADER:
             raise ValueError(f"{path}: bad metrics header {header}")
         types = [f.type for f in fields(MetricsRow)]
-        rows = []
+        rows = {}
         for lineno, rec in records[1:]:
             if len(rec) != len(CSV_HEADER):
                 raise ValueError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields, got {len(rec)}")
             try:
-                rows.append(MetricsRow(*(t(v) for t, v in zip(types, rec))))
+                row = MetricsRow(*(t(v) for t, v in zip(types, rec)))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        return cls(rows=rows, T=int(stated_T[1]) if stated_T else cls.T)
+            cell = (row.regime, row.sampler, row.steps)
+            if cell in rows:
+                raise ValueError(f"{path}:{lineno}: cell {cell} is listed twice")
+            rows[cell] = row
+        return cls(rows=list(rows.values()), T=int(stated_T[1]) if stated_T else cls.T)

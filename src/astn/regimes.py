@@ -81,7 +81,8 @@ def reconstruct(regime, low_dose, pred, sched, rng, record=False):
     """Run one reconstruction of ``low_dose`` under ``regime``.
 
     The low-dose image conditions every step (ignored by unconditional
-    predictors). Returns (reconstruction, TrajectoryRecord).
+    predictors). Returns (reconstruction, snapshots) as :func:`run_sampler`
+    does: the snapshot list is empty unless ``record`` is set.
     """
     spec = regime.sampler
     if regime.regime == "full":

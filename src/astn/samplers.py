@@ -32,11 +32,11 @@ written out; the multistep kinds still write x0_hat, their history. DDIM
 hops apply as DPM-1's (eta = 0) or DDPM's (eta > 0). One compile step,
 ``_plan``, turns hops into a plan, a list of ``(t, u, apply, coefficients)``
 holding every scalar of the run (the grid fixes the multistep step ratio
-r0), and one executor runs every plan: ``run_sampler``'s grid,
+r0). One executor, always entered through ``_execute``, which binds the
+predictor to the condition once, runs every plan: ``run_sampler``'s grid,
 ``sampler_step`` (a one-hop plan from no history: for the multistep kinds,
 the first-order hop every grid of theirs starts with) and DDIM inversion
-(upward DDIM hops, see ``astn.inversion``). Callers bind the predictor to
-the condition once (``EpsilonPredictor.bind``).
+(upward DDIM hops, see ``astn.inversion``).
 
 Every evaluation is folded into the combination that reads it. A bound
 predictor returns its estimate at latent x as ``(a, img, b)`` with eps_hat
@@ -51,7 +51,7 @@ eps_hat.
 
 The executor owns one call's workspace of named latent-shaped buffers,
 allocated on first use and dropped on return, the finiteness check after
-every hop and the optional ``TrajectoryRecord``. The buffers are the two
+every hop and the optional list of snapshots. The buffers are the two
 latents the result ping-pongs between, the kernels' scratch ``tmp`` (see
 the aliasing rules in ``astn._kernels``), the noise draw ``noise`` (ddpm
 and eta > 0 ddim) and, for the multistep kinds, the data prediction ``x0``
@@ -70,9 +70,8 @@ workspace alone.
 """
 
 import math
-import time
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,7 +81,6 @@ from astn.image import require_same_shape
 __all__ = [
     "SAMPLER_KINDS",
     "SamplerSpec",
-    "TrajectoryRecord",
     "sampler_step",
     "run_sampler",
     "evaluations_per_run",
@@ -100,14 +98,6 @@ class SamplerSpec:
         _check_kind(self.kind, self.eta)
         if len(self.grid) == 0:
             raise ValueError("sampler grid is empty")
-
-
-@dataclass
-class TrajectoryRecord:
-    """Optional (t, latent snapshot) pairs and per-step wall times."""
-
-    snapshots: list = field(default_factory=list)
-    step_times: list = field(default_factory=list)
 
 
 def _x0_coefs(t, sched):
@@ -323,28 +313,33 @@ def _plan(kind, hops, sched, eta):
     return plan
 
 
-def _walk(what, plan, x, eps, rng, record=False):
-    """Run the hops of ``plan`` from latent ``x``; the one sampler executor.
+def _walk(what, plan, x, eps, rng, snapshots=None):
+    """Run the hops of ``plan`` from latent ``x`` and return the final latent.
 
     ``plan`` comes from :func:`_plan` and ``eps`` is a bound predictor. The
     hops write into a workspace owned by this call: the latent ping-pongs
     between two of its buffers, so ``x`` is never written, and an ``x_t``
     handed to the predictor is valid only during that evaluation. Aborts
-    naming ``what`` and the hop on non-finite values. Returns (final latent,
-    TrajectoryRecord); the record is empty unless ``record`` is set.
+    naming ``what`` and the hop on non-finite values. A ``snapshots`` list
+    gets each hop's ``(u, copy of x_u)`` appended.
     """
     ws = defaultdict(lambda: np.empty(x.shape))
-    traj = TrajectoryRecord()
     for i, (t, u, apply, c) in enumerate(plan):
-        if record:
-            t0 = time.perf_counter()
         x = apply(x, t, c, eps, rng, ws, ws[("latent", i % 2)])
         if not np.logical_and.reduce(np.isfinite(x), axis=None):
             raise RuntimeError(f"{what} produced non-finite values stepping {t} -> {u}")
-        if record:
-            traj.step_times.append(time.perf_counter() - t0)
-            traj.snapshots.append((u, x.copy()))
-    return x, traj
+        if snapshots is not None:
+            snapshots.append((u, x.copy()))
+    return x
+
+
+def _execute(what, kind, hops, x, pred, cond, sched, eta=0.0, rng=None, snapshots=None):
+    """The one way into :func:`_walk`: ``kind``'s ``hops`` from latent ``x`` as
+    float64, a given ``cond`` checked against its shape and ``pred`` bound to it once."""
+    x = np.asarray(x, dtype=np.float64)
+    if cond is not None:
+        require_same_shape(x, cond, "latent and condition")
+    return _walk(what, _plan(kind, hops, sched, eta), x, pred.bind(cond), rng, snapshots)
 
 
 def sampler_step(kind, x_t, t, t_prev, pred, cond, sched, *, eta=0.0, rng=None):
@@ -355,37 +350,31 @@ def sampler_step(kind, x_t, t, t_prev, pred, cond, sched, *, eta=0.0, rng=None):
     For the history-free kinds, folding this over a grid with one rng
     reproduces ``run_sampler`` bit for bit; for the multistep kinds
     (dpmpp2m, unipc2) the hop is the first-order one their grids start
-    with. ``x_t`` and ``cond`` are never written, and the result is a
-    fresh array.
+    with. A given ``cond`` must have ``x_t``'s shape. ``x_t`` and ``cond``
+    are never written, and the result is a fresh array.
     """
     _check_kind(kind, eta)
     if not t > t_prev >= 0:
         raise ValueError(f"reverse hop needs t > t_prev >= 0, got {t} -> {t_prev}")
-    plan = _plan(kind, [(t, t_prev)], sched, eta)
-    return _walk(kind, plan, np.asarray(x_t, dtype=np.float64), pred.bind(cond), rng)[0]
+    return _execute(kind, kind, [(t, t_prev)], x_t, pred, cond, sched, eta, rng)
 
 
 def run_sampler(spec, x_init, pred, cond, sched, rng=None, record=False):
     """Fold ``spec.kind``'s hops over the grid plus a final hop to 0.
 
-    Every hop's coefficients are computed before the first predictor
-    evaluation, and the predictor is bound to ``cond`` once. Deterministic
-    kinds never touch ``rng``; stochastic ones require it. Aborts with the
-    offending timestep if a step produces non-finite values.
-
-    ``x_init`` and ``cond`` are never written, and an ``x_t`` handed to the
-    predictor is valid only during that evaluation.
-
-    Returns (final image, TrajectoryRecord); the record is empty unless
-    ``record`` is set. The final image is the last latent buffer, not
-    shared with anything else.
+    Deterministic kinds never touch ``rng``; stochastic ones require it. A
+    given ``cond`` must have the latent's shape, and a non-finite hop
+    aborts the run, naming its timesteps. ``x_init`` and ``cond`` are never
+    written, and an ``x_t`` handed to the predictor is valid only during
+    that evaluation. Returns (fresh final image, snapshots): each hop's
+    ``(t_prev, latent copy)`` if ``record`` is set, else empty.
     """
     grid = spec.grid.steps
-    if cond is not None:
-        require_same_shape(x_init, cond, "latent and condition")
-    plan = _plan(spec.kind, list(zip(grid[:-1], grid[1:])) + [(grid[-1], 0)], sched, spec.eta)
-    x = np.asarray(x_init, dtype=np.float64)
-    return _walk(spec.kind, plan, x, pred.bind(cond), rng, record)
+    hops = list(zip(grid[:-1], grid[1:])) + [(grid[-1], 0)]
+    snapshots = []
+    x = _execute(spec.kind, spec.kind, hops, x_init, pred, cond, sched, spec.eta, rng,
+                 snapshots if record else None)
+    return x, snapshots
 
 
 def evaluations_per_run(kind, n_steps):

@@ -401,6 +401,16 @@ def test_report_malformed_csv(tmp_path, capsys):
     assert ":2" in capsys.readouterr().err
 
 
+def test_report_rejects_a_repeated_cell(tmp_path, capsys):
+    # a repeated cell used to print twice and write its step twice to the curve
+    path = tmp_path / "repeated.csv"
+    path.write_text("regime,sampler,steps,psnr_db,rmse,ssim,time_s,seed\nfull,ddpm,10,1,2,0.5,1,0\n"
+                    "full,ddpm,25,1,2,0.5,1,0\nfull,ddpm,10,3,4,0.5,1,0\n")
+    assert main(["report", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert ":4: cell ('full', 'ddpm', 10) is listed twice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_render_report_golden():
     rows = [
         MetricsRow("full", "ddpm", 1000, 38.788, 0.0116, 0.973, 16.382, 42),

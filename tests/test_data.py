@@ -10,6 +10,7 @@ from astn.data import (
     PhantomSpec,
     generate_dataset,
     generate_phantom,
+    low_dose_noise_sd,
     read_image,
     read_manifest,
     simulate_low_dose,
@@ -64,6 +65,15 @@ def test_low_dose_variance_scale():
     noisy = simulate_low_dose(x0, 0.25, rng, photons_full_dose=4096)
     want = 0.5 / (0.25 * 4096)
     assert float(((noisy - x0) ** 2).mean()) == pytest.approx(want, rel=0.10)
+
+
+@pytest.mark.parametrize("intensity", [0.5, 0.2])
+@pytest.mark.parametrize("frac", [0.25, 0.10])
+def test_low_dose_noise_sd_matches_simulated_noise(intensity, frac):
+    noisy = simulate_low_dose(np.full((256, 256), intensity), frac, np.random.default_rng(21))
+    sd, n = low_dose_noise_sd(intensity, frac), noisy.size
+    # within 4 standard errors of a sample sd, sd / sqrt(2 (n - 1)) for near-normal counts
+    assert abs(float(noisy.std(ddof=1)) - sd) <= 4 * sd / math.sqrt(2 * (n - 1))
 
 
 def test_low_dose_noiseless_limit():

@@ -193,7 +193,14 @@ def test_bound_oracle_terms_describe_its_estimate(sched, rng, name):
     pred = _bind_cases(sched, rng)[name]
     cond = rng.random((6, 5))
     eps = pred.bind(cond)
-    mean, var = (pred.model.mean, pred.model.var) if pred.noise_level is None else pred._posterior(cond)
+    m, s2, nl = pred.model.mean, pred.model.var, pred.noise_level
+    mean, var = m, s2
+    if nl == 0.0:
+        mean, var = cond, 0.0
+    elif nl is not None:
+        # the precision-weighted posterior moments of GaussianOracle's docstring
+        var = 1.0 / (1.0 / s2 + 1.0 / nl**2)
+        mean = var * (m / s2 + cond / nl**2)
     for t in (1, 2, 37, 500, 999, 1000):
         x_t = rng.standard_normal((6, 5))
         a, img, b = eps(x_t, t)

@@ -202,6 +202,17 @@ def test_report_csv_non_finite_metric_names_file_and_line(tmp_path):
         MetricsReport.read_csv(path)
 
 
+def test_report_csv_repeated_cell_names_file_and_line(tmp_path):
+    path = tmp_path / "edited.csv"
+    MetricsReport(rows=[MetricsRow("full", "ddpm", 10, 30.0, 0.01, 0.5, 0.1, 1),
+                        MetricsRow("ast", "ddpm", 10, 30.0, 0.01, 0.5, 0.1, 1)]).write_csv(path)
+    assert len(MetricsReport.read_csv(path).rows) == 2
+    with open(path, "a") as f:
+        f.write("full,ddpm,10,31.0,0.01,0.5,0.1,2\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:5: cell ('full', 'ddpm', 10) is listed twice")):
+        MetricsReport.read_csv(path)
+
+
 def test_report_csv_round_trip(tmp_path):
     report = MetricsReport(
         rows=[

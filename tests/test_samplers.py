@@ -11,6 +11,7 @@ from astn.denoiser import (
     EpsilonPredictor,
     GaussianDataModel,
     GaussianOracle,
+    ZeroPredictor,
     conditioned_oracle,
 )
 from astn.forward import q_sample
@@ -332,13 +333,33 @@ def test_run_sampler_seed_determinism(sched, toy, kind):
 def test_run_sampler_records_trajectory(sched, toy):
     _, pred, x_init = toy
     spec = SamplerSpec(kind="ddim", grid=make_timestep_grid(1000, 10, sched.T))
-    _, traj = run_sampler(spec, x_init, pred, None, sched, record=True)
-    ts = [t for t, _ in traj.snapshots]
+    _, snapshots = run_sampler(spec, x_init, pred, None, sched, record=True)
+    ts = [t for t, _ in snapshots]
     assert ts == sorted(ts, reverse=True)
     assert ts[-1] == 0
-    assert len(traj.step_times) == len(ts) == 10
-    shapes = {snap.shape for _, snap in traj.snapshots}
+    assert len(ts) == 10
+    shapes = {snap.shape for _, snap in snapshots}
     assert shapes == {x_init.shape}
+    assert run_sampler(spec, x_init, pred, None, sched)[1] == []
+
+
+# each public way into the executor, called on a latent x along a grid
+_ENTRIES = {
+    "run_sampler": lambda x, pred, cond, sched, grid: run_sampler(SamplerSpec("ddim", grid), x, pred, cond, sched),
+    "sampler_step": lambda x, pred, cond, sched, grid: sampler_step("ddim", x, 500, 400, pred, cond, sched),
+    "ddim_invert": lambda x, pred, cond, sched, grid: ddim_invert(x, pred, cond, sched, grid),
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRIES)
+@pytest.mark.parametrize("pred", ["gaussian_oracle", "zero"])
+def test_every_walk_rejects_a_condition_of_another_shape(sched, entry, pred):
+    # neither predictor reads the condition, so only the executor's entry can reject it
+    pred = {"gaussian_oracle": GaussianOracle(GaussianDataModel(np.full((8, 8), 0.3), 0.5), sched),
+            "zero": ZeroPredictor()}[pred]
+    x = np.random.default_rng(4).standard_normal((8, 8))
+    with pytest.raises(ValueError, match="latent and condition have mismatched shapes"):
+        _ENTRIES[entry](x, pred, np.zeros((4, 4)), sched, make_timestep_grid(sched.T, 5, sched.T))
 
 
 # every (kind, eta) case, keyed by its test id
@@ -360,7 +381,7 @@ def test_run_sampler_equals_fold_of_step_functions(sched, name, N):
     x_init = rng.standard_normal((8, 8))
     kind, eta = _STEP_CASES[name]
     spec = SamplerSpec(kind=kind, grid=make_timestep_grid(sched.T, N, sched.T), eta=eta)
-    out, traj = run_sampler(spec, x_init, pred, cond, sched, rng=np.random.default_rng(3), record=True)
+    out, recorded = run_sampler(spec, x_init, pred, cond, sched, rng=np.random.default_rng(3), record=True)
 
     fold_rng = np.random.default_rng(3)
     x, snapshots = x_init, []
@@ -371,8 +392,8 @@ def test_run_sampler_equals_fold_of_step_functions(sched, name, N):
     # both paths run the same coefficient and apply functions, so every kind,
     # dpm2 with its fractional midpoint included, must match bit for bit
     assert np.array_equal(out, x)
-    assert [u for u, _ in traj.snapshots] == [u for u, _ in snapshots]
-    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(traj.snapshots, snapshots))
+    assert [u for u, _ in recorded] == [u for u, _ in snapshots]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(recorded, snapshots))
 
 
 # (kind, eta, match, hop t -> t_prev); ids name the first three
@@ -448,8 +469,8 @@ def test_run_sampler_leaves_inputs_and_results_alone(sched, kind, eta):
 def test_run_sampler_snapshots_keep_their_values(sched, kind, eta):
     spec, pred, cond, x_init = _buffer_case(sched, kind, eta)
     spy = SpyPredictor(pred)
-    out, traj = run_sampler(spec, x_init, spy, cond, sched, rng=np.random.default_rng(2), record=True)
-    snaps = [snap for _, snap in traj.snapshots]
+    out, snapshots = run_sampler(spec, x_init, spy, cond, sched, rng=np.random.default_rng(2), record=True)
+    snaps = [snap for _, snap in snapshots]
     assert np.array_equal(snaps[-1], out)
     assert not any(np.shares_memory(snap, x) for snap in snaps for x in spy.seen + [out])
     # hop j's first evaluation sees the latent hop j - 1 produced and recorded
