@@ -23,7 +23,7 @@ combination that reads it; any other predictor returns ``(0.0, eps_hat,
 """
 
 import math
-import zlib
+import zipfile
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -189,7 +189,8 @@ class AffinePredictor(EpsilonPredictor):
 
     Scalars ``a_t`` and condition gains ``g_t`` plus per-pixel offset images
     ``b_t`` for t = 1..T (index 0 unused). Fractional evaluation timesteps
-    round to the nearest table entry.
+    round to the nearest table entry. :meth:`save` and :meth:`load` keep the
+    tables, row 0 included, and the conditional flag in one ``.npz`` archive.
     """
 
     def __init__(self, a, g, b, conditional=False):
@@ -249,42 +250,29 @@ class AffinePredictor(EpsilonPredictor):
     def predict(self, x_t, t, cond=None):
         return _evaluate(self.bind(cond), x_t, t)
 
-    # -- flat text serialization: one line per t: "t a_t g_t b-values... crc" --
+    # -- serialization: one .npz archive, whose zip layer checks each table's CRC-32 on read --
 
     def save(self, path):
-        h, w = self.b.shape[1], self.b.shape[2]
-        with open(path, "w") as f:
-            f.write(f"astn-affine 1 {self.T} {h} {w} {int(self.conditional)}\n")
-            for t in range(1, self.T + 1):
-                bvals = " ".join(repr(float(v)) for v in self.b[t].ravel())
-                crc = zlib.crc32(self.b[t].tobytes()) & 0xFFFFFFFF
-                f.write(f"{t} {float(self.a[t])!r} {float(self.g[t])!r} {bvals} {crc:08x}\n")
+        """Write the tables as an ``.npz`` archive named exactly ``path``."""
+        with open(path, "wb") as f:
+            np.savez(f, a=self.a, g=self.g, b=self.b, conditional=self.conditional)
 
     @classmethod
     def load(cls, path):
-        """Read a :meth:`save` file; any malformed content is a ValueError naming ``path``."""
-        with open(path) as f:
+        """Read a :meth:`save` archive, never unpickling. A missing file is an
+        OSError, and any other fault a ValueError naming ``path``."""
+        with open(path, "rb") as f:
             try:
-                header = f.readline().split()
-                if len(header) != 6 or header[0] != "astn-affine" or header[1] != "1":
-                    raise ValueError("not an affine predictor file")
-                T, h, w, conditional = int(header[2]), int(header[3]), int(header[4]), bool(int(header[5]))
-                a = np.ones(T + 1)
-                g = np.zeros(T + 1)
-                b = np.zeros((T + 1, h, w))
-                for t in range(1, T + 1):
-                    parts = f.readline().split()
-                    if len(parts) != 4 + h * w or int(parts[0]) != t:
-                        raise ValueError(f"malformed coefficient line for t={t}")
-                    a[t] = float(parts[1])
-                    g[t] = float(parts[2])
-                    b[t] = np.array([float(v) for v in parts[3:-1]]).reshape(h, w)
-                    crc = zlib.crc32(b[t].tobytes()) & 0xFFFFFFFF
-                    if f"{crc:08x}" != parts[-1]:
-                        raise ValueError(f"offset checksum mismatch at t={t}")
-            except ValueError as exc:
+                # np.load takes any file but an .npy or .npz for a pickle, and refuses it
+                if f.read(4) != b"PK\x03\x04":
+                    raise ValueError("not an .npz archive")
+                f.seek(0)
+                tables = np.load(f, allow_pickle=False)
+                return cls(a=tables["a"], g=tables["g"], b=tables["b"], conditional=bool(tables["conditional"]))
+            except zipfile.BadZipFile as exc:
+                raise ValueError(f"{path}: damaged archive (zip structure or table checksum): {exc}") from exc
+            except (KeyError, ValueError) as exc:
                 raise ValueError(f"{path}: {exc}") from exc
-        return cls(a=a, g=g, b=b, conditional=conditional)
 
 
 def train_affine_predictor(

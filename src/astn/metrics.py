@@ -24,9 +24,11 @@ import numpy as np
 
 from astn import _kernels as k
 from astn.image import require_same_shape
+from astn.samplers import SAMPLER_KINDS
 
 __all__ = [
     "PSNR_CAP_DB",
+    "REGIMES",
     "psnr",
     "rmse",
     "ssim",
@@ -38,6 +40,7 @@ __all__ = [
 
 PSNR_CAP_DB = 300.0
 DATA_RANGE = 1.0
+REGIMES = ("full", "ast", "inverted")  # the regimes astn.regimes runs: the labels a row's regime may take
 
 
 def rmse(ref, test):
@@ -92,7 +95,7 @@ def timed(op):
 
 @dataclass
 class MetricsRow:
-    """One sweep cell: mean quality metrics and per-image wall time."""
+    """One sweep cell, labelled as a sweep runs it: mean quality metrics and per-image wall time."""
 
     regime: str
     sampler: str
@@ -104,6 +107,12 @@ class MetricsRow:
     seed: int
 
     def __post_init__(self):
+        if self.regime not in REGIMES:
+            raise ValueError(f"unknown regime {self.regime!r}")
+        if self.sampler not in SAMPLER_KINDS:
+            raise ValueError(f"unknown sampler kind {self.sampler!r}")
+        if not self.steps >= 1:
+            raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not -1.0 <= self.ssim <= 1.0:
             raise ValueError(f"ssim {self.ssim} outside [-1, 1]")
         if self.rmse < 0.0 or self.time_s < 0.0:
@@ -163,8 +172,8 @@ class MetricsReport:
     @classmethod
     def read_csv(cls, path):
         """The rows of a :meth:`write_csv` file, and T from its comment line
-        (1000 where it states none). A malformed or repeated (regime,
-        sampler, steps) row is a ValueError naming the file and line."""
+        (1000 where it states none). A malformed or repeated row, and one no
+        sweep can write, is a ValueError naming the file and line."""
         with open(path, newline="") as f:
             lines = f.readlines()
         stated_T = re.search(r"schedule T: (\d+)", "".join(ln for ln in lines if ln.startswith("#")))

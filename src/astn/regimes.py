@@ -17,15 +17,13 @@ import numpy as np
 
 from astn.forward import q_sample
 from astn.inversion import ddim_invert
-from astn.metrics import MetricsReport, MetricsRow, psnr, rmse, ssim, timed
+from astn.metrics import REGIMES, MetricsReport, MetricsRow, psnr, rmse, ssim, timed
 from astn.samplers import SamplerSpec, _plan, run_sampler
 from astn.schedule import make_timestep_grid
 
 __all__ = [
     "REGIMES", "RegimeSpec", "ast_n_latent", "reconstruct", "regime_sweep", "make_regime_spec", "sweep_cells",
 ]
-
-REGIMES = ("full", "ast", "inverted")
 
 
 @dataclass(frozen=True)
@@ -99,9 +97,11 @@ def _cell_seed(master_seed, cell_index, image_index):
 
 
 def _distinct(what, values):
-    """``values`` as a list, or a ValueError if one repeats: seeds are keyed
-    on a cell's position, so a repeated cell would be scored twice, differently."""
+    """``values`` as a list, or a ValueError if it is empty or one repeats: seeds
+    are keyed on a cell's position, so a repeated cell would be scored twice, differently."""
     values = list(values)
+    if not values:
+        raise ValueError(f"sweep lists no {what}")
     for i, v in enumerate(values):
         if v in values[:i]:
             raise ValueError(f"sweep cells repeat: {what} {v!r} is listed twice")
@@ -112,9 +112,9 @@ def sweep_cells(regimes, kinds, origins, sched, eta=0.0):
     """The RegimeSpec of every (regime, kind, origin/budget) cell, in that
     nesting order, each built by :func:`make_regime_spec` from checked axes.
 
-    An ``eta`` that is not >= 0 (NaN included), an origin/budget outside
-    [1, T] and a regime, kind or origin listed twice are each a ValueError
-    naming the input, as is a cell that make_regime_spec cannot build.
+    An ``eta`` that is not >= 0 (NaN included), an origin/budget outside [1, T],
+    an empty axis and a regime, kind or origin listed twice are each a
+    ValueError naming the input, as is a cell that make_regime_spec cannot build.
     """
     if not eta >= 0.0:
         raise ValueError(f"eta must be >= 0, got {eta}")
@@ -136,13 +136,13 @@ def regime_sweep(cells, dataset, pred, sched, master_seed, threads=1):
     exception it raises propagates. Each cell x image gets an independent
     PRNG stream derived from ``master_seed`` and the cell's index in
     ``cells``; one MetricsRow per cell holds metrics and wall time averaged
-    over images. A (regime, sampler, steps) cell that repeats is a ValueError.
-    A cell that raises ValueError (a solver domain error) or RuntimeError
-    (non-finite output) is recorded in ``report.failures`` as ``(cell,
-    "<type>: <message>")`` and the sweep continues; any other exception is a
-    bug and propagates. ``threads`` cells run at once (at least 1); the
-    report records it, since above 1 the cells' wall times are measured
-    under contention, and the schedule's T.
+    over images. An empty cell list or dataset and a (regime, sampler, steps)
+    cell that repeats are each a ValueError. A cell that raises ValueError (a
+    solver domain error) or RuntimeError (non-finite output) is recorded in
+    ``report.failures`` as ``(cell, "<type>: <message>")`` and the sweep
+    continues; any other exception is a bug and propagates. ``threads`` cells
+    run at once (at least 1); the report records it, since above 1 the cells'
+    wall times are measured under contention, and the schedule's T.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

@@ -1,6 +1,9 @@
 import csv
+import json
 import math
+import re
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -271,25 +274,27 @@ def test_corrupt_affine_predictor_is_runtime_failure(workspace, capsys, damage):
     tmp, cfg = workspace
     out = tmp / "work"
     assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
-    model = tmp / "bad_affine.txt"
-    AffinePredictor.initial(2, (32, 32), conditional=True).save(model)
-    lines = model.read_text().splitlines(keepends=True)
-    if damage == "bad_header":
-        lines[0] = "astn-affine 9 2 32 32 1\n"
-    elif damage == "bad_checksum":
-        lines[1] = lines[1][:-9] + "00000000\n"
-    else:
-        # float() names the text it cannot parse but not the file
-        parts = lines[1].split()
-        lines[1] = " ".join([parts[0], "x"] + parts[2:]) + "\n"
-    model.write_text("".join(lines))
+    model = tmp / "bad_affine.npz"
+    pred = AffinePredictor.initial(2, (32, 32), conditional=True)
+    if damage == "bad_header":  # the text format of earlier versions
+        model.write_text("astn-affine 1 2 32 32 1\n")
+    elif damage == "bad_checksum":  # one bit of b's stored data flipped: zip's CRC-32 of b.npy fails
+        pred.save(model)
+        archive, stored = model.read_bytes(), pred.b.tobytes()
+        at = archive.index(stored) + len(stored) // 2
+        model.write_bytes(archive[:at] + bytes([archive[at] ^ 1]) + archive[at + 1:])
+    else:  # a table one entry short
+        pred.a = pred.a[1:]
+        pred.save(model)
     broken = dict(SMALL_CONFIG, predictor={"kind": "affine", "path": str(model)})
     broken_path = tmp / "broken.json"
     save_config(broken, broken_path)
     capsys.readouterr()
     assert main(["run", "--config", str(broken_path), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "runtime failure" in err and "bad_affine.txt" in err
+    assert "runtime failure" in err and "bad_affine.npz" in err
+    assert {"bad_header": "not an .npz archive", "bad_checksum": "checksum",
+            "bad_number": "coefficient tables must be"}[damage] in err
 
 
 def test_partly_failing_run_writes_its_rows_and_names_each_failed_cell(workspace, capsys):
@@ -297,7 +302,7 @@ def test_partly_failing_run_writes_its_rows_and_names_each_failed_cell(workspace
     out = tmp / "work"
     assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
     # coefficients undefined above t = 10: the AST cells run, the full-noise cells start at t = 1000
-    model = tmp / "short_affine.txt"
+    model = tmp / "short_affine.npz"
     pred = AffinePredictor.initial(1000, (32, 32))
     pred.a[11:] = math.nan
     pred.save(model)
@@ -325,14 +330,14 @@ def test_mismatched_affine_predictor_is_config_error(workspace, capsys, case):
     out = tmp / "work"
     assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
     shape, T, named = _MISMATCHED_AFFINE[case]
-    model = tmp / "mismatched_affine.txt"
+    model = tmp / "mismatched_affine.npz"
     AffinePredictor.initial(T, shape, conditional=True).save(model)
     bad_path = tmp / "bad.json"
     save_config(dict(SMALL_CONFIG, predictor={"kind": "affine", "path": str(model)}), bad_path)
     capsys.readouterr()
     assert main(["run", "--config", str(bad_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "mismatched_affine.txt" in err and named in err
+    assert "config error" in err and "mismatched_affine.npz" in err and named in err
     assert not (out / "metrics.csv").exists()
 
 
@@ -365,7 +370,7 @@ def test_run_with_every_predictor_kind(workspace, name):
     assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
     predictor = dict(_PREDICTORS[name])
     if name == "affine":
-        predictor["path"] = str(tmp / "affine.txt")
+        predictor["path"] = str(tmp / "affine.npz")
         AffinePredictor.initial(1000, (32, 32), conditional=True).save(predictor["path"])
     run_path = tmp / "predictor.json"
     save_config(dict(SMALL_CONFIG, predictor=predictor), run_path)
@@ -411,6 +416,17 @@ def test_report_rejects_a_repeated_cell(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_report_rejects_a_cell_no_sweep_writes(tmp_path, capsys):
+    # an unknown regime used to drop out of the table unnoticed, and a
+    # misspelled sampler at negative steps to print under "Reduced steps"
+    path = tmp_path / "edited.csv"
+    path.write_text("regime,sampler,steps,psnr_db,rmse,ssim,time_s,seed\nwarm,ddim,10,1,2,0.5,1,0\n"
+                    "full,DDIM,-5,1,2,0.5,1,0\n")
+    assert main(["report", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}:2: unknown regime 'warm'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_render_report_golden():
     rows = [
         MetricsRow("full", "ddpm", 1000, 38.788, 0.0116, 0.973, 16.382, 42),
@@ -439,6 +455,13 @@ def test_default_config_is_complete():
     # default experiment uses the standard origin set and dose fractions
     assert DEFAULT_CONFIG["run"]["origins"] == [10, 25, 50, 100, 150, 500]
     assert DEFAULT_CONFIG["dataset"]["dose_fractions"] == [0.25, 0.10]
+
+
+def test_readme_states_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^### Config\n.*?^```json\n(.*?)^```", readme, re.M | re.S)
+    assert block, "README.md has no json block under ### Config"
+    assert json.loads(block[1]) == DEFAULT_CONFIG
 
 
 _BAD_GENERATE = {
@@ -495,6 +518,9 @@ _BAD_RUN = {
                                 "sampler 'dpmpp2m' is listed twice"),
     "duplicate_regime": ({"run": dict(SMALL_CONFIG["run"], regimes=["full", "full"])}, "regime 'full' is listed twice"),
     "duplicate_origin": ({"run": dict(SMALL_CONFIG["run"], origins=[10, 10])}, "origin/budget 10 is listed twice"),
+    "no_regimes": ({"run": dict(SMALL_CONFIG["run"], regimes=[])}, "sweep lists no regime"),
+    "no_samplers": ({"run": dict(SMALL_CONFIG["run"], samplers=[])}, "sweep lists no sampler"),
+    "no_origins": ({"run": dict(SMALL_CONFIG["run"], origins=[])}, "sweep lists no origin/budget"),
     "origin_fraction": ({"run": dict(SMALL_CONFIG["run"], origins=[5, 10.7])}, "bad run origins: 10.7 is not an integer"),
     "origin_bool": ({"run": dict(SMALL_CONFIG["run"], origins=[5, True])}, "bad run origins: True is not an integer"),
     "schedule_T_fraction": ({"schedule": {"T": 1000.5}}, "bad schedule T: 1000.5 is not an integer"),

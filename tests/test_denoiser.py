@@ -252,34 +252,52 @@ def test_affine_save_load_roundtrip(tmp_path, rng):
     a = rng.standard_normal(9)
     g = rng.standard_normal(9)
     b = rng.standard_normal((9, 3, 4))
+    a[3], b[5, 1, 2] = math.nan, math.nan
     pred = AffinePredictor(a=a, g=g, b=b, conditional=True)
-    path = tmp_path / "model.txt"
+    path = tmp_path / "model"
     pred.save(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["model"]  # no .npz suffix added
     loaded = AffinePredictor.load(path)
-    assert np.array_equal(loaded.a[1:], a[1:])
-    assert np.array_equal(loaded.g[1:], g[1:])
-    assert np.array_equal(loaded.b[1:], b[1:])
+    # every row, the unused row 0 and NaN entries included, comes back bit for bit
+    for name in "agb":
+        assert getattr(loaded, name).tobytes() == getattr(pred, name).tobytes()
     assert loaded.conditional
+    pred = AffinePredictor(a=a, g=g, b=b)
+    pred.save(path)
+    assert not AffinePredictor.load(path).conditional
 
 
 def test_affine_load_detects_corruption(tmp_path, rng):
     pred = AffinePredictor(a=rng.random(4), g=rng.random(4), b=rng.random((4, 2, 2)))
-    path = tmp_path / "model.txt"
+    path = tmp_path / "model"
     pred.save(path)
-    lines = path.read_text().splitlines()
-    parts = lines[2].split()
-    parts[3] = repr(float(parts[3]) + 1.0)  # flip one offset value
-    lines[2] = " ".join(parts)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="checksum"):
-        AffinePredictor.load(path)
-    lines[2] = " ".join(parts[:-2])  # drop an offset value and the checksum
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: malformed coefficient line for t=2")):
-        AffinePredictor.load(path)
-    path.write_text("garbage\n")
-    with pytest.raises(ValueError, match="affine"):
-        AffinePredictor.load(path)
+    archive = path.read_bytes()
+
+    def rejects(match):
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + match):
+            AffinePredictor.load(path)
+
+    # the tables are stored uncompressed, so b's data appears verbatim in the archive
+    at = archive.index(pred.b.tobytes()) + pred.b.nbytes // 2
+    path.write_bytes(archive[:at] + bytes([archive[at] ^ 1]) + archive[at + 1:])
+    rejects("checksum.*Bad CRC-32 for file 'b.npy'")
+    path.write_bytes(archive[: len(archive) // 2])
+    rejects("damaged archive")
+    path.write_text("astn-affine 1 3 2 2 0\n1 1.0 0.0 0.0 0.0 0.0 0.0 2144df1c\n")  # the earlier text format
+    rejects("not an .npz archive")
+    path.write_bytes(b"")
+    rejects("not an .npz archive")
+    with open(path, "wb") as f:
+        np.save(f, pred.b)
+    rejects("not an .npz archive")
+    with open(path, "wb") as f:
+        np.savez(f, a=pred.a, g=pred.g, conditional=False)
+    rejects("b is not a file in the archive")
+    with open(path, "wb") as f:
+        np.savez(f, a=pred.a[1:], g=pred.g, b=pred.b, conditional=False)
+    rejects(re.escape("coefficient tables must be"))
+    with pytest.raises(FileNotFoundError):
+        AffinePredictor.load(tmp_path / "missing")
 
 
 @pytest.mark.parametrize("a, g, b", [

@@ -202,6 +202,22 @@ def test_report_csv_non_finite_metric_names_file_and_line(tmp_path):
         MetricsReport.read_csv(path)
 
 
+@pytest.mark.parametrize("row, named", [
+    ("warm,ddim,10", "unknown regime 'warm'"),
+    ("full,DDIM,10", "unknown sampler kind 'DDIM'"),
+    ("full,dpmpp,10", "unknown sampler kind 'dpmpp'"),  # a config alias, never a row's label
+    ("full,ddim,0", "steps must be >= 1, got 0"),
+    ("full,ddim,-5", "steps must be >= 1, got -5"),
+])
+def test_report_csv_rejects_a_cell_no_sweep_writes(tmp_path, row, named):
+    path = tmp_path / "edited.csv"
+    MetricsReport(rows=[MetricsRow("full", "ddim", 10, 30.0, 0.01, 0.5, 0.1, 1)]).write_csv(path)
+    with open(path, "a") as f:
+        f.write(f"{row},30.0,0.01,0.5,0.1,1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4: {named}")):
+        MetricsReport.read_csv(path)
+
+
 def test_report_csv_repeated_cell_names_file_and_line(tmp_path):
     path = tmp_path / "edited.csv"
     MetricsReport(rows=[MetricsRow("full", "ddpm", 10, 30.0, 0.01, 0.5, 0.1, 1),

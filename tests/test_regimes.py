@@ -174,10 +174,18 @@ def test_make_regime_spec_rejects_eta_beyond_ddim_sigma(sched):
     (["full"], ["ddpm"], [10], -0.5, "eta must be >= 0, got -0.5"),
     (["full"], ["ddpm"], [10], math.nan, "eta must be >= 0, got nan"),
     (["full"], ["ddpm", "ddim"], [10], 1.5, r"eta=1.5 makes sigma\^2 exceed 1 - alpha_bar at t_prev=889"),
+    ([], ["ddim"], [10], 0.0, "sweep lists no regime"),
+    (["full"], [], [10], 0.0, "sweep lists no sampler"),
+    (["ast"], ["ddim"], [], 0.0, "sweep lists no origin/budget"),
 ])
 def test_sweep_cells_reject_bad_inputs(sched, regimes, kinds, origins, eta, message):
     with pytest.raises(ValueError, match=message):
         sweep_cells(regimes, kinds, origins, sched, eta=eta)
+
+
+def test_sweep_rejects_empty_cell_list(sched):
+    with pytest.raises(ValueError, match="sweep lists no cell"):
+        regime_sweep([], _pairs(1, 32, 0.25), _cond_oracle(sched), sched, master_seed=1)
 
 
 def test_sweep_single_cell_single_row(sched):
