@@ -63,10 +63,11 @@ def lincomb2(ca, a, cb, b, out=None, tmp=None):
     """
     if out is None:
         out = np.empty(np.broadcast(a, b).shape, np.result_type(ca, a, cb, b))
-    t = np.multiply(cb, b, out=tmp)
+    # ufuncs take ``out`` positionally for less call overhead than by keyword
+    t = np.multiply(cb, b, tmp)
     if not (out is a and ca == 1.0):
-        np.multiply(ca, a, out=out)
-    return np.add(out, t, out=out)
+        np.multiply(ca, a, out)
+    return np.add(out, t, out)
 
 
 def lincomb3(ca, a, cb, b, cc, c, out=None, tmp=None):
@@ -78,11 +79,11 @@ def lincomb3(ca, a, cb, b, cc, c, out=None, tmp=None):
     """
     if out is None:
         out = np.empty(np.broadcast(a, b, c).shape, np.result_type(ca, a, cb, b, cc, c))
-    np.multiply(ca, a, out=out)
-    t = np.multiply(cb, b, out=tmp)
-    np.add(out, t, out=out)
-    t = np.multiply(cc, c, out=tmp)
-    return np.add(out, t, out=out)
+    np.multiply(ca, a, out)
+    t = np.multiply(cb, b, tmp)
+    np.add(out, t, out)
+    t = np.multiply(cc, c, tmp)
+    return np.add(out, t, out)
 
 
 def ssim_map(x, y, window, c1, c2):

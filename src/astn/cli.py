@@ -297,7 +297,8 @@ def cmd_report(args):
         report = MetricsReport.read_csv(args.metrics_csv)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {args.metrics_csv}: {exc}") from exc
-    print(render_report(report))
+    # astn run writes a file without rows when every cell fails
+    print(render_report(report) if report.rows else f"{args.metrics_csv} holds no rows")
     if args.out:
         report.write_curves(Path(args.out) / "curves")
     return 0

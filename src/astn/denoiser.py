@@ -154,6 +154,7 @@ class GaussianOracle(EpsilonPredictor):
         wherever the oracle requires one, noise level inf included."""
         self._require_condition(cond)
         mean, var, sched = self.model.mean, self.model.var, self.sched
+        alpha_bars, T = sched._alpha_bar_values, sched.T
         if self.noise_level is not None:
             require_same_shape(cond, mean, "condition and prior mean")
             if not np.isfinite(cond).all():
@@ -162,7 +163,8 @@ class GaussianOracle(EpsilonPredictor):
 
         def eps(x_t, t):
             require_same_shape(x_t, mean, "latent and oracle mean")
-            ab = sched.alpha_bar_at(t)
+            # an int step reads the table that alpha_bar_at reads for it
+            ab = alpha_bars[t] if type(t) is int and 1 <= t <= T else sched.alpha_bar_at(t)
             coef = math.sqrt(1.0 - ab) / (ab * var + (1.0 - ab))
             return coef, mean, -coef * math.sqrt(ab)
 

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from astn.samplers import _execute
+from astn.samplers import _compiled, _execute, _plan
 
 __all__ = ["ddim_invert"]
 
@@ -34,4 +34,5 @@ def ddim_invert(x_start, pred, cond, sched, grid):
     """
     up = grid.steps[::-1]
     x = math.sqrt(sched.alpha_bar(up[0])) * np.asarray(x_start, dtype=np.float64)
-    return _execute("inversion", "ddim", zip(up[:-1], up[1:]), x, pred, cond, sched)
+    plan = _compiled("inversion", grid, sched, lambda: _plan("ddim", zip(up, up[1:]), sched, 0.0))
+    return _execute("inversion", plan, x, pred, cond)

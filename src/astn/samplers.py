@@ -36,7 +36,10 @@ r0). One executor, always entered through ``_execute``, which binds the
 predictor to the condition once, runs every plan: ``run_sampler``'s grid,
 ``sampler_step`` (a one-hop plan from no history: for the multistep kinds,
 the first-order hop every grid of theirs starts with) and DDIM inversion
-(upward DDIM hops, see ``astn.inversion``).
+(upward DDIM hops, see ``astn.inversion``). ``run_sampler`` and DDIM
+inversion each keep their last plan with the spec or grid and the schedule
+it was compiled from, so calls that repeat those objects, as a sweep cell's
+pairs do, compile once.
 
 Every evaluation is folded into the combination that reads it. A bound
 predictor returns its estimate at latent x as ``(a, img, b)`` with eps_hat
@@ -64,9 +67,9 @@ unipc2 add the history pair. Once every buffer is in use (after the first
 hop, the second for the multistep kinds) a plan allocates no images, except
 what a predictor allocates for its own estimate. Noise is drawn in place
 after the hop's evaluations. The kernels write into these buffers with the
-same operations as their allocating forms. Nothing is kept between calls,
-so concurrent runs share no memory, and the multistep history lives in the
-workspace alone.
+same operations as their allocating forms. No workspace is kept between
+calls, so concurrent runs share no array memory, and the multistep history
+lives in the workspace alone.
 """
 
 import math
@@ -102,14 +105,16 @@ class SamplerSpec:
 
 def _x0_coefs(t, sched):
     """(c_x, c_eps) at grid step t of x0_hat = (x_t - s_t eps_hat)/a_t = c_x x_t + c_eps eps_hat."""
-    ab = sched.alpha_bar(t)
+    ab = sched._alpha_bar_values[t]
     a_t = math.sqrt(ab)
     return 1.0 / a_t, -math.sqrt(1.0 - ab) / a_t
 
 
 # A kind's coefficient function ``(t, u, schedule, eta, lam_prev) -> (apply,
-# coefficients)`` compiles one internal hop; ``lam_prev`` is the log-SNR at
-# which the multistep history was predicted, or None. An apply ``(x_t, t,
+# coefficients)`` compiles one internal hop. ``t`` and ``u`` are int indices
+# into the schedule's ``_alpha_bar_values`` and ``_log_snr_values`` tables,
+# checked by ``_plan``; ``lam_prev`` is the log-SNR at which the multistep
+# history was predicted, or None. An apply ``(x_t, t,
 # coefs, eps, rng, ws, out) -> x_u`` takes a bound predictor ``eps(x, t) ->
 # (a, img, b)`` and the run's workspace ``ws``; it writes x_u into ``out``,
 # may use ``out`` as scratch before that, and never writes ``x_t``. The
@@ -134,7 +139,8 @@ def _apply_noisy(x_t, t, c, eps, rng, ws, out):
 
 
 def _ddpm_coefs(t, u, sched, eta, lam_prev):
-    ab_t, ab_u = sched.alpha_bar(t), sched.alpha_bar(u)
+    ab = sched._alpha_bar_values
+    ab_t, ab_u = ab[t], ab[u]
     alpha_ratio = ab_t / ab_u
     beta_eff = 1.0 - alpha_ratio
     btilde = (1.0 - ab_u) / (1.0 - ab_t) * beta_eff
@@ -146,7 +152,8 @@ def _ddpm_coefs(t, u, sched, eta, lam_prev):
 
 
 def _ddim_coefs(t, u, sched, eta, lam_prev):
-    ab_t, ab_u = sched.alpha_bar(t), sched.alpha_bar(u)
+    ab = sched._alpha_bar_values
+    ab_t, ab_u = ab[t], ab[u]
     # sigma's roots are real only for t > u; inversion's upward hops run at
     # eta 0 and must not take them
     sigma = 0.0
@@ -168,19 +175,20 @@ def _dpm1_pair(ab_t, ab_u, h):
 
 
 def _dpm1_coefs(t, u, sched, eta, lam_prev):
-    return _apply_linear, _dpm1_pair(sched.alpha_bar(t), sched.alpha_bar(u), sched.log_snr(u) - sched.log_snr(t))
+    ab, lam = sched._alpha_bar_values, sched._log_snr_values
+    return _apply_linear, _dpm1_pair(ab[t], ab[u], lam[u] - lam[t])
 
 
 def _dpm2_coefs(t, u, sched, eta, lam_prev):
-    lam_t, lam_u = sched.log_snr(t), sched.log_snr(u)
-    h = lam_u - lam_t
+    ab, lam = sched._alpha_bar_values, sched._log_snr_values
+    lam_t = lam[t]
+    h = lam[u] - lam_t
     # midpoint in log-SNR; the matching fractional timestep locates the
     # predictor evaluation between the two integer steps
     lam_mid = lam_t + 0.5 * h
     t_mid = sched.timestep_at_log_snr(lam_mid, u, t)
     ab_mid = 1.0 / (1.0 + math.exp(-2.0 * lam_mid))
-    ab_t = sched.alpha_bar(t)
-    return _dpm2_apply, (t_mid, _dpm1_pair(ab_t, ab_mid, 0.5 * h), _dpm1_pair(ab_t, sched.alpha_bar(u), h))
+    return _dpm2_apply, (t_mid, _dpm1_pair(ab[t], ab_mid, 0.5 * h), _dpm1_pair(ab[t], ab[u], h))
 
 
 def _dpm2_apply(x_t, t, c, eps, rng, ws, out):
@@ -193,9 +201,10 @@ def _dpm2_apply(x_t, t, c, eps, rng, ws, out):
 
 def _data_hop(t, u, sched):
     """x0 coefficients, lambda_t, h and the first-order update x_u = c_x x_t + c_m x0_hat."""
-    lam_t, lam_u = sched.log_snr(t), sched.log_snr(u)
-    h = lam_u - lam_t
-    ab_t, ab_u = sched.alpha_bar(t), sched.alpha_bar(u)
+    ab, lam = sched._alpha_bar_values, sched._log_snr_values
+    lam_t = lam[t]
+    h = lam[u] - lam_t
+    ab_t, ab_u = ab[t], ab[u]
     return _x0_coefs(t, sched), lam_t, h, math.sqrt((1.0 - ab_u) / (1.0 - ab_t)), -math.sqrt(ab_u) * math.expm1(-h)
 
 
@@ -234,7 +243,7 @@ def _unipc_coefs(t, u, sched, eta, lam_prev):
     """
     x0c, lam_t, h, c_x, c_m = _data_hop(t, u, sched)
     hh = -h
-    a_u = math.sqrt(sched.alpha_bar(u))
+    a_u = math.sqrt(sched._alpha_bar_values[u])
     l_x, l_eps = _x0_coefs(u, sched)
     c_half, c_corr = -a_u * hh * 0.5, -a_u * hh
     if lam_prev is None:
@@ -297,20 +306,45 @@ def _plan(kind, hops, sched, eta):
     """Compile the hops ``(t, u)`` of sampler ``kind`` into a plan.
 
     A plan is a list of ``(t, u, apply, coefficients)`` and holds every
-    scalar of the run. The first hop starts from no history; each internal
-    hop of a multistep kind predicts the next hop's history at its own t,
-    and ``lam_prev`` is that history's log-SNR. A hop to 0 returns x0_hat.
+    scalar of the run. Each step is checked once here, as
+    ``NoiseSchedule.alpha_bar`` checks it, and the coefficient functions
+    index the schedule's tables with it. The first hop starts from no
+    history; each internal hop of a multistep kind predicts the next hop's
+    history at its own t, and ``lam_prev`` is that history's log-SNR. A hop
+    to 0 returns x0_hat.
     """
     coefs, _, keeps_history = _STEPS[kind]
+    index = sched._step_index
     plan, lam_prev = [], None
     for t, u in hops:
-        if u == 0:
-            plan.append((t, u, _apply_linear, _x0_coefs(t, sched)))
+        i, j = index(t), index(u)
+        if j == 0:
+            plan.append((t, u, _apply_linear, _x0_coefs(i, sched)))
             continue
-        plan.append((t, u) + coefs(t, u, sched, eta, lam_prev))
+        plan.append((t, u) + coefs(i, j, sched, eta, lam_prev))
         if keeps_history:
-            lam_prev = sched.log_snr(t)
+            lam_prev = sched._log_snr_values[i]
     return plan
+
+
+# entry point -> (source, schedule, plan): the last plan that "sampling"
+# (run_sampler, source a SamplerSpec) and "inversion" (ddim_invert, source a
+# grid) compiled. Specs, grids and schedules are frozen, so a call whose
+# source and schedule are those very objects has that plan; holding them
+# keeps their identities from being reused. An entry is replaced whole, so
+# a concurrent call finds a matching triple or compiles its own plan.
+_last_plans = {}
+
+
+def _compiled(entry, source, sched, build):
+    """``entry``'s last plan if it came from ``source`` and ``sched``, else
+    ``build()``, kept as ``entry``'s last plan: the pairs of a sweep cell
+    share one spec, so they compile once."""
+    last = _last_plans.get(entry)
+    if last is None or last[0] is not source or last[1] is not sched:
+        last = source, sched, build()
+        _last_plans[entry] = last
+    return last[2]
 
 
 def _walk(what, plan, x, eps, rng, snapshots=None):
@@ -333,13 +367,13 @@ def _walk(what, plan, x, eps, rng, snapshots=None):
     return x
 
 
-def _execute(what, kind, hops, x, pred, cond, sched, eta=0.0, rng=None, snapshots=None):
-    """The one way into :func:`_walk`: ``kind``'s ``hops`` from latent ``x`` as
-    float64, a given ``cond`` checked against its shape and ``pred`` bound to it once."""
+def _execute(what, plan, x, pred, cond, rng=None, snapshots=None):
+    """The one way into :func:`_walk`: ``plan`` from latent ``x`` as float64,
+    a given ``cond`` checked against its shape and ``pred`` bound to it once."""
     x = np.asarray(x, dtype=np.float64)
     if cond is not None:
         require_same_shape(x, cond, "latent and condition")
-    return _walk(what, _plan(kind, hops, sched, eta), x, pred.bind(cond), rng, snapshots)
+    return _walk(what, plan, x, pred.bind(cond), rng, snapshots)
 
 
 def sampler_step(kind, x_t, t, t_prev, pred, cond, sched, *, eta=0.0, rng=None):
@@ -356,7 +390,7 @@ def sampler_step(kind, x_t, t, t_prev, pred, cond, sched, *, eta=0.0, rng=None):
     _check_kind(kind, eta)
     if not t > t_prev >= 0:
         raise ValueError(f"reverse hop needs t > t_prev >= 0, got {t} -> {t_prev}")
-    return _execute(kind, kind, [(t, t_prev)], x_t, pred, cond, sched, eta, rng)
+    return _execute(kind, _plan(kind, [(t, t_prev)], sched, eta), x_t, pred, cond, rng)
 
 
 def run_sampler(spec, x_init, pred, cond, sched, rng=None, record=False):
@@ -370,10 +404,10 @@ def run_sampler(spec, x_init, pred, cond, sched, rng=None, record=False):
     ``(t_prev, latent copy)`` if ``record`` is set, else empty.
     """
     grid = spec.grid.steps
-    hops = list(zip(grid[:-1], grid[1:])) + [(grid[-1], 0)]
+    plan = _compiled("sampling", spec, sched,
+                     lambda: _plan(spec.kind, list(zip(grid, grid[1:])) + [(grid[-1], 0)], sched, spec.eta))
     snapshots = []
-    x = _execute(spec.kind, spec.kind, hops, x_init, pred, cond, sched, spec.eta, rng,
-                 snapshots if record else None)
+    x = _execute(spec.kind, plan, x_init, pred, cond, rng, snapshots if record else None)
     return x, snapshots
 
 

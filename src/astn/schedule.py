@@ -10,7 +10,9 @@ DPM-Solver, Lu et al. 2022). Time grids for few-step reverse sampling are
 strictly decreasing integer subsets of [1, T].
 """
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,12 @@ class NoiseSchedule:
     within a relative 1e-9, and strictly decreasing in t.
     ``log_snrs`` is derived from it: entry t is lambda_t for t in [1, T],
     strictly decreasing, and entry 0 is +inf (clean data).
+
+    Both tables are also kept as tuples of Python floats,
+    ``_alpha_bar_values`` and ``_log_snr_values``: the samplers' plan
+    compiler and the Gaussian oracle read them directly at integer steps,
+    as a tuple lookup costs less than a method call or a numpy scalar's
+    ``float()``.
     """
 
     T: int
@@ -35,6 +43,7 @@ class NoiseSchedule:
     alpha_bars: np.ndarray = field(repr=False)
     log_snrs: np.ndarray = field(init=False, repr=False, compare=False)
     _alpha_bar_values: tuple = field(init=False, repr=False, compare=False)
+    _log_snr_values: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.T < 1:
@@ -55,9 +64,9 @@ class NoiseSchedule:
         # of about T ulps; 1e-9 covers that for any T below a million
         if not np.allclose(self.alpha_bars[1:], np.cumprod(self.alphas), rtol=1e-9, atol=0.0):
             raise ValueError("alpha_bars must be the running product of alphas")
-        lams = [math.inf] + [0.5 * math.log(ab / (1.0 - ab)) for ab in self.alpha_bars[1:].tolist()]
+        lams = (math.inf,) + tuple(0.5 * math.log(ab / (1.0 - ab)) for ab in self.alpha_bars[1:].tolist())
         object.__setattr__(self, "log_snrs", np.array(lams))
-        # plain floats: a tuple lookup is cheaper than a numpy scalar's float()
+        object.__setattr__(self, "_log_snr_values", lams)
         object.__setattr__(self, "_alpha_bar_values", tuple(self.alpha_bars.tolist()))
 
     def alpha_bar(self, t):
@@ -67,13 +76,21 @@ class NoiseSchedule:
         integral float); a fractional step raises ``ValueError``, see
         :meth:`alpha_bar_at` for those.
         """
+        return self._alpha_bar_values[self._step_index(t)]
+
+    def _step_index(self, t):
+        """``t`` as an int table index, if it is an integral step in [0, T].
+
+        Accepts what :meth:`alpha_bar` accepts and raises the same
+        ``ValueError`` otherwise.
+        """
         # the range check comes first, so inf and NaN fail here and not in int()
         if not 0 <= t <= self.T:
             raise ValueError(f"timestep {t} outside [0, {self.T}]")
         i = int(t)
         if i != t:
             raise ValueError(f"alpha_bar needs an integral timestep, got {t}")
-        return self._alpha_bar_values[i]
+        return i
 
     def log_snr(self, t):
         """Half log-SNR lambda_t = 0.5 * log(alpha_bar / (1 - alpha_bar)).
@@ -84,12 +101,12 @@ class NoiseSchedule:
         """
         if not 1 <= t <= self.T:
             raise ValueError(f"log-SNR needs t in [1, {self.T}], got {t}")
+        lams = self._log_snr_values
         lo = math.floor(t)
-        lam_lo = float(self.log_snrs[lo])
+        lam_lo = lams[lo]
         if t == lo:
             return lam_lo
-        lam_hi = float(self.log_snrs[lo + 1])
-        return lam_lo + (t - lo) * (lam_hi - lam_lo)
+        return lam_lo + (t - lo) * (lams[lo + 1] - lam_lo)
 
     def timestep_at_log_snr(self, lam, t_lo, t_hi):
         """Fractional t in [t_lo, t_hi] whose interpolated log-SNR is ``lam``.
@@ -100,13 +117,14 @@ class NoiseSchedule:
         """
         if not 1 <= t_lo < t_hi <= self.T:
             raise ValueError(f"need 1 <= t_lo < t_hi <= {self.T}, got [{t_lo}, {t_hi}]")
-        lams = self.log_snrs
+        lams = self._log_snr_values
         if not lams[t_hi] <= lam <= lams[t_lo]:
             raise ValueError(f"log-SNR {lam} outside the range of steps [{t_lo}, {t_hi}]")
-        # lams falls with t: j is the last step in [t_lo, t_hi) with lambda_j >= lam
-        j = t_lo - 1 + int(np.searchsorted(-lams[t_lo:t_hi], -lam, side="right"))
-        lam_j = float(lams[j])
-        return j + (lam - lam_j) / (float(lams[j + 1]) - lam_j)
+        # lams falls with t, so -lambda rises: j is the last step in
+        # [t_lo, t_hi) with lambda_j >= lam
+        j = bisect.bisect_right(lams, -lam, t_lo, t_hi, key=operator.neg) - 1
+        lam_j = lams[j]
+        return j + (lam - lam_j) / (lams[j + 1] - lam_j)
 
     def alpha_bar_at(self, t):
         """alpha_bar at a possibly fractional t in [1, T] (via log-SNR)."""

@@ -397,6 +397,7 @@ def test_report_empty_csv(tmp_path, capsys):
     path = tmp_path / "empty.csv"
     MetricsReport().write_csv(path)
     assert main(["report", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path} holds no rows\n"
 
 
 def test_report_malformed_csv(tmp_path, capsys):

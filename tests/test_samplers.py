@@ -1,11 +1,14 @@
 import inspect
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from astn import _kernels as k
+from astn import samplers
 from astn.denoiser import (
     AffinePredictor,
     EpsilonPredictor,
@@ -23,7 +26,7 @@ from astn.samplers import (
     run_sampler,
     sampler_step,
 )
-from astn.schedule import TimestepGrid, make_timestep_grid
+from astn.schedule import TimestepGrid, make_linear_schedule, make_timestep_grid
 
 
 class ConstantEps(EpsilonPredictor):
@@ -830,3 +833,78 @@ def test_sampler_spec_rejects_eta_for_ddpm(sched):
         with pytest.raises(ValueError, match="eta applies only to ddim"):
             SamplerSpec(kind="ddpm", grid=grid, eta=eta)
     assert SamplerSpec(kind="ddpm", grid=grid).eta == 0.0
+
+
+def _plan_reuse_case(sched):
+    """Two specs on one grid, a second schedule with other betas and the
+    calls that run them, each keyed by name: (run, fresh result)."""
+    other = make_linear_schedule(sched.T, 2e-4, 0.03)
+    grid = make_timestep_grid(200, 8, sched.T)
+    specs = {"ddpm": SamplerSpec("ddpm", grid), "unipc2": SamplerSpec("unipc2", grid)}
+    model = GaussianDataModel(mean=np.full((8, 8), 0.3), var=0.05)
+    x = np.random.default_rng(21).random((8, 8))
+    calls = {}
+    for s_name, s in (("sched", sched), ("other", other)):
+        pred = GaussianOracle(model, s, 0.05)
+        for kind, spec in specs.items():
+            calls[f"{kind}/{s_name}"] = (lambda spec=spec, s=s, pred=pred:
+                                         run_sampler(spec, x, pred, x, s, rng=np.random.default_rng(5))[0])
+        calls[f"invert/{s_name}"] = lambda s=s, pred=pred: ddim_invert(x, pred, x, s, grid)
+    fresh = {}
+    for name, call in calls.items():
+        samplers._last_plans.clear()
+        fresh[name] = call()
+    return calls, fresh
+
+
+def test_kept_plans_never_go_stale(sched):
+    # each sampling and inversion call keeps its plan; interleaving specs,
+    # schedules and the two entry points must never run another call's plan
+    calls, fresh = _plan_reuse_case(sched)
+    order = ["ddpm/sched", "ddpm/sched", "unipc2/sched", "ddpm/sched", "ddpm/other", "ddpm/sched",
+             "invert/sched", "unipc2/sched", "invert/sched", "invert/other", "unipc2/other",
+             "invert/sched", "ddpm/other", "unipc2/sched"]
+    for name in order:
+        assert np.array_equal(calls[name](), fresh[name]), name
+        assert set(samplers._last_plans) <= {"sampling", "inversion"}
+
+
+def test_kept_plans_hold_under_concurrent_calls(sched):
+    # more threads than cores, switching often, each call against its fresh result
+    calls, fresh = _plan_reuse_case(sched)
+    names = sorted(calls)
+
+    def worker(w):
+        picks = [names[(w + i) % len(names)] for i in range(30)]
+        return [name for name in picks if not np.array_equal(calls[name](), fresh[name])]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            stale = [f.result(timeout=60) for f in [pool.submit(worker, w) for w in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert stale == [[]] * 4
+
+
+@pytest.mark.parametrize("kind", ["ddpm", "ddim", "dpm1", "dpm2", "dpmpp2m", "unipc2", "invert"])
+@pytest.mark.parametrize("steps, match", [
+    ((1200, 500, 1), r"timestep 1200 outside \[0, 1000\]"),
+    ((500, 250.5, 1), "alpha_bar needs an integral timestep, got 250.5"),
+])
+def test_bad_grid_steps_raise_while_a_plan_is_kept(sched, toy, kind, steps, match):
+    _, pred, x = toy
+    good = make_timestep_grid(500, 3, sched.T)
+    if kind == "invert":
+        run = lambda grid: ddim_invert(x, pred, None, sched, grid)
+    else:
+        run = lambda grid: run_sampler(SamplerSpec(kind, grid), x, pred, None, sched,
+                                       rng=np.random.default_rng(0))[0]
+    samplers._last_plans.clear()
+    ref = run(good)
+    bad = TimestepGrid(steps=steps)
+    for _ in range(2):  # a plan that failed to compile is not kept
+        with pytest.raises(ValueError, match=match):
+            run(bad)
+    assert np.array_equal(run(good), ref)

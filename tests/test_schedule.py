@@ -211,6 +211,37 @@ def test_timestep_at_log_snr_table_endpoints(sched):
     assert sched.timestep_at_log_snr(sched.log_snr(T), 1, T) == T
 
 
+def test_value_tables_match_the_lookups(sched, sched_small):
+    # the samplers and the oracle read these tuples in place of alpha_bar and log_snr
+    for s in (sched, sched_small):
+        assert len(s._alpha_bar_values) == len(s._log_snr_values) == s.T + 1
+        assert s._log_snr_values[0] == math.inf
+        for t in range(s.T + 1):
+            assert type(s._alpha_bar_values[t]) is float and s._alpha_bar_values[t] == s.alpha_bar(t)
+        for t in range(1, s.T + 1):
+            assert type(s._log_snr_values[t]) is float and s._log_snr_values[t] == s.log_snr(t)
+
+
+def _searchsorted_timestep(s, lam, t_lo, t_hi):
+    """timestep_at_log_snr's former segment search: np.searchsorted on the negated table slice."""
+    lams = s.log_snrs
+    j = t_lo - 1 + int(np.searchsorted(-lams[t_lo:t_hi], -lam, side="right"))
+    lam_j = float(lams[j])
+    return j + (lam - lam_j) / (float(lams[j + 1]) - lam_j)
+
+
+def test_timestep_at_log_snr_equals_searchsorted_form(sched, sched_small):
+    for s in (sched, sched_small):
+        lams = s._log_snr_values
+        for t in range(1, s.T):
+            inside = [lams[t] + f * (lams[t + 1] - lams[t]) for f in (1e-12, 0.25, 0.5, 0.75, 1.0 - 1e-12)]
+            # a table value is a tie for the segment search: it must land on the step itself
+            for lam in inside + [lams[t], lams[t + 1]]:
+                for t_lo, t_hi in ((t, t + 1), (1, s.T), (max(1, t - 3), min(s.T, t + 5))):
+                    assert s.timestep_at_log_snr(lam, t_lo, t_hi) == _searchsorted_timestep(s, lam, t_lo, t_hi)
+            assert s.timestep_at_log_snr(lams[t], 1, s.T) == t
+
+
 def test_timestep_at_log_snr_domain_errors(sched):
     with pytest.raises(ValueError):
         sched.timestep_at_log_snr(sched.log_snr(10), 10, 10)
