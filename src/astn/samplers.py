@@ -32,14 +32,14 @@ written out; the multistep kinds still write x0_hat, their history. DDIM
 hops apply as DPM-1's (eta = 0) or DDPM's (eta > 0). One compile step,
 ``_plan``, turns hops into a plan, a list of ``(t, u, apply, coefficients)``
 holding every scalar of the run (the grid fixes the multistep step ratio
-r0). One executor, always entered through ``_execute``, which binds the
-predictor to the condition once, runs every plan: ``run_sampler``'s grid,
-``sampler_step`` (a one-hop plan from no history: for the multistep kinds,
-the first-order hop every grid of theirs starts with) and DDIM inversion
-(upward DDIM hops, see ``astn.inversion``). ``run_sampler`` and DDIM
-inversion each keep their last plan with the spec or grid and the schedule
-it was compiled from, so calls that repeat those objects, as a sweep cell's
-pairs do, compile once.
+r0). One executor function, ``_execute``, which binds the predictor to the
+condition once, runs every plan: ``run_sampler``'s grid, ``sampler_step``
+(a one-hop plan from no history: for the multistep kinds, the first-order
+hop every grid of theirs starts with) and DDIM inversion (upward DDIM hops,
+see ``astn.inversion``). In each thread, ``run_sampler`` and DDIM inversion
+each keep their last plan with the spec or grid and the schedule it was
+compiled from, so calls that repeat those objects, as a sweep cell's pairs
+do, compile once, however many threads a sweep runs.
 
 Every evaluation is folded into the combination that reads it. A bound
 predictor returns its estimate at latent x as ``(a, img, b)`` with eps_hat
@@ -73,6 +73,7 @@ lives in the workspace alone.
 """
 
 import math
+import threading
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -327,36 +328,42 @@ def _plan(kind, hops, sched, eta):
     return plan
 
 
-# entry point -> (source, schedule, plan): the last plan that "sampling"
-# (run_sampler, source a SamplerSpec) and "inversion" (ddim_invert, source a
-# grid) compiled. Specs, grids and schedules are frozen, so a call whose
-# source and schedule are those very objects has that plan; holding them
-# keeps their identities from being reused. An entry is replaced whole, so
-# a concurrent call finds a matching triple or compiles its own plan.
-_last_plans = {}
+# per thread, entry point -> (source, schedule, plan): the last plan that
+# "sampling" (run_sampler, source a SamplerSpec) and "inversion" (ddim_invert,
+# source a grid) compiled in the calling thread, so sweep threads share no
+# entry. Specs, grids and schedules are frozen, so a call whose source and
+# schedule are those very objects has that plan; holding them keeps their
+# identities from being reused.
+_last_plans = threading.local()
 
 
 def _compiled(entry, source, sched, build):
-    """``entry``'s last plan if it came from ``source`` and ``sched``, else
-    ``build()``, kept as ``entry``'s last plan: the pairs of a sweep cell
-    share one spec, so they compile once."""
-    last = _last_plans.get(entry)
+    """``entry``'s last plan in this thread if it came from ``source`` and
+    ``sched``, else ``build()``, kept as that thread's last plan: the pairs
+    of a sweep cell share one spec, so they compile once."""
+    plans = vars(_last_plans)
+    last = plans.get(entry)
     if last is None or last[0] is not source or last[1] is not sched:
-        last = source, sched, build()
-        _last_plans[entry] = last
+        last = plans[entry] = source, sched, build()
     return last[2]
 
 
-def _walk(what, plan, x, eps, rng, snapshots=None):
-    """Run the hops of ``plan`` from latent ``x`` and return the final latent.
+def _execute(what, plan, x, pred, cond, rng=None, snapshots=None):
+    """The one executor: run the hops of ``plan`` from latent ``x`` and
+    return the final latent.
 
-    ``plan`` comes from :func:`_plan` and ``eps`` is a bound predictor. The
-    hops write into a workspace owned by this call: the latent ping-pongs
-    between two of its buffers, so ``x`` is never written, and an ``x_t``
-    handed to the predictor is valid only during that evaluation. Aborts
-    naming ``what`` and the hop on non-finite values. A ``snapshots`` list
-    gets each hop's ``(u, copy of x_u)`` appended.
+    ``plan`` comes from :func:`_plan`. ``x`` is taken as float64, a given
+    ``cond`` must have its shape, and ``pred`` is bound to ``cond`` once.
+    The hops write into a workspace owned by this call: the latent
+    ping-pongs between two of its buffers, so ``x`` is never written, and an
+    ``x_t`` handed to the predictor is valid only during that evaluation.
+    Aborts naming ``what`` and the hop on non-finite values. A ``snapshots``
+    list gets each hop's ``(u, copy of x_u)`` appended.
     """
+    x = np.asarray(x, dtype=np.float64)
+    if cond is not None:
+        require_same_shape(x, cond, "latent and condition")
+    eps = pred.bind(cond)
     ws = defaultdict(lambda: np.empty(x.shape))
     for i, (t, u, apply, c) in enumerate(plan):
         x = apply(x, t, c, eps, rng, ws, ws[("latent", i % 2)])
@@ -365,15 +372,6 @@ def _walk(what, plan, x, eps, rng, snapshots=None):
         if snapshots is not None:
             snapshots.append((u, x.copy()))
     return x
-
-
-def _execute(what, plan, x, pred, cond, rng=None, snapshots=None):
-    """The one way into :func:`_walk`: ``plan`` from latent ``x`` as float64,
-    a given ``cond`` checked against its shape and ``pred`` bound to it once."""
-    x = np.asarray(x, dtype=np.float64)
-    if cond is not None:
-        require_same_shape(x, cond, "latent and condition")
-    return _walk(what, plan, x, pred.bind(cond), rng, snapshots)
 
 
 def sampler_step(kind, x_t, t, t_prev, pred, cond, sched, *, eta=0.0, rng=None):

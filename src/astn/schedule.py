@@ -27,13 +27,13 @@ class NoiseSchedule:
     ``alphas`` must equal ``1 - betas``. ``alpha_bars`` has length T+1 with
     ``alpha_bars[0] = 1``; entry t is the product of the first t alphas,
     within a relative 1e-9, and strictly decreasing in t.
-    ``log_snrs`` is derived from it: entry t is lambda_t for t in [1, T],
-    strictly decreasing, and entry 0 is +inf (clean data).
 
-    Both tables are also kept as tuples of Python floats,
-    ``_alpha_bar_values`` and ``_log_snr_values``: the samplers' plan
-    compiler and the Gaussian oracle read them directly at integer steps,
-    as a tuple lookup costs less than a method call or a numpy scalar's
+    ``alpha_bars`` is also kept as a tuple of Python floats,
+    ``_alpha_bar_values``, and the log-SNR derived from it as another,
+    ``_log_snr_values``: entry t is lambda_t for t in [1, T], strictly
+    decreasing, and entry 0 is +inf (clean data). The samplers' plan
+    compiler and the Gaussian oracle read both directly at integer steps, as
+    a tuple lookup costs less than a method call or a numpy scalar's
     ``float()``.
     """
 
@@ -41,7 +41,6 @@ class NoiseSchedule:
     betas: np.ndarray
     alphas: np.ndarray = field(repr=False)
     alpha_bars: np.ndarray = field(repr=False)
-    log_snrs: np.ndarray = field(init=False, repr=False, compare=False)
     _alpha_bar_values: tuple = field(init=False, repr=False, compare=False)
     _log_snr_values: tuple = field(init=False, repr=False, compare=False)
 
@@ -65,7 +64,6 @@ class NoiseSchedule:
         if not np.allclose(self.alpha_bars[1:], np.cumprod(self.alphas), rtol=1e-9, atol=0.0):
             raise ValueError("alpha_bars must be the running product of alphas")
         lams = (math.inf,) + tuple(0.5 * math.log(ab / (1.0 - ab)) for ab in self.alpha_bars[1:].tolist())
-        object.__setattr__(self, "log_snrs", np.array(lams))
         object.__setattr__(self, "_log_snr_values", lams)
         object.__setattr__(self, "_alpha_bar_values", tuple(self.alpha_bars.tolist()))
 

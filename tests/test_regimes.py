@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from astn import inversion, samplers
 from astn.data import DosePair, PhantomSpec, generate_phantom, simulate_low_dose
 from astn.denoiser import EpsilonPredictor, GaussianDataModel, GaussianOracle, conditioned_oracle
 from astn.forward import q_sample
@@ -213,15 +215,40 @@ def test_sweep_is_reproducible_and_thread_invariant(sched):
     pairs = _pairs(2, 32, 0.25)
     pred = _cond_oracle(sched)
     kinds = ["ddpm", "ddim", "dpm1", "dpm2", "dpmpp2m", "unipc2"]
-    cells = sweep_cells(("full", "ast"), kinds, [10, 25], sched)
+    cells = sweep_cells(("full", "ast", "inverted"), kinds, [10, 25], sched)
     a = regime_sweep(cells, pairs, pred, sched, master_seed=9)
     b = regime_sweep(cells, pairs, pred, sched, master_seed=9)
     c = regime_sweep(cells, pairs, pred, sched, master_seed=9, threads=3)
-    assert len(a.rows) == len(c.rows) == 2 * len(kinds) * 2 and not c.failures
+    assert len(a.rows) == len(c.rows) == 3 * len(kinds) * 2 and not c.failures
     assert (a.threads, c.threads) == (1, 3)
     for other in (b, c):
         for ra, rb in zip(a.rows, other.rows):
             assert (ra.psnr_db, ra.rmse, ra.ssim) == (rb.psnr_db, rb.rmse, rb.ssim)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_threaded_sweep_compiles_each_cell_once(sched, monkeypatch, threads):
+    # each thread keeps its own last plans, so threads switching often never
+    # evict each other's: one sampling plan per cell, one inversion plan per
+    # inverted cell
+    compiled = []
+    for module in (samplers, inversion):
+        def counting(*args, _plan=module._plan, _name=module.__name__):
+            compiled.append(_name)
+            return _plan(*args)
+        monkeypatch.setattr(module, "_plan", counting)
+    kinds = ["ddpm", "ddim", "dpm1", "dpm2", "dpmpp2m", "unipc2"]
+    cells = sweep_cells(("full", "ast", "inverted"), kinds, [10, 25], sched)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = regime_sweep(cells, _pairs(4, 32, 0.25), _cond_oracle(sched), sched,
+                              master_seed=9, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(report.rows) == len(cells) == 36 and not report.failures
+    counts = {name: compiled.count(name) for name in ("astn.samplers", "astn.inversion")}
+    assert counts == {"astn.samplers": 36, "astn.inversion": 12}, counts
 
 
 def _metrics(report):

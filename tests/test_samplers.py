@@ -852,7 +852,7 @@ def _plan_reuse_case(sched):
         calls[f"invert/{s_name}"] = lambda s=s, pred=pred: ddim_invert(x, pred, x, s, grid)
     fresh = {}
     for name, call in calls.items():
-        samplers._last_plans.clear()
+        vars(samplers._last_plans).clear()
         fresh[name] = call()
     return calls, fresh
 
@@ -866,7 +866,7 @@ def test_kept_plans_never_go_stale(sched):
              "invert/sched", "ddpm/other", "unipc2/sched"]
     for name in order:
         assert np.array_equal(calls[name](), fresh[name]), name
-        assert set(samplers._last_plans) <= {"sampling", "inversion"}
+        assert set(vars(samplers._last_plans)) <= {"sampling", "inversion"}
 
 
 def test_kept_plans_hold_under_concurrent_calls(sched):
@@ -901,7 +901,7 @@ def test_bad_grid_steps_raise_while_a_plan_is_kept(sched, toy, kind, steps, matc
     else:
         run = lambda grid: run_sampler(SamplerSpec(kind, grid), x, pred, None, sched,
                                        rng=np.random.default_rng(0))[0]
-    samplers._last_plans.clear()
+    vars(samplers._last_plans).clear()
     ref = run(good)
     bad = TimestepGrid(steps=steps)
     for _ in range(2):  # a plan that failed to compile is not kept

@@ -180,7 +180,6 @@ def _bisect_timestep(s, lam, t_lo, t_hi):
 
 def test_log_snr_table_matches_formula_exactly(sched, sched_small):
     for s in (sched, sched_small):
-        assert s.log_snrs.shape == (s.T + 1,) and s.log_snrs[0] == math.inf
         for t in range(1, s.T + 1):
             assert s.log_snr(t) == _reference_log_snr(s, t)
         for t in (1.5, 12.25, s.T - 0.001):
@@ -224,7 +223,7 @@ def test_value_tables_match_the_lookups(sched, sched_small):
 
 def _searchsorted_timestep(s, lam, t_lo, t_hi):
     """timestep_at_log_snr's former segment search: np.searchsorted on the negated table slice."""
-    lams = s.log_snrs
+    lams = np.array(s._log_snr_values)
     j = t_lo - 1 + int(np.searchsorted(-lams[t_lo:t_hi], -lam, side="right"))
     lam_j = float(lams[j])
     return j + (lam - lam_j) / (float(lams[j + 1]) - lam_j)
