@@ -189,6 +189,11 @@ def _build_predictor_factory(cfg, sched, shape, photons):
         if pred.b.shape[1:] != shape or pred.T != sched.T:
             raise ConfigError(f"predictor file {path} is for {pred.b.shape[1:]} images and T={pred.T}, "
                               f"but the dataset is {shape} and the schedule has T={sched.T}")
+        # a run reads rows 1..T of a and b, and of g when conditional; a
+        # corrupt file is a runtime failure, like the faults load raises
+        for name in ("a", "b", "g") if pred.conditional else ("a", "b"):
+            if not np.isfinite(getattr(pred, name)[1:]).all():
+                raise ValueError(f"predictor file {path}: table {name} holds a NaN or infinite entry in rows 1..{pred.T}")
         return pred
     if kind == "zero":
         return ZeroPredictor()

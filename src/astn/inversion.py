@@ -34,5 +34,5 @@ def ddim_invert(x_start, pred, cond, sched, grid):
     """
     up = grid.steps[::-1]
     x = math.sqrt(sched.alpha_bar(up[0])) * np.asarray(x_start, dtype=np.float64)
-    plan = _compiled("inversion", grid, sched, lambda: _plan("ddim", zip(up, up[1:]), sched, 0.0))
+    plan = _compiled("inversion", grid, sched, lambda: _plan("ddim", up, sched, 0.0))
     return _execute("inversion", plan, x, pred, cond)

@@ -32,6 +32,8 @@ __all__ = [
     "psnr",
     "rmse",
     "ssim",
+    "SSIM_MIN_SHAPE",
+    "require_scorable",
     "timed",
     "MetricsRow",
     "MetricsReport",
@@ -69,13 +71,23 @@ def _gaussian_window(size, sigma):
 
 
 _SSIM_WINDOW = _gaussian_window(11, 1.5)
+SSIM_MIN_SHAPE = _SSIM_WINDOW.shape  # valid-mode SSIM needs one whole window
 _SSIM_C1 = (0.01 * DATA_RANGE) ** 2
 _SSIM_C2 = (0.03 * DATA_RANGE) ** 2
+
+
+def require_scorable(image, what="image"):
+    """A ValueError naming ``what`` unless ``image`` is 2-d and at least
+    ``SSIM_MIN_SHAPE``, the smallest shape :func:`ssim` scores."""
+    shape = np.shape(image)
+    if len(shape) != 2 or shape[0] < SSIM_MIN_SHAPE[0] or shape[1] < SSIM_MIN_SHAPE[1]:
+        raise ValueError(f"{what} is {shape}, but ssim scores only 2-d images of at least {SSIM_MIN_SHAPE}")
 
 
 def ssim(ref, test):
     """Mean structural similarity over Gaussian-weighted sliding windows."""
     require_same_shape(ref, test)
+    require_scorable(ref)
     smap = k.ssim_map(
         np.ascontiguousarray(ref, dtype=np.float64),
         np.ascontiguousarray(test, dtype=np.float64),

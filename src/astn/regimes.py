@@ -17,8 +17,8 @@ import numpy as np
 
 from astn.forward import q_sample
 from astn.inversion import ddim_invert
-from astn.metrics import REGIMES, MetricsReport, MetricsRow, psnr, rmse, ssim, timed
-from astn.samplers import SamplerSpec, _plan, run_sampler
+from astn.metrics import REGIMES, MetricsReport, MetricsRow, psnr, require_scorable, rmse, ssim, timed
+from astn.samplers import SamplerSpec, run_sampler
 from astn.schedule import make_timestep_grid
 
 __all__ = [
@@ -51,21 +51,17 @@ class RegimeSpec:
 
 
 def make_regime_spec(regime, n_or_N, kind, sched, eta=0.0):
-    """Build the RegimeSpec with the conventional grid for ``regime``, one that can run.
+    """Build the RegimeSpec with the conventional grid for ``regime``.
 
-    ``eta`` is DDIM's stochasticity; every other kind runs at eta 0, so one
-    sweep-wide eta never fails the other samplers' cells. DDIM's sigma can
-    reject a valid grid, so an eta > 0 ddim spec is compiled once here.
+    ``eta`` is DDIM's stochasticity, in [0, 1]; every other kind runs at eta
+    0, so one sweep-wide eta never fails the other samplers' cells.
     """
     if regime == "ast":
         grid = make_timestep_grid(n_or_N, n_or_N, sched.T)
     else:
         grid = make_timestep_grid(sched.T, n_or_N, sched.T)
     sampler = SamplerSpec(kind=kind, grid=grid, eta=eta if kind == "ddim" else 0.0)
-    spec = RegimeSpec(regime=regime, sampler=sampler)
-    if sampler.eta > 0.0:
-        _plan(kind, zip(grid.steps, grid.steps[1:]), sched, sampler.eta)
-    return spec
+    return RegimeSpec(regime=regime, sampler=sampler)
 
 
 def ast_n_latent(input_image, n, sched, rng):
@@ -112,12 +108,14 @@ def sweep_cells(regimes, kinds, origins, sched, eta=0.0):
     """The RegimeSpec of every (regime, kind, origin/budget) cell, in that
     nesting order, each built by :func:`make_regime_spec` from checked axes.
 
-    An ``eta`` that is not >= 0 (NaN included), an origin/budget outside [1, T],
+    An ``eta`` outside [0, 1] (NaN included), an origin/budget outside [1, T],
     an empty axis and a regime, kind or origin listed twice are each a
     ValueError naming the input, as is a cell that make_regime_spec cannot build.
     """
     if not eta >= 0.0:
         raise ValueError(f"eta must be >= 0, got {eta}")
+    if eta > 1.0:
+        raise ValueError(f"eta must be <= 1, got {eta}")
     regimes = _distinct("regime", regimes)
     kinds = _distinct("sampler", kinds)
     origins = _distinct("origin/budget", origins)
@@ -136,8 +134,9 @@ def regime_sweep(cells, dataset, pred, sched, master_seed, threads=1):
     exception it raises propagates. Each cell x image gets an independent
     PRNG stream derived from ``master_seed`` and the cell's index in
     ``cells``; one MetricsRow per cell holds metrics and wall time averaged
-    over images. An empty cell list or dataset and a (regime, sampler, steps)
-    cell that repeats are each a ValueError. A cell that raises ValueError (a
+    over images. An empty cell list or dataset, an image smaller than
+    ``SSIM_MIN_SHAPE`` and a repeated (regime, sampler, steps) cell are each a
+    ValueError, raised before any cell runs. A cell that raises ValueError (a
     solver domain error) or RuntimeError (non-finite output) is recorded in
     ``report.failures`` as ``(cell, "<type>: <message>")`` and the sweep
     continues; any other exception is a bug and propagates. ``threads`` cells
@@ -149,6 +148,8 @@ def regime_sweep(cells, dataset, pred, sched, master_seed, threads=1):
     keys = _distinct("cell", [(spec.regime, spec.sampler.kind, spec.n_or_N) for spec in cells])
     if not dataset:
         raise ValueError("empty dataset")
+    for pair in dataset:
+        require_scorable(pair.full_dose, f"pair {pair.pair_id}'s image")
     preds = [pred] * len(dataset) if hasattr(pred, "bind") else [pred(pair) for pair in dataset]
     report = MetricsReport(threads=threads, T=sched.T)
 

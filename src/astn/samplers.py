@@ -7,7 +7,7 @@ a_t = sqrt(ab_t), s_t = sqrt(1-ab_t) and h = lambda_u - lambda_t for a hop
 t -> u, the update rules are:
 
   DDIM (eta):    x_u = a_u x0_hat + sqrt(1-ab_u-sig^2) eps_hat + sig z,
-                 sig = eta sqrt((1-ab_u)/(1-ab_t)) sqrt(1-ab_t/ab_u)
+                 sig = eta sqrt((1-ab_u)/(1-ab_t)) sqrt(1-ab_t/ab_u), eta in [0, 1]
   DDPM:          posterior mean of the generalised ancestral transition with
                  effective one-step beta 1-ab_t/ab_u, plus sqrt(btilde) z
   DPM-1:         x_u = (a_u/a_t) x_t - s_u (e^h - 1) eps_hat
@@ -30,13 +30,14 @@ linearly (x0_hat, the DDPM mean, DPM-Solver++'s D, UniPC's d1_0, m_land and
 d1_t) are folded into that combination's coefficients instead of being
 written out; the multistep kinds still write x0_hat, their history. DDIM
 hops apply as DPM-1's (eta = 0) or DDPM's (eta > 0). One compile step,
-``_plan``, turns hops into a plan, a list of ``(t, u, apply, coefficients)``
-holding every scalar of the run (the grid fixes the multistep step ratio
-r0). One executor function, ``_execute``, which binds the predictor to the
-condition once, runs every plan: ``run_sampler``'s grid, ``sampler_step``
-(a one-hop plan from no history: for the multistep kinds, the first-order
-hop every grid of theirs starts with) and DDIM inversion (upward DDIM hops,
-see ``astn.inversion``). In each thread, ``run_sampler`` and DDIM inversion
+``_plan``, turns a walk into a plan, the ``(t, u, apply, coefficients)``
+hops between its consecutive steps, holding every scalar of the run (the
+grid fixes the multistep step ratio r0). One executor function,
+``_execute``, which binds the predictor to the condition once, runs the
+plans of the three walks: ``run_sampler``'s grid and 0, ``sampler_step``'s
+(t, t_prev) (one hop from no history: for the multistep kinds, the
+first-order hop their grids start with) and DDIM inversion's reversed grid
+(see ``astn.inversion``). In each thread, ``run_sampler`` and DDIM inversion
 each keep their last plan with the spec or grid and the schedule it was
 compiled from, so calls that repeat those objects, as a sweep cell's pairs
 do, compile once, however many threads a sweep runs.
@@ -92,7 +93,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    """Sampler kind, timestep grid, and DDIM stochasticity."""
+    """Sampler kind, timestep grid, and DDIM stochasticity eta in [0, 1]."""
 
     kind: str
     grid: object
@@ -157,12 +158,9 @@ def _ddim_coefs(t, u, sched, eta, lam_prev):
     ab_t, ab_u = ab[t], ab[u]
     # sigma's roots are real only for t > u; inversion's upward hops run at
     # eta 0 and must not take them
-    sigma = 0.0
-    if eta > 0.0:
-        sigma = eta * math.sqrt((1.0 - ab_u) / (1.0 - ab_t)) * math.sqrt(1.0 - ab_t / ab_u)
-    resid = 1.0 - ab_u - sigma * sigma
-    if resid < 0.0:
-        raise ValueError(f"eta={eta} makes sigma^2 exceed 1 - alpha_bar at t_prev={u}")
+    sigma = eta * math.sqrt((1.0 - ab_u) / (1.0 - ab_t)) * math.sqrt(1.0 - ab_t / ab_u) if eta > 0.0 else 0.0
+    # >= ab_t (1 - ab_u)^2 / (ab_u (1 - ab_t)) for eta <= 1; the clamp is for rounding
+    resid = max(1.0 - ab_u - sigma * sigma, 0.0)
     # a_u x0_hat + sqrt(resid) eps_hat with x0_hat = c_x x_t + c_eps eps_hat
     c_x, c_eps = _x0_coefs(t, sched)
     a_u = math.sqrt(ab_u)
@@ -301,10 +299,12 @@ def _check_kind(kind, eta):
         raise ValueError(f"eta must be >= 0, got {eta}")
     if eta > 0.0 and kind != "ddim":
         raise ValueError(f"eta applies only to ddim, not {kind!r}")
+    if eta > 1.0:
+        raise ValueError(f"eta must be <= 1, got {eta}")
 
 
-def _plan(kind, hops, sched, eta):
-    """Compile the hops ``(t, u)`` of sampler ``kind`` into a plan.
+def _plan(kind, steps, sched, eta):
+    """Compile sampler ``kind``'s hops ``(t, u)`` between consecutive ``steps``.
 
     A plan is a list of ``(t, u, apply, coefficients)`` and holds every
     scalar of the run. Each step is checked once here, as
@@ -317,7 +317,7 @@ def _plan(kind, hops, sched, eta):
     coefs, _, keeps_history = _STEPS[kind]
     index = sched._step_index
     plan, lam_prev = [], None
-    for t, u in hops:
+    for t, u in zip(steps, steps[1:]):
         i, j = index(t), index(u)
         if j == 0:
             plan.append((t, u, _apply_linear, _x0_coefs(i, sched)))
@@ -378,9 +378,9 @@ def sampler_step(kind, x_t, t, t_prev, pred, cond, sched, *, eta=0.0, rng=None):
     """One hop t -> t_prev of sampler ``kind`` from no history; t_prev = 0
     returns x0_hat.
 
-    ``eta`` applies to ddim only, and ddpm and eta > 0 ddim need ``rng``.
-    For the history-free kinds, folding this over a grid with one rng
-    reproduces ``run_sampler`` bit for bit; for the multistep kinds
+    ``eta``, in [0, 1], applies to ddim only, and ddpm and eta > 0 ddim
+    need ``rng``. For the history-free kinds, folding this over a grid with
+    one rng reproduces ``run_sampler`` bit for bit; for the multistep kinds
     (dpmpp2m, unipc2) the hop is the first-order one their grids start
     with. A given ``cond`` must have ``x_t``'s shape. ``x_t`` and ``cond``
     are never written, and the result is a fresh array.
@@ -388,7 +388,7 @@ def sampler_step(kind, x_t, t, t_prev, pred, cond, sched, *, eta=0.0, rng=None):
     _check_kind(kind, eta)
     if not t > t_prev >= 0:
         raise ValueError(f"reverse hop needs t > t_prev >= 0, got {t} -> {t_prev}")
-    return _execute(kind, _plan(kind, [(t, t_prev)], sched, eta), x_t, pred, cond, rng)
+    return _execute(kind, _plan(kind, (t, t_prev), sched, eta), x_t, pred, cond, rng)
 
 
 def run_sampler(spec, x_init, pred, cond, sched, rng=None, record=False):
@@ -401,9 +401,7 @@ def run_sampler(spec, x_init, pred, cond, sched, rng=None, record=False):
     that evaluation. Returns (fresh final image, snapshots): each hop's
     ``(t_prev, latent copy)`` if ``record`` is set, else empty.
     """
-    grid = spec.grid.steps
-    plan = _compiled("sampling", spec, sched,
-                     lambda: _plan(spec.kind, list(zip(grid, grid[1:])) + [(grid[-1], 0)], sched, spec.eta))
+    plan = _compiled("sampling", spec, sched, lambda: _plan(spec.kind, (*spec.grid.steps, 0), sched, spec.eta))
     snapshots = []
     x = _execute(spec.kind, plan, x_init, pred, cond, rng, snapshots if record else None)
     return x, snapshots

@@ -5,6 +5,7 @@ import re
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from astn import cli
@@ -301,15 +302,17 @@ def test_partly_failing_run_writes_its_rows_and_names_each_failed_cell(workspace
     tmp, cfg = workspace
     out = tmp / "work"
     assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
-    # coefficients undefined above t = 10: the AST cells run, the full-noise cells start at t = 1000
+    # finite coefficients that overflow above t = 10: the AST cells run, the
+    # full-noise cells start at t = 1000 (a NaN table stops the run, see below)
     model = tmp / "short_affine.npz"
     pred = AffinePredictor.initial(1000, (32, 32))
-    pred.a[11:] = math.nan
+    pred.a[11:] = np.finfo(np.float64).max
     pred.save(model)
     short = tmp / "short.json"
     save_config(dict(SMALL_CONFIG, predictor={"kind": "affine", "path": str(model)}), short)
     capsys.readouterr()
-    assert main(["run", "--config", str(short), "--out", str(out)]) == 3
+    with np.errstate(over="ignore"):
+        assert main(["run", "--config", str(short), "--out", str(out)]) == 3
     rows = MetricsReport.read_csv(out / "metrics.csv").rows
     assert [(r.regime, r.sampler, r.steps) for r in rows] == [("ast", "ddim", 5), ("ast", "ddim", 10)]
     assert capsys.readouterr().err.splitlines() == [
@@ -339,6 +342,51 @@ def test_mismatched_affine_predictor_is_config_error(workspace, capsys, case):
     err = capsys.readouterr().err
     assert "config error" in err and "mismatched_affine.npz" in err and named in err
     assert not (out / "metrics.csv").exists()
+
+
+# (table, entry, conditional, value): a non-finite entry in a row a run reads
+_NON_FINITE_AFFINE = {
+    "b_nan": ("b", (5, 3, 3), False, math.nan),
+    "a_inf": ("a", 1000, False, math.inf),
+    "a_row1_nan": ("a", 1, True, math.nan),
+    "g_conditional_nan": ("g", 7, True, math.nan),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_FINITE_AFFINE))
+def test_non_finite_affine_entry_stops_the_run(workspace, capsys, case):
+    tmp, cfg = workspace
+    out = tmp / "work"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    table, entry, conditional, value = _NON_FINITE_AFFINE[case]
+    pred = AffinePredictor.initial(1000, (32, 32), conditional=conditional)
+    getattr(pred, table)[entry] = value
+    model = tmp / "corrupt_affine.npz"
+    pred.save(model)
+    bad_path = tmp / "bad.json"
+    save_config(dict(SMALL_CONFIG, predictor={"kind": "affine", "path": str(model)}), bad_path)
+    capsys.readouterr()
+    assert main(["run", "--config", str(bad_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"runtime failure: ValueError: predictor file {model}: table {table} "
+                   f"holds a NaN or infinite entry in rows 1..1000\n")
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("table, entry, conditional", [("a", 0, False), ("b", (0, 1, 1), True), ("g", 7, False)],
+                         ids=["row0_a", "row0_b", "unconditional_g"])
+def test_non_finite_affine_entry_a_run_never_reads_is_kept(workspace, table, entry, conditional):
+    tmp, cfg = workspace
+    out = tmp / "work"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    pred = AffinePredictor.initial(1000, (32, 32), conditional=conditional)
+    getattr(pred, table)[entry] = math.nan
+    model = tmp / "affine.npz"
+    pred.save(model)
+    path = tmp / "affine.json"
+    save_config(dict(SMALL_CONFIG, predictor={"kind": "affine", "path": str(model)}), path)
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert len(MetricsReport.read_csv(out / "metrics.csv").rows) == 2 * 2
 
 
 def test_run_with_eta_runs_every_sampler(workspace):
@@ -526,7 +574,9 @@ _BAD_RUN = {
     "origin_bool": ({"run": dict(SMALL_CONFIG["run"], origins=[5, True])}, "bad run origins: True is not an integer"),
     "schedule_T_fraction": ({"schedule": {"T": 1000.5}}, "bad schedule T: 1000.5 is not an integer"),
     "eta_beyond_ddim_sigma": ({"run": dict(SMALL_CONFIG["run"], samplers=["ddim", "ddpm"], eta=1.5)},
-                              "eta=1.5 makes sigma^2 exceed 1 - alpha_bar at t_prev=750"),
+                              "eta must be <= 1, got 1.5"),
+    "eta_above_one_ddpm": ({"run": dict(SMALL_CONFIG["run"], samplers=["ddpm"], eta=1.5)},
+                           "eta must be <= 1, got 1.5"),
     "count_negative": ({"dataset": dict(SMALL_CONFIG["dataset"], count=-1)},
                        "bad dataset section: need count >= 0 and photons_full_dose > 0"),
     "photons_zero": ({"dataset": dict(SMALL_CONFIG["dataset"], photons_full_dose=0)},

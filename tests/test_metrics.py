@@ -9,6 +9,7 @@ from astn.metrics import (
     MetricsReport,
     MetricsRow,
     PSNR_CAP_DB,
+    SSIM_MIN_SHAPE,
     _gaussian_window,
     psnr,
     rmse,
@@ -118,6 +119,15 @@ def test_ssim_direct_convolution_reference(rng):
 def test_ssim_window_size_limit(rng):
     with pytest.raises(ValueError):
         ssim(rng.random((8, 8)), rng.random((8, 8)))
+
+
+def test_ssim_scores_from_its_min_shape(rng):
+    assert SSIM_MIN_SHAPE == (11, 11)
+    a = rng.random(SSIM_MIN_SHAPE)
+    assert ssim(a, a) == 1.0
+    for shape in ((10, 11), (11, 10), (11,), (11, 11, 1)):
+        with pytest.raises(ValueError, match=r"^image is \(.*\), but ssim scores only 2-d images of at least"):
+            ssim(np.zeros(shape), np.zeros(shape))
 
 
 def test_metric_symmetry(rng):

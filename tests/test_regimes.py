@@ -4,13 +4,13 @@ import sys
 import numpy as np
 import pytest
 
-from astn import inversion, samplers
+from astn import inversion, regimes, samplers
 from astn.data import DosePair, PhantomSpec, generate_phantom, simulate_low_dose
 from astn.denoiser import EpsilonPredictor, GaussianDataModel, GaussianOracle, conditioned_oracle
 from astn.forward import q_sample
 from astn.regimes import RegimeSpec, ast_n_latent, make_regime_spec, reconstruct, regime_sweep, sweep_cells
-from astn.samplers import SamplerSpec, evaluations_per_run
-from astn.schedule import make_timestep_grid
+from astn.samplers import SamplerSpec, evaluations_per_run, sampler_step
+from astn.schedule import make_linear_schedule, make_timestep_grid
 from timing import median_ratios
 
 
@@ -162,10 +162,49 @@ def test_sweep_cells_order_and_specs(sched):
 
 
 def test_make_regime_spec_rejects_eta_beyond_ddim_sigma(sched):
-    with pytest.raises(ValueError, match=r"eta=1.5 makes sigma\^2 exceed 1 - alpha_bar at t_prev=889"):
+    with pytest.raises(ValueError, match=r"^eta must be <= 1, got 1.5$"):
         make_regime_spec("full", 10, "ddim", sched, eta=1.5)
     # every other kind runs at eta 0
     assert make_regime_spec("full", 10, "ddpm", sched, eta=1.5).sampler.eta == 0.0
+
+
+def test_eta_above_one_has_one_message_at_every_entry(sched):
+    grid = make_timestep_grid(1000, 10, 1000)
+    x = np.zeros((4, 4))
+    entries = {
+        "SamplerSpec": lambda: SamplerSpec("ddim", grid, eta=1.5),
+        "sampler_step": lambda: sampler_step("ddim", x, 500, 400, None, None, sched, eta=1.5),
+        "make_regime_spec": lambda: make_regime_spec("ast", 10, "ddim", sched, eta=1.5),
+        # the sweep's eta is checked whether or not a ddim cell reads it
+        "sweep_cells": lambda: sweep_cells(["full"], ["ddpm"], [10], sched, eta=1.5),
+    }
+    for name, call in entries.items():
+        with pytest.raises(ValueError, match=r"^eta must be <= 1, got 1.5$"):
+            call()
+
+
+# (T, beta_start, beta_end, full-noise steps): schedules on which eta = 1
+# once computed 1 - ab_u - sigma^2 below 0 on a hop whose exact value is >= 0
+_STEEP = [(4000, 1e-4, 0.1, 5), (200, 1e-3, 0.6, 3)]
+
+
+@pytest.mark.parametrize("T, beta_start, beta_end, n", _STEEP, ids=["T4000-full5", "T200-full3"])
+def test_eta_one_runs_on_steep_schedules(T, beta_start, beta_end, n):
+    sched = make_linear_schedule(T, beta_start, beta_end)
+    spec = make_regime_spec("full", n, "ddim", sched, eta=1.0)
+    pair = _pairs(1, 32, 0.25)[0]
+    out, _ = reconstruct(spec, pair.low_dose, _cond_oracle(sched), sched, np.random.default_rng(3))
+    assert spec.sampler.eta == 1.0 and np.isfinite(out).all()
+
+
+def test_make_regime_spec_compiles_no_plan(sched, monkeypatch):
+    compiled = []
+    # regimes is patched too, in case it holds a reference of its own
+    for module in (samplers, regimes):
+        monkeypatch.setattr(module, "_plan", lambda *args: compiled.append(args), raising=False)
+    make_regime_spec("full", 10, "ddim", sched, eta=0.5)
+    sweep_cells(["full", "ast"], ["ddim", "ddpm"], [10, 25], sched, eta=0.5)
+    assert compiled == []
 
 
 @pytest.mark.parametrize("regimes, kinds, origins, eta, message", [
@@ -175,7 +214,7 @@ def test_make_regime_spec_rejects_eta_beyond_ddim_sigma(sched):
     (["ast"], ["ddim"], [1001], 0.0, r"origin/budget 1001 outside \[1, T=1000\]"),
     (["full"], ["ddpm"], [10], -0.5, "eta must be >= 0, got -0.5"),
     (["full"], ["ddpm"], [10], math.nan, "eta must be >= 0, got nan"),
-    (["full"], ["ddpm", "ddim"], [10], 1.5, r"eta=1.5 makes sigma\^2 exceed 1 - alpha_bar at t_prev=889"),
+    (["full"], ["ddpm", "ddim"], [10], 1.5, "eta must be <= 1, got 1.5"),
     ([], ["ddim"], [10], 0.0, "sweep lists no regime"),
     (["full"], [], [10], 0.0, "sweep lists no sampler"),
     (["ast"], ["ddim"], [], 0.0, "sweep lists no origin/budget"),
@@ -183,6 +222,19 @@ def test_make_regime_spec_rejects_eta_beyond_ddim_sigma(sched):
 def test_sweep_cells_reject_bad_inputs(sched, regimes, kinds, origins, eta, message):
     with pytest.raises(ValueError, match=message):
         sweep_cells(regimes, kinds, origins, sched, eta=eta)
+
+
+def test_sweep_rejects_images_too_small_to_score_before_any_cell(sched, monkeypatch):
+    ran = []
+    monkeypatch.setattr(regimes, "reconstruct", lambda *args, **kw: ran.append(args))
+    small = _pairs(2, 32, 0.25)
+    small[1] = DosePair(pair_id="tiny", full_dose=np.full((8, 8), 0.5), low_dose=np.full((8, 8), 0.5),
+                        dose_fraction=0.25, seed=0)
+    cells = sweep_cells(["full", "ast"], ["ddim"], [5, 10], sched)
+    with pytest.raises(ValueError, match=r"^pair tiny's image is \(8, 8\), but ssim scores only 2-d images "
+                                         r"of at least \(11, 11\)$"):
+        regime_sweep(cells, small, _cond_oracle(sched), sched, master_seed=1)
+    assert ran == []
 
 
 def test_sweep_rejects_empty_cell_list(sched):

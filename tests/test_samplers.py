@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from astn import _kernels as k
 from astn import samplers
@@ -170,9 +172,29 @@ def test_ddim_eta1_matches_ddpm_marginals(sched, toy):
 
 
 def test_ddim_sigma_domain_error(sched, toy, rng):
+    # eta's domain is [0, 1] on every grid: beyond 1 is rejected before any hop compiles
     _, pred, x = toy
-    with pytest.raises(ValueError, match="sigma"):
+    with pytest.raises(ValueError, match=r"^eta must be <= 1, got 50.0$"):
         sampler_step("ddim", x, 500, 499, pred, None, sched, eta=50.0, rng=rng)
+
+
+@pytest.mark.parametrize("regime", ["full", "ast"])
+@settings(max_examples=120, deadline=None)
+@given(T=st.integers(1, 4000), beta_start=st.floats(1e-6, 0.5), beta_rise=st.floats(0.0, 1.0),
+       n_frac=st.floats(0.0, 1.0), eta=st.floats(0.0, 1.0))
+def test_every_eta_in_unit_interval_is_feasible(regime, T, beta_start, beta_rise, n_frac, eta):
+    # for eta <= 1, 1 - ab_u - sigma^2 is >= ab_t (1 - ab_u)^2 / (ab_u (1 - ab_t)) >= 0
+    # exactly, so rounding alone can take it below 0 and the clamp absorbs it
+    beta_end = beta_start + beta_rise * (0.999 - beta_start)
+    try:
+        sched = make_linear_schedule(T, beta_start, beta_end)
+    except ValueError:  # alpha_bar underflows to 0 or stops decreasing
+        assume(False)
+    n = 1 + round(n_frac * (T - 1))
+    steps = make_regime_spec(regime, n, "ddim", sched, eta=eta).sampler.grid.steps
+    for t, u in zip(steps, steps[1:]):
+        _, coefs = samplers._ddim_coefs(t, u, sched, eta, None)
+        assert not any(math.isnan(c) for c in coefs), (t, u, coefs)
 
 
 def test_ddim_eta_needs_rng(sched, toy):
