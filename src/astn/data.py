@@ -36,7 +36,8 @@ __all__ = [
     "write_pgm",
     "generate_dataset",
     "dose_tags",
-    "write_manifest",
+    "write_table",
+    "read_table",
     "read_manifest",
 ]
 
@@ -183,16 +184,18 @@ def generate_dataset(out_dir, count, size, dose_fractions, master_seed,
                     "seed": noise_seed,
                 }
             )
-    write_manifest(out / "manifest.csv", records)
+    write_table(out / "manifest.csv", _MANIFEST_COLUMNS, ([r[c] for c in _MANIFEST_COLUMNS] for r in records))
     return records
 
 
 def dose_tags(dose_fractions):
     """Pair-id tags and noise-seed keys of ``dose_fractions``, one each per fraction.
 
-    Rejects a fraction outside (0, 1] and fractions that would share a tag
-    or a key, before any file is written.
+    Rejects an empty list, a fraction outside (0, 1] and fractions that
+    would share a tag or a key, before any file is written.
     """
+    if len(dose_fractions) == 0:
+        raise ValueError("dataset lists no dose fraction")
     for frac in dose_fractions:
         if not 0.0 < frac <= 1.0:
             raise ValueError(f"dose fraction {frac} outside (0, 1]")
@@ -210,43 +213,52 @@ def dose_tags(dose_fractions):
 _MANIFEST_COLUMNS = ("pair_id", "full_path", "low_path", "dose_fraction", "seed")
 
 
-def write_manifest(path, records):
+def write_table(path, columns, rows, preamble=""):
+    """``preamble``, then CSV lines ending in LF: the ``columns`` header and each field sequence of ``rows``."""
     with open(path, "w", newline="") as f:
+        f.write(preamble)
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(_MANIFEST_COLUMNS)
-        writer.writerows([r[c] for c in _MANIFEST_COLUMNS] for r in records)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def read_table(path, columns, what):
+    """The ``#`` comment lines and the ``(file:line, fields)`` records of a CSV
+    table. Blank lines hold no record, LF and CRLF lines both read, and a
+    header other than ``columns`` (a "bad ``what`` header") or a record of
+    another width is a ValueError naming the file and line."""
+    with open(path, newline="") as f:
+        lines = f.readlines()
+    # a comment reads as a blank line, so line_num stays the file's line number
+    reader = csv.reader("\n" if ln.startswith("#") else ln for ln in lines)
+    records = [(f"{path}:{reader.line_num}", rec) for rec in reader if rec]
+    where, header = records.pop(0) if records else (f"{path}:{len(lines) + 1}", None)
+    if header != list(columns):
+        raise ValueError(f"{where}: bad {what} header {header}")
+    for where, rec in records:
+        if len(rec) != len(columns):
+            raise ValueError(f"{where}: expected {len(columns)} fields, got {len(rec)}")
+    return [ln for ln in lines if ln.startswith("#")], records
 
 
 def read_manifest(path):
     """Load manifest records and their images into DosePairs.
 
-    A bad header, a malformed row or image, a repeated pair id and a pair
-    shaped unlike the first each raise ValueError naming the file and line.
+    A bad header or row width (see :func:`read_table`), a repeated pair id,
+    a malformed value or image and a pair shaped unlike the first each
+    raise ValueError naming the file and line.
     """
     base = Path(path).parent
-    pairs = []
-    ids = set()
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or tuple(header) != _MANIFEST_COLUMNS:
-            raise ValueError(f"{path}:1: bad manifest header {header}")
-        # blank lines hold no record
-        for rec in filter(None, reader):
-            where = f"{path}:{reader.line_num}"
-            if len(rec) != len(_MANIFEST_COLUMNS):
-                raise ValueError(f"{where}: expected {len(_MANIFEST_COLUMNS)} fields, got {len(rec)}")
-            pair_id, full_path, low_path, dose_fraction, seed = rec
+    pairs, ids = [], set()
+    _, records = read_table(path, _MANIFEST_COLUMNS, "manifest")
+    for where, (pair_id, full_path, low_path, dose_fraction, seed) in records:
+        try:
             if pair_id in ids:
-                raise ValueError(f"{where}: pair {pair_id} is listed twice")
+                raise ValueError(f"pair {pair_id} is listed twice")
             ids.add(pair_id)
-            try:
-                pair = DosePair(pair_id, read_image(base / full_path), read_image(base / low_path),
-                                float(dose_fraction), int(seed))
-                if pairs:
-                    require_same_shape(pairs[0].full_dose, pair.full_dose,
-                                       f"pairs {pairs[0].pair_id} and {pair_id}")
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from exc
-            pairs.append(pair)
+            pairs.append(DosePair(pair_id, read_image(base / full_path), read_image(base / low_path),
+                                  float(dose_fraction), int(seed)))
+            require_same_shape(pairs[0].full_dose, pairs[-1].full_dose, f"pairs {pairs[0].pair_id} and {pair_id}")
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
     return pairs

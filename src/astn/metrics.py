@@ -4,7 +4,7 @@ metrics report table serialized to CSV.
 ``MetricsRow``'s fields are the one declaration of the sweep's output
 columns: ``metrics.csv`` writes and reads them in field order, and the
 per-(sampler, regime) curve files write a subset of them in the same number
-formats, through the same writer and with the same LF line endings.
+formats. Both go through ``astn.data``'s CSV table writer and reader.
 
 Metrics operate on [0,1]-normalized images (data range 1). Identical
 images report the 300 dB PSNR cap instead of infinity so CSVs stay finite
@@ -13,7 +13,6 @@ the 11x11 Gaussian window with sigma = 1.5, K1 = 0.01, K2 = 0.03, in
 valid-mode windows (no padding).
 """
 
-import csv
 import math
 import re
 import time
@@ -23,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from astn import _kernels as k
+from astn.data import read_table, write_table
 from astn.image import require_same_shape
 from astn.samplers import SAMPLER_KINDS
 
@@ -140,13 +140,9 @@ _CURVE_COLUMNS = ("steps", "psnr_db", "rmse", "ssim", "time_s")
 _CSV_FORMATS = {"psnr_db": ".6f", "rmse": ".8e", "ssim": ".8f", "time_s": ".6f"}
 
 
-def _write_table(path, columns, rows, preamble=""):
-    """``columns`` of the MetricsRows ``rows`` as CSV after ``preamble``, with LF line endings."""
-    with open(path, "w", newline="") as f:
-        f.write(preamble)
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([format(getattr(r, c), _CSV_FORMATS.get(c, "")) for c in columns] for r in rows)
+def _fields(rows, columns):
+    """The ``columns`` of the MetricsRows ``rows`` as CSV fields, in their number formats."""
+    return ([format(getattr(r, c), _CSV_FORMATS.get(c, "")) for c in columns] for r in rows)
 
 
 @dataclass
@@ -164,7 +160,7 @@ class MetricsReport:
         note = f"# time_s is mean wall time per image; schedule T: {self.T}; sweep threads: {self.threads}"
         if self.threads > 1:
             note += f", so time_s was measured under contention between {self.threads} concurrent cells"
-        _write_table(path, CSV_HEADER, self.rows, note + "\n")
+        write_table(path, CSV_HEADER, _fields(self.rows, CSV_HEADER), note + "\n")
 
     def write_curves(self, curve_dir):
         """One quality-vs-steps file ``{sampler}_{regime}.csv`` per (sampler,
@@ -179,33 +175,23 @@ class MetricsReport:
         for r in sorted(self.rows, key=lambda r: r.steps):
             groups.setdefault((r.sampler, r.regime), []).append(r)
         for (sampler, regime), rows in groups.items():
-            _write_table(curve_dir / f"{sampler}_{regime}.csv", _CURVE_COLUMNS, rows)
+            write_table(curve_dir / f"{sampler}_{regime}.csv", _CURVE_COLUMNS, _fields(rows, _CURVE_COLUMNS))
 
     @classmethod
     def read_csv(cls, path):
         """The rows of a :meth:`write_csv` file, and T from its comment line
         (1000 where it states none). A malformed or repeated row, and one no
         sweep can write, is a ValueError naming the file and line."""
-        with open(path, newline="") as f:
-            lines = f.readlines()
-        stated_T = re.search(r"schedule T: (\d+)", "".join(ln for ln in lines if ln.startswith("#")))
-        # a comment line reads as an empty record, so line_num stays the file's line number
-        reader = csv.reader("\n" if ln.startswith("#") else ln for ln in lines)
-        records = [(reader.line_num, rec) for rec in reader if rec]
-        header = records[0][1] if records else None
-        if header is None or tuple(header) != CSV_HEADER:
-            raise ValueError(f"{path}: bad metrics header {header}")
-        types = [f.type for f in fields(MetricsRow)]
+        comments, records = read_table(path, CSV_HEADER, "metrics")
+        stated_T = re.search(r"schedule T: (\d+)", "".join(comments))
         rows = {}
-        for lineno, rec in records[1:]:
-            if len(rec) != len(CSV_HEADER):
-                raise ValueError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields, got {len(rec)}")
+        for where, rec in records:
             try:
-                row = MetricsRow(*(t(v) for t, v in zip(types, rec)))
+                row = MetricsRow(*(f.type(v) for f, v in zip(fields(MetricsRow), rec)))
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                raise ValueError(f"{where}: {exc}") from exc
             cell = (row.regime, row.sampler, row.steps)
             if cell in rows:
-                raise ValueError(f"{path}:{lineno}: cell {cell} is listed twice")
+                raise ValueError(f"{where}: cell {cell} is listed twice")
             rows[cell] = row
         return cls(rows=list(rows.values()), T=int(stated_T[1]) if stated_T else cls.T)

@@ -82,6 +82,7 @@ import numpy as np
 
 from astn import _kernels as k
 from astn.image import require_same_shape
+from astn.schedule import TimestepGrid
 
 __all__ = [
     "SAMPLER_KINDS",
@@ -96,13 +97,13 @@ class SamplerSpec:
     """Sampler kind, timestep grid, and DDIM stochasticity eta in [0, 1]."""
 
     kind: str
-    grid: object
+    grid: TimestepGrid
     eta: float = 0.0
 
     def __post_init__(self):
         _check_kind(self.kind, self.eta)
-        if len(self.grid) == 0:
-            raise ValueError("sampler grid is empty")
+        if not isinstance(self.grid, TimestepGrid):
+            raise ValueError(f"sampler grid must be a TimestepGrid, got {type(self.grid).__name__}")
 
 
 def _x0_coefs(t, sched):
@@ -115,8 +116,8 @@ def _x0_coefs(t, sched):
 # A kind's coefficient function ``(t, u, schedule, eta, lam_prev) -> (apply,
 # coefficients)`` compiles one internal hop. ``t`` and ``u`` are int indices
 # into the schedule's ``_alpha_bar_values`` and ``_log_snr_values`` tables,
-# checked by ``_plan``; ``lam_prev`` is the log-SNR at which the multistep
-# history was predicted, or None. An apply ``(x_t, t,
+# checked by ``_plan``; ``lam_prev`` is the previous hop's log-SNR, where a
+# multistep kind predicted its history, or None. An apply ``(x_t, t,
 # coefs, eps, rng, ws, out) -> x_u`` takes a bound predictor ``eps(x, t) ->
 # (a, img, b)`` and the run's workspace ``ws``; it writes x_u into ``out``,
 # may use ``out`` as scratch before that, and never writes ``x_t``. The
@@ -279,14 +280,14 @@ def _unipc_apply(x_t, t, c, eps, rng, ws, out):
 
 
 # one row per sampler kind: (coefficient function, predictor evaluations per
-# internal hop, keeps a history); the terminal hop always costs one
+# internal hop); the terminal hop always costs one
 _STEPS = {
-    "ddpm": (_ddpm_coefs, 1, False),
-    "ddim": (_ddim_coefs, 1, False),
-    "dpm1": (_dpm1_coefs, 1, False),
-    "dpm2": (_dpm2_coefs, 2, False),
-    "dpmpp2m": (_dpmpp2m_coefs, 1, True),
-    "unipc2": (_unipc_coefs, 2, True),
+    "ddpm": (_ddpm_coefs, 1),
+    "ddim": (_ddim_coefs, 1),
+    "dpm1": (_dpm1_coefs, 1),
+    "dpm2": (_dpm2_coefs, 2),
+    "dpmpp2m": (_dpmpp2m_coefs, 1),
+    "unipc2": (_unipc_coefs, 2),
 }
 
 SAMPLER_KINDS = tuple(_STEPS)
@@ -310,11 +311,11 @@ def _plan(kind, steps, sched, eta):
     scalar of the run. Each step is checked once here, as
     ``NoiseSchedule.alpha_bar`` checks it, and the coefficient functions
     index the schedule's tables with it. The first hop starts from no
-    history; each internal hop of a multistep kind predicts the next hop's
-    history at its own t, and ``lam_prev`` is that history's log-SNR. A hop
-    to 0 returns x0_hat.
+    history, and each internal hop passes the next its own log-SNR as
+    ``lam_prev``: the multistep kinds predict their history there, and the
+    other kinds never read it. A hop to 0 returns x0_hat.
     """
-    coefs, _, keeps_history = _STEPS[kind]
+    coefs, _ = _STEPS[kind]
     index = sched._step_index
     plan, lam_prev = [], None
     for t, u in zip(steps, steps[1:]):
@@ -323,8 +324,7 @@ def _plan(kind, steps, sched, eta):
             plan.append((t, u, _apply_linear, _x0_coefs(i, sched)))
             continue
         plan.append((t, u) + coefs(i, j, sched, eta, lam_prev))
-        if keeps_history:
-            lam_prev = sched._log_snr_values[i]
+        lam_prev = sched._log_snr_values[i]
     return plan
 
 
@@ -410,5 +410,5 @@ def run_sampler(spec, x_init, pred, cond, sched, rng=None, record=False):
 def evaluations_per_run(kind, n_steps):
     """Exact predictor evaluation count for a grid of ``n_steps`` entries:
     the kind's evaluations per internal hop, plus one for the terminal hop."""
-    _, evals, _ = _STEPS[kind]
+    _, evals = _STEPS[kind]
     return 1 + (n_steps - 1) * evals

@@ -525,6 +525,7 @@ _BAD_GENERATE = {
     "n_ellipses_bool": {"dataset": dict(SMALL_CONFIG["dataset"], n_ellipses=True)},
     "seed_fraction": {"seed": 77.5},
     "fraction_bool": {"dataset": dict(SMALL_CONFIG["dataset"], dose_fractions=[True])},
+    "no_fractions": {"dataset": dict(SMALL_CONFIG["dataset"], dose_fractions=[])},
 }
 # case -> (config override, text naming the bad value in the error message)
 _BAD_RUN = {

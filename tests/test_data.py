@@ -17,6 +17,7 @@ from astn.data import (
     write_image,
     write_pgm,
 )
+from astn.metrics import MetricsReport, MetricsRow
 
 
 def test_phantom_no_ellipses_is_uniform_background():
@@ -231,6 +232,13 @@ def test_generate_dataset_rejects_duplicate_ids_before_writing(tmp_path):
     assert not out.exists()
 
 
+def test_generate_dataset_rejects_no_dose_fraction_before_writing(tmp_path):
+    out = tmp_path / "data"
+    with pytest.raises(ValueError, match="dataset lists no dose fraction"):
+        generate_dataset(out, count=2, size=32, dose_fractions=[], master_seed=3)
+    assert not out.exists()
+
+
 def test_manifest_round_trip(tmp_path):
     generate_dataset(tmp_path, count=2, size=32, dose_fractions=[0.25], master_seed=11)
     pairs = read_manifest(tmp_path / "manifest.csv")
@@ -271,6 +279,54 @@ def test_malformed_manifest_names_file_and_line(tmp_path, damage):
     manifest.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=re.escape(f"manifest.csv{_MANIFEST_DAMAGE[damage]}")):
         read_manifest(manifest)
+
+
+def _manifest_table(tmp_path):
+    generate_dataset(tmp_path, count=2, size=32, dose_fractions=[0.25], master_seed=11)
+    return tmp_path / "manifest.csv", lambda path: [p.pair_id for p in read_manifest(path)]
+
+
+def _metrics_table(tmp_path):
+    path = tmp_path / "metrics.csv"
+    MetricsReport(rows=[MetricsRow("full", "ddim", 10, 30.0, 0.01, 0.5, 0.1, 1),
+                        MetricsRow("ast", "ddim", 10, 31.0, 0.01, 0.6, 0.1, 1)]).write_csv(path)
+    return path, lambda path: [(r.regime, r.steps, r.ssim) for r in MetricsReport.read_csv(path).rows]
+
+
+# a table, as its header error names it -> (a valid table's path, that table's reader)
+_TABLES = {"manifest": _manifest_table, "metrics": _metrics_table}
+# edit of (lines before the header, header, rows) -> the file's text
+_TABLE_EDITS = {
+    "crlf": lambda pre, head, rows: "".join(ln + "\r\n" for ln in pre + [head] + rows),
+    "blank_lines": lambda pre, head, rows: "\n".join(pre + ["", head, "", *rows, "", ""]),
+    "comments": lambda pre, head, rows: "\n".join(
+        ["# a note, with a comma"] + pre + [head, '# "quoted",'] + rows[:1] + ["#"] + rows[1:]) + "\n",
+}
+
+
+@pytest.mark.parametrize("edit", list(_TABLE_EDITS))
+@pytest.mark.parametrize("table", list(_TABLES))
+def test_csv_tables_share_one_rule_set(tmp_path, table, edit):
+    path, records = _TABLES[table](tmp_path)
+    lines = path.read_text().splitlines()
+    h = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    before = records(path)
+    path.write_bytes(_TABLE_EDITS[edit](lines[:h], lines[h], lines[h + 1:]).encode())
+    assert records(path) == before
+
+
+@pytest.mark.parametrize("table", list(_TABLES))
+def test_csv_table_header_error_names_its_line(tmp_path, table):
+    path, records = _TABLES[table](tmp_path)
+    lines = path.read_text().splitlines()
+    h = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    path.write_text("\n".join(lines[:h] + ["", "# note", "pair,cell"] + lines[h + 1:]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{h + 3}: bad {table} header ['pair', 'cell']")):
+        records(path)
+    # a file without a header names the line after its last
+    path.write_text("\n".join(lines[:h] + ["", "# note"]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{h + 3}: bad {table} header None")):
+        records(path)
 
 
 def test_dose_pair_validation(rng):

@@ -845,8 +845,12 @@ def test_sampler_spec_validation(sched):
         SamplerSpec(kind="dpm1", grid=grid, eta=0.5)
     with pytest.raises(ValueError):
         SamplerSpec(kind="ddim", grid=grid, eta=-1.0)
-    with pytest.raises(ValueError, match="sampler grid is empty"):
-        SamplerSpec(kind="ddim", grid=())
+    # a grid is a TimestepGrid, which rejects an empty grid itself
+    for bad in ((), (10, 5, 1), [10, 5, 1]):
+        with pytest.raises(ValueError, match=f"sampler grid must be a TimestepGrid, got {type(bad).__name__}"):
+            SamplerSpec(kind="ddim", grid=bad)
+    with pytest.raises(ValueError, match="empty timestep grid"):
+        SamplerSpec(kind="ddim", grid=TimestepGrid(()))
 
 
 def test_sampler_spec_rejects_eta_for_ddpm(sched):
